@@ -68,11 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("table", "json", "dot"),
                         help="output format (dot applies to towers only)")
     common.add_argument("--word-cap", type=int, metavar="N",
-                        help="per-degree word budget for presented models")
+                        help="for presented models, the most (generator, class) "
+                             "pairs enumerated at one degree")
     common.add_argument("--out", metavar="PATH",
                         help="write output to PATH instead of stdout")
-    common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="reserved; computation is single threaded")
 
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text in (
@@ -114,8 +113,6 @@ def _configure(args) -> RunConfig:
             raise SkewGrowthError(f"--word-cap must be >= 1, got {args.word_cap}")
         if hasattr(model, "word_cap"):
             model.word_cap = args.word_cap
-    if args.threads is not None and args.threads < 1:
-        raise SkewGrowthError(f"--threads must be >= 1, got {args.threads}")
     cutoff = _resolve_cutoff(args, model)
     table = model.enumerate_up_to(cutoff)
     ground = None

@@ -62,7 +62,7 @@ class EnumerationError(SkewGrowthError, RuntimeError):
 
 
 class CutoffTooLargeError(EnumerationError):
-    """Word count at some degree exceeds the configured cap."""
+    """The (generator, class) pairs at some degree exceed the configured cap."""
 
 
 class EmptyAlphabetError(EnumerationError):

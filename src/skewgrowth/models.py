@@ -7,17 +7,15 @@ threads; models memoize one table per cutoff.
 
 Two model families live here:
 
-* :class:`RewriteModel` wraps a positive homogeneous presentation.  Elements
-  of one degree are computed exhaustively: every word of that degree is
-  generated, single-relation substring substitutions (degree preserving, by
-  homogeneity) connect words, and the classes are the connected components.
-  Canonical representatives are shortlex-least (length, then declaration
-  order).  Exhaustive closure is exact for any homogeneous presentation, at
-  the price of a word count that may grow exponentially with the degree; a
-  per-degree word cap turns runaway enumerations into a clean error.  When
-  every generator has the same degree the closure is run vectorized over
-  integer-encoded words; the general path handles mixed degrees word by
-  word.  Both produce identical tables.
+* :class:`RewriteModel` wraps a positive homogeneous presentation.  Its
+  classes are built degree by degree: every word of degree d is a generator
+  g followed by a word of some class x of degree d - deg(g), so the pairs
+  (g, x) are the nodes of a graph, relations applied at the front of a word
+  are its edges, and the classes of degree d are its connected components.
+  Each class keeps its shortlex-least word (length, then declaration order)
+  and the left-multiplication maps g*x; products fold a word through those
+  maps.  A cap on the nodes per degree turns runaway enumerations into a
+  clean error.
 
 * :class:`MultIntegerModel` is the positive integers under multiplication
   with multiplicative-integer degree keys; enumeration up to a cutoff just
@@ -31,8 +29,6 @@ import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .dirichlet import KeyKind, coerce_key, key_add, key_sub, key_zero, render_key
 from .errors import (
@@ -193,21 +189,17 @@ class RewriteModel:
         self.key_kind = KeyKind.RATIONAL
         self._tables: dict = {}
 
-    def enumerate_up_to(self, cutoff, force_general: bool = False) -> "RewriteTable":
+    def enumerate_up_to(self, cutoff) -> "RewriteTable":
         cutoff = _validate_cutoff(KeyKind.RATIONAL, cutoff)
-        key = (cutoff, force_general)
-        if key not in self._tables:
-            self._tables[key] = RewriteTable(
-                self.presentation, cutoff, self.word_cap, force_general
-            )
-        return self._tables[key]
+        if cutoff not in self._tables:
+            self._tables[cutoff] = RewriteTable(self.presentation, cutoff, self.word_cap)
+        return self._tables[cutoff]
 
 
 class RewriteTable(ElementTable):
     kind = "rewrite-presented"
 
-    def __init__(self, presentation: Presentation, cutoff: Fraction, word_cap: int,
-                 force_general: bool = False):
+    def __init__(self, presentation: Presentation, cutoff: Fraction, word_cap: int):
         if not presentation.generators:
             raise EmptyAlphabetError("presentation declares no generators")
         self.presentation = presentation
@@ -230,84 +222,82 @@ class RewriteTable(ElementTable):
             rules.add((min(lhs, rhs), max(lhs, rhs)))
         self._rules = sorted(rules)
 
-        uniform = len(set(self._gen_degrees)) == 1 and not force_general
-        self._uniform = uniform
-        degrees: list = []
-        by_degree: dict = {}
-        self._words: list[tuple[int, ...]] = []
-        if uniform and self._gen_names:
-            self._levels: dict[int, _UniformLevel] = {}
-            self._enumerate_uniform(cutoff, word_cap, degrees, by_degree)
-        else:
-            self._word_class: dict[tuple[int, ...], int] = {}
-            self._enumerate_general(cutoff, word_cap, degrees, by_degree)
+        degrees: list = [Fraction(0)]
+        by_degree: dict = {Fraction(0): (0,)}
+        self._words: list[tuple[int, ...]] = [()]
+        # _lmul[g][x] is the id of g*x, for every class x with
+        # deg(x) + deg(g) <= cutoff; lists grow in id order
+        self._lmul: list[list[int]] = [[] for _ in self._gen_names]
+        for degree in _degree_closure(self._gen_degrees, cutoff)[1:]:
+            self._close_level(degree, word_cap, degrees, by_degree)
         super().__init__(KeyKind.RATIONAL, cutoff, degrees, by_degree)
 
-    # -- uniform-degree path --------------------------------------------------
+    def _close_level(self, degree, word_cap, degrees, by_degree):
+        """Enumerate the classes of one degree from the lower ones.
 
-    def _enumerate_uniform(self, cutoff, word_cap, degrees, by_degree):
-        delta = self._gen_degrees[0]
-        k = len(self._gen_names)
-        max_len = int(cutoff / delta)
-        enc_rules = []
+        Every word of this degree is g*w with w of class x at degree
+        deg - deg(g), and all those words are equal in the monoid, so the
+        pair (g, x) is a node.  A substitution strictly inside w stays within
+        its node; one at the front uses a relation g*u = h*u' and joins
+        (g, [u*y]) with (h, [u'*y]) for a class y of degree deg - deg(g*u).
+        The classes are the connected components, each named by the
+        shortlex-least g + word(x) among its nodes.
+        """
+        words, lmul = self._words, self._lmul
+        nodes: list[tuple[int, int]] = []
+        start = []  # node index of (g, x) is start[g] + x
+        for g, gd in enumerate(self._gen_degrees):
+            lower = by_degree.get(degree - gd, ())
+            start.append(len(nodes) - lower[0] if lower else None)
+            nodes.extend((g, x) for x in lower)
+        if len(nodes) > word_cap:
+            raise CutoffTooLargeError(
+                f"{len(nodes)} (generator, class) pairs at degree {degree} "
+                f"exceed the word cap {word_cap}"
+            )
+
+        parent = list(range(len(nodes)))
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
         for lhs, rhs in self._rules:
-            # uniform degrees force equal side lengths
-            ell = len(lhs)
-            enc_rules.append((_encode(lhs, k), _encode(rhs, k), ell))
-        for length in range(max_len + 1):
-            count = k ** length
-            if count > word_cap:
-                raise CutoffTooLargeError(
-                    f"{count} words of degree {length * delta} exceed the word cap {word_cap}"
-                )
-            level = _close_uniform_level(length, k, enc_rules)
-            level.first_eid = len(degrees)
-            self._levels[length] = level
-            degree = delta * length
-            eids = []
-            for rep in level.rep_encs:
-                eid = len(degrees)
-                degrees.append(degree)
-                self._words.append(_decode(int(rep), length, k))
-                eids.append(eid)
-            by_degree[degree] = tuple(eids)
-        self._delta, self._k = delta, k
+            for y in by_degree.get(degree - self.word_degree(lhs), ()):
+                a = find(start[lhs[0]] + self._fold(lhs[1:], y))
+                b = find(start[rhs[0]] + self._fold(rhs[1:], y))
+                if a != b:
+                    parent[b] = a
 
-    # -- general path ----------------------------------------------------------
+        least: dict[int, tuple[int, ...]] = {}
+        for i, (g, x) in enumerate(nodes):
+            word = (g,) + words[x]
+            root = find(i)
+            best = least.get(root)
+            if best is None or (len(word), word) < (len(best), best):
+                least[root] = word
+        order = sorted(least, key=lambda r: (len(least[r]), least[r]))
+        eid_of = {root: len(degrees) + rank for rank, root in enumerate(order)}
+        for root in order:
+            degrees.append(degree)
+            words.append(least[root])
+        by_degree[degree] = tuple(eid_of[root] for root in order)
+        for i, (g, _) in enumerate(nodes):
+            lmul[g].append(eid_of[find(i)])
 
-    def _enumerate_general(self, cutoff, word_cap, degrees, by_degree):
-        gen_degrees = self._gen_degrees
-        reachable = _degree_closure(gen_degrees, cutoff)
-        words_at: dict[Fraction, list[tuple[int, ...]]] = {Fraction(0): [()]}
-        for target in reachable:
-            if target == 0:
-                continue
-            bucket: list[tuple[int, ...]] = []
-            for gi, gd in enumerate(gen_degrees):
-                lower = words_at.get(target - gd)
-                if lower is None:
-                    continue
-                bucket.extend((gi,) + w for w in lower)
-                if len(bucket) > word_cap:
-                    raise CutoffTooLargeError(
-                        f"more than {word_cap} words at degree {target}"
-                    )
-            if bucket:
-                words_at[target] = bucket
-
-        for target in sorted(words_at):
-            bucket = words_at[target]
-            classes = _close_word_bucket(bucket, self._rules)
-            degree = target
-            eids = []
-            for members in classes:  # already sorted by shortlex-least member
-                eid = len(degrees)
-                degrees.append(degree)
-                self._words.append(min(members, key=lambda w: (len(w), w)))
-                for w in members:
-                    self._word_class[w] = eid
-                eids.append(eid)
-            by_degree[degree] = tuple(eids)
+    def _fold(self, word: Sequence[int], x: int) -> int | None:
+        """Id of word*x, multiplying in the letters of word right to left,
+        or None past the cutoff.  Ids are ordered by degree, so _lmul[g]
+        covers exactly the ids below its length."""
+        lmul = self._lmul
+        for g in reversed(word):
+            row = lmul[g]
+            if x >= len(row):
+                return None
+            x = row[x]
+        return x
 
     # -- queries ---------------------------------------------------------------
 
@@ -319,18 +309,9 @@ class RewriteTable(ElementTable):
 
     def class_of_word(self, word: Sequence[int]) -> int | None:
         """Element id of an arbitrary word, or None past the cutoff."""
-        word = tuple(word)
-        if self._uniform:
-            level = self._levels.get(len(word))
-            if level is None:
-                return None
-            enc = _encode(word, self._k)
-            if level.labels is None:
-                return level.first_eid + enc
-            return level.first_eid + int(level.comp_rank[level.labels[enc]])
         if self.word_degree(word) > self.cutoff:
             return None
-        return self._word_class[word]
+        return self._fold(word, self.unit)
 
     def class_of_names(self, names: Sequence[str]) -> int | None:
         degrees = {g.name: g.degree for g in self.presentation.generators}
@@ -343,90 +324,13 @@ class RewriteTable(ElementTable):
         return self.class_of_word(tuple(index[n] for n in names))
 
     def product(self, u: int, v: int) -> int | None:
-        if key_add(self.key_kind, self._degrees[u], self._degrees[v]) > self.cutoff:
-            return None
-        return self.class_of_word(self._words[u] + self._words[v])
+        return self._fold(self._words[u], v)
 
     def label(self, eid: int) -> str:
         word = self._words[eid]
         if not word:
             return "1"
         return self._joiner.join(self._gen_names[i] for i in word)
-
-
-@dataclass
-class _UniformLevel:
-    labels: np.ndarray | None  # enc -> component, or None when classes are trivial
-    comp_rank: np.ndarray | None  # component -> index in rep order
-    rep_encs: np.ndarray  # sorted canonical encodings
-    first_eid: int = 0
-
-
-def _encode(word: Sequence[int], k: int) -> int:
-    enc = 0
-    for letter in word:
-        enc = enc * k + letter
-    return enc
-
-
-def _decode(enc: int, length: int, k: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(length):
-        enc, letter = divmod(enc, k)
-        out.append(letter)
-    return tuple(reversed(out))
-
-
-def _close_uniform_level(length: int, k: int, enc_rules) -> _UniformLevel:
-    """Partition all k**length words into rewrite classes, vectorized.
-
-    Words are base-k integers, most significant letter first.  For a rule
-    with encoded sides (a, b) of length ell at position i, the words carrying
-    pattern a at i are exactly those whose digit window equals a, and the
-    substitution is the constant shift (b - a) * k**(length - i - ell); the
-    class partition is then one connected-components run over all windows.
-    """
-    count = k ** length
-    applicable = [r for r in enc_rules if r[2] <= length]
-    if not applicable:
-        return _UniformLevel(None, None, np.arange(count, dtype=np.int64))
-
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    dtype = np.int32 if count <= np.iinfo(np.int32).max else np.int64
-    enc = np.arange(count, dtype=dtype)
-    two_power = k & (k - 1) == 0
-    bits = k.bit_length() - 1
-    rows, cols = [], []
-    for enc_a, enc_b, ell in applicable:
-        span = k ** ell
-        for pos in range(length - ell + 1):
-            shift = k ** (length - pos - ell)
-            if two_power:
-                window = (enc >> (bits * (length - pos - ell))) & (span - 1)
-            else:
-                window = (enc // shift) % span
-            hits = np.nonzero(window == enc_a)[0].astype(dtype, copy=False)
-            if hits.size:
-                rows.append(hits)
-                cols.append(hits + dtype((enc_b - enc_a) * shift))
-    if not rows:
-        return _UniformLevel(None, None, np.arange(count, dtype=np.int64))
-    row = np.concatenate(rows)
-    col = np.concatenate(cols)
-    graph = coo_matrix(
-        (np.ones(len(row), dtype=np.int8), (row, col)), shape=(count, count)
-    )
-    n_comp, labels = connected_components(graph, directed=False)
-    if n_comp == count:
-        return _UniformLevel(None, None, np.arange(count, dtype=np.int64))
-    # first occurrence of each label value is the least encoding in the class
-    _, rep = np.unique(labels, return_index=True)
-    order = np.argsort(rep)
-    comp_rank = np.empty(n_comp, dtype=np.int64)
-    comp_rank[order] = np.arange(n_comp)
-    return _UniformLevel(labels, comp_rank, np.sort(rep))
 
 
 def _degree_closure(gen_degrees: Iterable[Fraction], cutoff: Fraction) -> list[Fraction]:
@@ -442,39 +346,6 @@ def _degree_closure(gen_degrees: Iterable[Fraction], cutoff: Fraction) -> list[F
                 seen.add(nxt)
                 frontier.append(nxt)
     return sorted(seen)
-
-
-def _close_word_bucket(bucket: list[tuple[int, ...]], rules) -> list[list[tuple[int, ...]]]:
-    """Union words of one degree under single-rule substring substitutions.
-
-    Returns classes as member lists, ordered by their shortlex-least member.
-    Replacing lhs by rhs only (per unordered rule) already yields every
-    undirected substitution edge.
-    """
-    index = {w: i for i, w in enumerate(bucket)}
-    parent = list(range(len(bucket)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for word, wid in index.items():
-        for lhs, rhs in rules:
-            ell = len(lhs)
-            for pos in range(len(word) - ell + 1):
-                if word[pos:pos + ell] != lhs:
-                    continue
-                neighbor = word[:pos] + rhs + word[pos + ell:]
-                ra, rb = find(wid), find(index[neighbor])
-                if ra != rb:
-                    parent[rb] = ra
-
-    classes: dict[int, list[tuple[int, ...]]] = {}
-    for word, wid in index.items():
-        classes.setdefault(find(wid), []).append(word)
-    return sorted(classes.values(), key=lambda ws: min((len(w), w) for w in ws))
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,6 @@ def test_verify_failure_exits_one(tmp_path, capsys):
     ["skew", "--preset", "example3", "--ground", ""],
     ["towers", "--preset", "example3", "--ground", "a,aa"],
     ["growth", "--preset", "example3", "--word-cap", "0"],
-    ["growth", "--preset", "example3", "--threads", "0"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     rc = main(argv)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from skewgrowth.models import (
     RewriteModel,
 )
 from skewgrowth.presentation import Presentation, parse_presentation
+from skewgrowth.presets import builtin
 
 BAD = parse_presentation("gen a : 1\ngen b : 1\ngen c : 1\nrel a b = a c\n")
 
@@ -52,17 +54,133 @@ def test_atoms(example3_table, zpos_table):
     assert [zpos_table.label(a) for a in zpos_table.atoms()] == [str(p) for p in primes]
 
 
-def test_fast_and_general_paths_agree():
-    model = RewriteModel(parse_presentation("gen a : 1\ngen b : 1\nrel a a = b b\nrel a b = b a\n"))
-    fast = model.enumerate_up_to(Fraction(7))
-    slow = model.enumerate_up_to(Fraction(7), force_general=True)
-    assert fast.n_elements == slow.n_elements
-    for eid in fast.all_elements():
-        assert fast.label(eid) == slow.label(eid)
-        assert fast.degree(eid) == slow.degree(eid)
-    for u in range(fast.n_elements):
-        for v in range(fast.n_elements):
-            assert fast.product(u, v) == slow.product(u, v)
+def _word_closure(presentation, cutoff):
+    """Reference enumerator: list every word of degree <= cutoff and union the
+    words of each degree under single-relation substring substitutions.
+
+    Returns (labels, degrees, class_of) with ids ordered by (degree,
+    shortlex-least word), and class_of mapping every listed word to its id.
+    """
+    gens = [g for g in presentation.generators if g.degree <= cutoff]
+    names = [g.name for g in gens]
+    index = {n: i for i, n in enumerate(names)}
+    rules = [
+        (tuple(index[n] for n in rel.lhs), tuple(index[n] for n in rel.rhs))
+        for rel in presentation.relations
+        if all(n in index for n in rel.lhs + rel.rhs)
+    ]
+    words_at = {Fraction(0): [()]}
+    frontier = [()]
+    while frontier:
+        word = frontier.pop()
+        degree = sum((gens[i].degree for i in word), Fraction(0))
+        for i, g in enumerate(gens):
+            if degree + g.degree <= cutoff:
+                longer = word + (i,)
+                words_at.setdefault(degree + g.degree, []).append(longer)
+                frontier.append(longer)
+
+    joiner = "" if all(len(n) == 1 for n in names) else " "
+    labels, degrees, class_of = [], [], {}
+    for degree in sorted(words_at):
+        bucket = words_at[degree]
+        slot = {w: i for i, w in enumerate(bucket)}
+        parent = list(range(len(bucket)))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for word, wid in slot.items():
+            for lhs, rhs in rules:
+                ell = len(lhs)
+                for pos in range(len(word) - ell + 1):
+                    if word[pos:pos + ell] == lhs:
+                        other = word[:pos] + rhs + word[pos + ell:]
+                        parent[find(slot[other])] = find(wid)
+        classes = {}
+        for word, wid in slot.items():
+            classes.setdefault(find(wid), []).append(word)
+        for members in sorted(classes.values(),
+                              key=lambda ws: min((len(w), w) for w in ws)):
+            least = min(members, key=lambda w: (len(w), w))
+            labels.append(joiner.join(names[i] for i in least) or "1")
+            degrees.append(degree)
+            for w in members:
+                class_of[w] = len(labels) - 1
+    return labels, degrees, class_of
+
+
+def _assert_matches_word_closure(presentation, cutoff):
+    table = RewriteModel(presentation).enumerate_up_to(cutoff)
+    labels, degrees, class_of = _word_closure(presentation, cutoff)
+    assert [table.label(e) for e in table.all_elements()] == labels
+    assert [table.degree(e) for e in table.all_elements()] == degrees
+    for u in table.all_elements():
+        for v in table.all_elements():
+            expected = None
+            if degrees[u] + degrees[v] <= cutoff:
+                expected = class_of[table.word(u) + table.word(v)]
+            assert table.product(u, v) == expected
+
+
+def test_class_graph_matches_word_closure():
+    for text, cutoff in [
+        ("gen a : 1\ngen b : 1\nrel a a = b b\nrel a b = b a\n", Fraction(7)),
+        ("gen a : 1\ngen b : 1\nrel a b a = b a b\n", Fraction(7)),
+        ("gen a : 1\ngen b : 2\nrel a a = b\n", Fraction(6)),
+        ("gen a : 1\ngen b : 1\ngen c : 1\nrel a b = a c\n", Fraction(5)),
+        ("gen a : 1/2\ngen b : 1\ngen c : 3/2\nrel b a = a b\nrel c = a b\n", Fraction(4)),
+    ]:
+        _assert_matches_word_closure(parse_presentation(text), cutoff)
+
+
+@st.composite
+def small_presentations(draw):
+    """Up to 3 generators of mixed rational degree and up to 3 homogeneous
+    relations with sides of 1 to 3 letters, plus a cutoff small enough for
+    the word-closure oracle."""
+    degrees = draw(st.lists(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)]),
+                            min_size=1, max_size=3))
+    names = "abc"[:len(degrees)]
+    sides = {}
+    for length in (1, 2, 3):
+        for word in itertools.product(range(len(names)), repeat=length):
+            sides.setdefault(sum(degrees[i] for i in word), []).append(word)
+    paired = sorted(d for d, ws in sides.items() if len(ws) > 1)
+    relations = []
+    for _ in range(draw(st.integers(0, 3)) if paired else 0):
+        pool = sides[draw(st.sampled_from(paired))]
+        lhs, rhs = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2,
+                                 unique=True))
+        relations.append(f"rel {' '.join(names[i] for i in lhs)} = "
+                         f"{' '.join(names[i] for i in rhs)}")
+    text = "".join(f"gen {n} : {d}\n" for n, d in zip(names, degrees))
+    text += "".join(r + "\n" for r in relations)
+    cutoff = draw(st.sampled_from([Fraction(3), Fraction(4), Fraction(9, 2)]))
+    return parse_presentation(text), cutoff
+
+
+@settings(deadline=None, max_examples=100)
+@given(small_presentations())
+def test_class_graph_matches_word_closure_on_random_presentations(drawn):
+    _assert_matches_word_closure(*drawn)
+
+
+def test_example3_counts_at_cutoff_200():
+    table = builtin("example3").enumerate_up_to(Fraction(200))
+    assert _counts(table) == [1] + [2] * 200
+
+
+def test_class_of_word_identifies_equal_words(example3_table):
+    aa = example3_table.class_of_word((0, 0))
+    assert example3_table.class_of_word((1, 1)) == aa
+    assert example3_table.label(aa) == "aa"
+
+
+def test_class_of_word_past_cutoff_is_none(example3_table):
+    assert example3_table.class_of_word((0,) * 9) is None
 
 
 def test_mixed_degree_presentation_uses_general_path():
