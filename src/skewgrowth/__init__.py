@@ -27,12 +27,7 @@ from .dirichlet import (
 )
 from .divisibility import DivPoset
 from .errors import SkewGrowthError
-from .models import (
-    CancellativityViolation,
-    ElementTable,
-    MultIntegerModel,
-    RewriteModel,
-)
+from .models import ElementTable, MultIntegerModel, RewriteModel
 from .mp_family import MpElement, MpModel, MpSpec, family_presentation
 from .presentation import Generator, Presentation, Relation, parse_presentation
 from .presets import builtin, parse_preset
@@ -48,7 +43,6 @@ from .towers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CancellativityViolation",
     "CheckReport",
     "DivPoset",
     "ElementTable",

@@ -23,7 +23,7 @@ from .dirichlet import (
     series_one,
 )
 from .divisibility import DivPoset, mask_to_ids
-from .towers import TowerForest, enumerate_towers, skew_growth, tower_sign
+from .towers import TowerForest, enumerate_towers, skew_growth
 
 PASS = "pass"
 FAIL = "fail"
@@ -65,43 +65,43 @@ def _render(table, key) -> str:
 def check_cancellative(table) -> CheckReport:
     """Collision probe for cancellativity on the enumerated range.
 
-    Left cancellativity of products that land inside the table says the maps
-    u -> a*u are injective degree-slice by degree-slice; the probe materializes
-    each slice and looks for a collision, walking product degrees in increasing
-    order so a failure is reported at the least witness.  Right products are
-    probed the same way.
+    The probe asks whether each generator map x -> g*x and x -> x*g is
+    injective.  That suffices: a collision u*x == u*y with u = g*u' gives
+    either u'*x == u'*y, a collision of smaller degree, or
+    g*(u'*x) == g*(u'*y), one of the map of g; right products likewise.
+    A failure is reported at the least witness, ordered by product degree,
+    factor degree, side (left first) and factor id.  The same argument makes
+    the factor of that least witness an atom, hence a generator, so it is
+    the least of the first collisions of the maps.
     """
     kind = table.key_kind
-    zero = key_zero(kind)
-    degrees = table.realized_degrees()
-    for total in degrees:
-        for factor_degree in degrees:
-            if factor_degree == zero:
-                continue
-            other_degree = key_sub(kind, total, factor_degree)
-            if other_degree is None or not table.elements_of_degree(other_degree):
-                continue
-            for side in ("left", "right"):
-                witness = _collision(table, side, factor_degree, other_degree)
-                if witness is not None:
-                    factor, first, second = witness
-                    return CheckReport(
-                        name="cancellativity",
-                        status=FAIL,
-                        max_degree_verified=total,
-                        counterexample={
-                            "side": side,
-                            "factor": table.label(factor),
-                            "first": table.label(first),
-                            "second": table.label(second),
-                            "product_degree": _render(table, total),
-                        },
-                        notes=(
-                            f"{side} multiplication by {table.label(factor)} "
-                            f"identifies {table.label(first)} and {table.label(second)}"
-                        ),
-                        key_kind=kind,
-                    )
+    found = []
+    for side, maps in (("left", table.left_maps()), ("right", table.right_maps())):
+        for factor, row in zip(table.generators(), maps):
+            witness = _first_collision(row)
+            if witness is not None:
+                total = key_add(kind, table.degree(factor), table.degree(witness[1]))
+                found.append((total, table.degree(factor), side == "right", factor,
+                              side) + witness)
+    if found:
+        total, _, _, factor, side, first, second = min(found)
+        return CheckReport(
+            name="cancellativity",
+            status=FAIL,
+            max_degree_verified=total,
+            counterexample={
+                "side": side,
+                "factor": table.label(factor),
+                "first": table.label(first),
+                "second": table.label(second),
+                "product_degree": _render(table, total),
+            },
+            notes=(
+                f"{side} multiplication by {table.label(factor)} "
+                f"identifies {table.label(first)} and {table.label(second)}"
+            ),
+            key_kind=kind,
+        )
     return CheckReport(
         name="cancellativity",
         status=PASS,
@@ -111,19 +111,15 @@ def check_cancellative(table) -> CheckReport:
     )
 
 
-def _collision(table, side, factor_degree, other_degree):
-    for factor in table.elements_of_degree(factor_degree):
-        seen: dict = {}
-        for other in table.elements_of_degree(other_degree):
-            if side == "left":
-                result = table.product(factor, other)
-            else:
-                result = table.product(other, factor)
-            if result is None:
-                continue
-            if result in seen:
-                return factor, seen[result], other
-            seen[result] = other
+def _first_collision(row: list[int]):
+    """(first, second): the least id second with row[second] equal to an
+    earlier value, and the least such earlier id first; None when row is
+    injective."""
+    seen: dict = {}
+    for x, result in enumerate(row):
+        if result in seen:
+            return seen[result], x
+        seen[result] = x
     return None
 
 

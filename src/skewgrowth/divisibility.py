@@ -2,9 +2,11 @@
 
 ``u`` left-divides ``v`` when some ``x`` solves ``u * x == v``; on the
 elements of a conical degree-graded monoid this is a partial order.  The
-poset records it bitwise: one pass over all in-range products ``u * x``
-fills, for every element, the set of its divisors and the set of its
-multiples as integer bitmasks indexed by element id.
+poset records it bitwise: for every element, the set of its divisors and the
+set of its multiples as integer bitmasks indexed by element id.  Both are
+built from the table's right generator maps ``x -> x * g``, since ``u``
+divides ``v`` exactly when ``v`` is reached from ``u`` by a chain of such
+steps.
 
 Truncation contract: every query answer is exact for the enumerated range.
 In particular ``min_common_multiples(J)`` equals the untruncated minimal
@@ -17,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .dirichlet import key_add
 from .errors import EmptyIndexSetError
 
 
@@ -38,21 +39,27 @@ class DivPoset:
 
     @classmethod
     def build(cls, table) -> "DivPoset":
+        """Two passes over the right generator maps x -> x*g.  In increasing
+        id order each x hands its divisors on to every x*g; in decreasing id
+        order each u collects the multiples of every u*g.  Both are complete
+        when read, because x*g has a larger id than x."""
         n = table.n_elements
-        divisors = [0] * n
+        rows = sorted(table.right_maps(), key=len, reverse=True)
+        divisors = [1 << v for v in range(n)]
+        for x in range(n):
+            mask = divisors[x]
+            for row in rows:
+                if x >= len(row):
+                    break
+                divisors[row[x]] |= mask
         multiples = [0] * n
-        kind = table.key_kind
-        degrees = [d for d in table.realized_degrees()]
-        for du in degrees:
-            for dx in degrees:
-                if key_add(kind, du, dx) > table.cutoff:
-                    continue
-                for u in table.elements_of_degree(du):
-                    ubit = 1 << u
-                    for x in table.elements_of_degree(dx):
-                        v = table.product(u, x)
-                        divisors[v] |= ubit
-                        multiples[u] |= 1 << v
+        for u in range(n - 1, -1, -1):
+            mask = 1 << u
+            for row in rows:
+                if u >= len(row):
+                    break
+                mask |= multiples[row[u]]
+            multiples[u] = mask
         return cls(table, divisors, multiples)
 
     def divides(self, u: int, v: int) -> bool:

@@ -69,10 +69,6 @@ class EmptyAlphabetError(EnumerationError):
     """Enumeration requested for a presentation with no generators."""
 
 
-class NoWitnessError(SkewGrowthError, LookupError):
-    """Left quotient requested where no witness exists."""
-
-
 # ---------------------------------------------------------------- divisibility and towers
 
 class EmptyIndexSetError(SkewGrowthError, ValueError):

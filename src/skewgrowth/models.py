@@ -1,9 +1,12 @@
 """Monoid models and exact element enumeration up to a degree cutoff.
 
 The central object is the :class:`ElementTable`: a frozen enumeration of all
-elements of degree <= cutoff, with degree, product, divisibility and atom
-queries.  Tables are immutable after construction and safe to share across
-threads; models memoize one table per cutoff.
+elements of degree <= cutoff, with degree and product queries.  Its
+algebraic core is the maps that multiply by each member of a generating
+set, on the left and on the right; the atoms, the divisibility poset and the
+cancellativity probe are all derived from them.  Tables are immutable after
+construction and safe to share across threads; models memoize one table per
+cutoff.
 
 Two model families live here:
 
@@ -26,30 +29,15 @@ The normal-form family model is in :mod:`skewgrowth.mp_family`.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .dirichlet import KeyKind, coerce_key, key_add, key_sub, key_zero, render_key
-from .errors import (
-    CutoffTooLargeError,
-    EmptyAlphabetError,
-    InvalidParamsError,
-    NoWitnessError,
-)
+from .dirichlet import KeyKind, coerce_key, key_zero
+from .errors import CutoffTooLargeError, EmptyAlphabetError, InvalidParamsError
 from .presentation import Presentation
 
 DEFAULT_WORD_CAP = 10_000_000
-
-
-@dataclass(frozen=True)
-class CancellativityViolation:
-    """Evidence that left cancellation fails: left * first == left * second
-    with first != second.  Element ids refer to the table that produced it."""
-
-    left: int
-    first: int
-    second: int
 
 
 class ElementTable(abc.ABC):
@@ -69,6 +57,8 @@ class ElementTable(abc.ABC):
         self._by_degree = by_degree
         self._realized = tuple(sorted(by_degree))
         self._atoms: tuple[int, ...] | None = None
+        self._left_maps: list[list[int]] | None = None
+        self._right_maps: list[list[int]] | None = None
         self._poset = None
 
     # -- basic queries ------------------------------------------------------
@@ -102,57 +92,49 @@ class ElementTable(abc.ABC):
     def label(self, eid: int) -> str:
         """Canonical human-readable form; stable across runs and cutoffs."""
 
-    # -- divisibility by witness scan ----------------------------------------
+    @abc.abstractmethod
+    def generators(self) -> tuple[int, ...]:
+        """Ids of a generating set within the cutoff, ascending.  Every
+        atom is among them."""
 
-    def left_divides(self, u: int, v: int) -> bool:
-        """True when some x solves u*x == v.  Decided exactly by scanning
-        the full degree slice deg(v) - deg(u)."""
-        if u == v:
-            return True
-        rest = key_sub(self.key_kind, self._degrees[v], self._degrees[u])
-        if rest is None:
-            return False
-        return any(self.product(u, x) == v for x in self.elements_of_degree(rest))
+    # -- generator maps --------------------------------------------------------
 
-    def left_quotients(self, u: int, v: int) -> list[int]:
-        rest = key_sub(self.key_kind, self._degrees[v], self._degrees[u])
-        if rest is None:
-            return []
-        return [x for x in self.elements_of_degree(rest) if self.product(u, x) == v]
+    def _generator_maps(self, left: bool) -> list[list[int]]:
+        """One map per generator g, x -> g*x (left) or x -> x*g, over the
+        ids x with deg(x) + deg(g) <= cutoff.  Ids are ordered by degree, so
+        those ids are a prefix and the first None ends the map."""
+        maps = []
+        for g in self.generators():
+            row = []
+            for x in self.all_elements():
+                y = self.product(g, x) if left else self.product(x, g)
+                if y is None:
+                    break
+                row.append(y)
+            maps.append(row)
+        return maps
 
-    def left_quotient(self, u: int, v: int) -> int | CancellativityViolation:
-        """The unique x with u*x == v.  Raises NoWitnessError when v is not
-        a right multiple of u; two distinct witnesses are returned as a
-        CancellativityViolation value rather than hidden."""
-        witnesses = self.left_quotients(u, v)
-        if not witnesses:
-            raise NoWitnessError(
-                f"{self.label(v)} is not a right multiple of {self.label(u)}"
-            )
-        if len(witnesses) > 1:
-            return CancellativityViolation(u, witnesses[0], witnesses[1])
-        return witnesses[0]
+    def left_maps(self) -> list[list[int]]:
+        """left_maps()[i][x] is g*x for g = generators()[i]."""
+        if self._left_maps is None:
+            self._left_maps = self._generator_maps(left=True)
+        return self._left_maps
+
+    def right_maps(self) -> list[list[int]]:
+        """right_maps()[i][x] is x*g for g = generators()[i]."""
+        if self._right_maps is None:
+            self._right_maps = self._generator_maps(left=False)
+        return self._right_maps
 
     # -- atoms ---------------------------------------------------------------
 
     def atoms(self) -> tuple[int, ...]:
-        """Elements u != 1 with no proper divisor besides the unit: exactly
-        the non-units that are not a product of two non-units within the
-        cutoff.  Exact at every degree <= cutoff."""
+        """Elements u != 1 with no proper divisor besides the unit: the
+        non-units that are not y*g for a non-unit y and a generator g.
+        Exact at every degree <= cutoff."""
         if self._atoms is None:
-            non_atoms: set[int] = set()
-            positive = [d for d in self._realized if self.elements_of_degree(d) and d != key_zero(self.key_kind)]
-            for du in positive:
-                for dx in positive:
-                    if key_add(self.key_kind, du, dx) > self.cutoff:
-                        continue
-                    for u in self.elements_of_degree(du):
-                        for x in self.elements_of_degree(dx):
-                            non_atoms.add(self.product(u, x))
-            self._atoms = tuple(
-                eid for eid in self.all_elements()
-                if eid != self.unit and eid not in non_atoms
-            )
+            non_atoms = {y for row in self.right_maps() for y in row[1:]}
+            self._atoms = tuple(e for e in range(1, self.n_elements) if e not in non_atoms)
         return self._atoms
 
     def poset(self):
@@ -326,6 +308,15 @@ class RewriteTable(ElementTable):
     def product(self, u: int, v: int) -> int | None:
         return self._fold(self._words[u], v)
 
+    def generators(self) -> tuple[int, ...]:
+        return tuple(sorted({row[0] for row in self._lmul}))
+
+    def left_maps(self) -> list[list[int]]:
+        # the class graph already stores g*x for every letter g; letters
+        # naming the same element have the same map
+        rows = {row[0]: row for row in self._lmul}
+        return [rows[g] for g in self.generators()]
+
     def label(self, eid: int) -> str:
         word = self._words[eid]
         if not word:
@@ -393,6 +384,14 @@ class MultIntTable(ElementTable):
     def product(self, u: int, v: int) -> int | None:
         n = (u + 1) * (v + 1)
         return n - 1 if n <= self.cutoff else None
+
+    def generators(self) -> tuple[int, ...]:
+        """The primes up to the cutoff, from a sieve of Eratosthenes."""
+        is_prime = bytearray([1]) * (self.cutoff + 1)
+        for n in range(2, math.isqrt(self.cutoff) + 1):
+            if is_prime[n]:
+                is_prime[n * n::n] = bytes(len(is_prime[n * n::n]))
+        return tuple(n - 1 for n in range(2, self.cutoff + 1) if is_prime[n])
 
     def label(self, eid: int) -> str:
         return str(eid + 1)

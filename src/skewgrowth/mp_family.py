@@ -340,6 +340,11 @@ class MpTable(ElementTable):
         result = mp_product(self.spec, self._elements[u], self._elements[v])
         return self._ids.get(result)
 
+    def generators(self) -> tuple[int, ...]:
+        """The ids of a_0..a_K that lie within the cutoff."""
+        letters = (normal_form(self.spec, (k,)) for k in range(self.spec.depth + 1))
+        return tuple(sorted(self._ids[g] for g in letters if g in self._ids))
+
     def label(self, eid: int) -> str:
         element = self._elements[eid]
         parts = []

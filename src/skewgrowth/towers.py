@@ -70,10 +70,6 @@ class TowerForest:
         return iter(self.towers)
 
 
-def tower_sign(tower: Tower) -> int:
-    return tower.sign
-
-
 def _min_positive_degree(table):
     positive = [d for d in table.realized_degrees() if d != key_zero(table.key_kind)]
     return min(positive) if positive else None

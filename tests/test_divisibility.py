@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from scan_oracles import masks_by_scan
 
 from skewgrowth.divisibility import DivPoset, mask_to_ids
 from skewgrowth.errors import EmptyIndexSetError
@@ -90,13 +91,18 @@ def test_iter_supported_subsets_prunes_empty(free2_table):
     assert pairs == []  # a free monoid has no common multiples of distinct atoms
 
 
+@pytest.fixture(scope="module")
+def braid3_scanned_divisors(braid3_table):
+    return masks_by_scan(braid3_table)[0]
+
+
 @settings(deadline=None)
 @given(st.data())
-def test_poset_agrees_with_witness_scan(braid3_table, data):
+def test_poset_agrees_with_witness_scan(braid3_table, braid3_scanned_divisors, data):
     poset = braid3_table.poset()
     ids = st.integers(0, braid3_table.n_elements - 1)
     u, v = data.draw(ids), data.draw(ids)
-    assert poset.divides(u, v) == braid3_table.left_divides(u, v)
+    assert poset.divides(u, v) == bool(braid3_scanned_divisors[v] >> u & 1)
 
 
 def test_poset_is_stable_under_cutoff_extension():

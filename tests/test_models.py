@@ -4,20 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewgrowth.errors import (
-    CutoffTooLargeError,
-    EmptyAlphabetError,
-    NoWitnessError,
-)
-from skewgrowth.models import (
-    CancellativityViolation,
-    MultIntegerModel,
-    RewriteModel,
-)
+from scan_oracles import atoms_by_scan, cancellative_by_scan, masks_by_scan
+from skewgrowth.checks import check_cancellative
+from skewgrowth.errors import CutoffTooLargeError, EmptyAlphabetError
+from skewgrowth.models import MultIntegerModel, RewriteModel
 from skewgrowth.presentation import Presentation, parse_presentation
 from skewgrowth.presets import builtin
-
-BAD = parse_presentation("gen a : 1\ngen b : 1\ngen c : 1\nrel a b = a c\n")
 
 
 def _counts(table):
@@ -258,23 +250,44 @@ def test_unit_is_neutral(mp_table):
 
 def test_left_divides_and_quotient(example3_table):
     t = example3_table
+    poset = t.poset()
     a, b = t.atoms()
     aa = t.product(a, a)
-    assert t.left_divides(a, aa) and t.left_divides(b, aa)
-    assert t.left_quotient(a, aa) == a
-    assert t.left_quotient(b, aa) == b  # b*b == a*a in this monoid
-    with pytest.raises(NoWitnessError):
-        t.left_quotient(t.product(a, b), a)
+    assert poset.divides(a, aa) and poset.divides(b, aa)
+    assert t.product(b, b) == aa  # b*b == a*a in this monoid
+    assert not poset.divides(t.product(a, b), a)
 
 
-def test_left_quotient_reports_violation():
-    table = RewriteModel(BAD).enumerate_up_to(Fraction(4))
-    a, b, c = table.atoms()
-    ab = table.product(a, b)
-    assert table.product(a, c) == ab
-    result = table.left_quotient(a, ab)
-    assert isinstance(result, CancellativityViolation)
-    assert {result.first, result.second} == {b, c}
+# ------------------------------------------------- generator maps vs. scans
+
+def _assert_core_matches_scans(table):
+    assert table.atoms() == atoms_by_scan(table)
+    poset = table.poset()
+    assert (poset.divisor_masks, poset.multiple_masks) == masks_by_scan(table)
+    assert check_cancellative(table).to_json() == cancellative_by_scan(table).to_json()
+
+
+def test_generator_core_matches_scans_on_builtins(example3_table, braid3_table,
+                                                 free2_table, zpos_table, mp_table):
+    for table in (example3_table, braid3_table, free2_table, zpos_table, mp_table):
+        _assert_core_matches_scans(table)
+    for text in (
+        "gen a : 1\ngen b : 1\ngen c : 1\nrel a b = a c\n",
+        "gen a : 1\ngen b : 1\ngen c : 1\nrel b a = c a\n",
+        "gen a : 1\ngen b : 2\nrel a a = b\n",
+        "gen a : 9\n",
+        # least witnesses on both sides at product degree 3: the right one
+        # by a comes first, since a is lighter than c
+        "gen a : 1\ngen b : 1\ngen c : 2\ngen d : 2\nrel c a = c b\nrel d a = c a\n",
+    ):
+        _assert_core_matches_scans(RewriteModel(parse_presentation(text)).enumerate_up_to(4))
+
+
+@settings(deadline=None, max_examples=100)
+@given(small_presentations())
+def test_generator_core_matches_scans_on_random_presentations(drawn):
+    presentation, cutoff = drawn
+    _assert_core_matches_scans(RewriteModel(presentation).enumerate_up_to(cutoff))
 
 
 # ----------------------------------------------------------- multiplicative Z
@@ -289,8 +302,8 @@ def test_zpos_products(zpos_table):
 
 def test_zpos_left_divides(zpos_table):
     t = zpos_table
-    assert t.left_divides(t.element_id(3), t.element_id(27))
-    assert not t.left_divides(t.element_id(4), t.element_id(6))
+    assert t.poset().divides(t.element_id(3), t.element_id(27))
+    assert not t.poset().divides(t.element_id(4), t.element_id(6))
 
 
 def test_zpos_rejects_bad_nmax():
