@@ -20,6 +20,7 @@ Series values are immutable once built and safe to share between threads.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -135,9 +136,10 @@ class Series:
         cutoff = coerce_key(kind, cutoff)
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict = {}
-        for raw_key, raw_coeff in items:
+        for raw_key, coeff in items:
             key = coerce_key(kind, raw_key)
-            coeff = int(raw_coeff)
+            if isinstance(coeff, bool) or not isinstance(coeff, int):
+                raise MalformedKeyError(f"coefficients must be int, got {coeff!r}")
             if key > cutoff:
                 raise MalformedKeyError(
                     f"term key {render_key(kind, key)} exceeds cutoff {render_key(kind, cutoff)}"
@@ -194,22 +196,29 @@ def series_neg(f: Series) -> Series:
     return Series(f.kind, f.cutoff, {k: -c for k, c in f.terms.items()})
 
 
-def series_mul(f: Series, g: Series) -> Series:
-    """Truncated convolution; terms past the shared cutoff are dropped."""
+def convolve(f: Series, g: Series) -> dict:
+    """Truncated convolution as a map from every reachable key
+    ``ka (+) kb <= cutoff`` to its summed coefficient, zeros kept.  Key
+    addition is monotone, so each pass over g's sorted terms stops at the
+    first key past the cutoff."""
     _check_compatible(f, g)
-    kind, cutoff = f.kind, f.cutoff
+    combine = operator.add if f.kind is KeyKind.RATIONAL else operator.mul
+    cutoff = f.cutoff
+    right = sorted(g.terms.items())
     acc: dict = {}
     for ka, ca in f.terms.items():
-        for kb, cb in g.terms.items():
-            key = key_add(kind, ka, kb)
+        for kb, cb in right:
+            key = combine(ka, kb)
             if key > cutoff:
-                continue
-            new = acc.get(key, 0) + ca * cb
-            if new:
-                acc[key] = new
-            else:
-                del acc[key]
-    return Series(kind, cutoff, dict(sorted(acc.items())))
+                break
+            acc[key] = acc.get(key, 0) + ca * cb
+    return acc
+
+
+def series_mul(f: Series, g: Series) -> Series:
+    """Truncated convolution; terms past the shared cutoff are dropped."""
+    terms = sorted((key, coeff) for key, coeff in convolve(f, g).items() if coeff)
+    return Series(f.kind, f.cutoff, dict(terms))
 
 
 def _support_closure(kind: KeyKind, base, cutoff) -> list:
@@ -312,8 +321,14 @@ def series_from_json(obj: Mapping) -> Series:
     def read(key):
         return parse_key(kind, key) if isinstance(key, str) else coerce_key(kind, key)
 
+    def read_coeff(coeff):  # Series.build rejects any non-int left over
+        try:
+            return int(coeff) if isinstance(coeff, str) else coeff
+        except ValueError as exc:
+            raise MalformedKeyError(f"bad coefficient {coeff!r}") from exc
+
     return Series.build(
         kind,
         read(obj["cutoff"]),
-        [(read(key), int(coeff)) for key, coeff in obj["terms"]],
+        [(read(key), read_coeff(coeff)) for key, coeff in obj["terms"]],
     )

@@ -34,7 +34,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .dirichlet import KeyKind, coerce_key, key_zero
-from .errors import CutoffTooLargeError, EmptyAlphabetError, InvalidParamsError
+from .errors import (CutoffTooLargeError, EmptyAlphabetError, InvalidParamsError,
+                     MalformedKeyError)
 from .presentation import Presentation
 
 DEFAULT_WORD_CAP = 10_000_000
@@ -153,7 +154,7 @@ class ElementTable(abc.ABC):
 def _validate_cutoff(key_kind: KeyKind, cutoff):
     cutoff = coerce_key(key_kind, cutoff)
     if cutoff <= key_zero(key_kind):
-        raise ValueError(f"cutoff must exceed the zero degree, got {cutoff}")
+        raise MalformedKeyError(f"cutoff must exceed the zero degree, got {cutoff}")
     return cutoff
 
 

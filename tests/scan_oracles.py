@@ -1,12 +1,32 @@
-"""Pair-by-pair product scans: the slow, obviously correct references for the
-atoms, the divisibility poset and the cancellativity probe, which the
-library derives from its generator maps instead.
+"""Slow, obviously correct references for what the library derives from
+shared structures instead.
 
-Each scan walks every pair of elements whose degrees fit under the cutoff
-and asks the table for their product.
+Pair-by-pair product scans check the atoms, the divisibility poset and the
+cancellativity probe, which the library reads off its generator maps; each
+scan walks every pair of elements whose degrees fit under the cutoff and
+asks the table for their product.  Two series computations check the
+inversion and recursion reports, which the library reads off one truncated
+convolution P*N: the inversion identity as P*N against 1 followed by N
+against invert(P), and the count recursion summed degree by degree.
 """
-from skewgrowth.checks import FAIL, PASS, CheckReport
-from skewgrowth.dirichlet import key_add, key_sub, key_zero, render_key
+from skewgrowth.checks import (
+    FAIL,
+    PASS,
+    CheckReport,
+    _first_difference,
+    check_cancellative,
+)
+from skewgrowth.dirichlet import (
+    growth_series,
+    key_add,
+    key_sub,
+    key_zero,
+    render_key,
+    series_invert,
+    series_mul,
+    series_one,
+)
+from skewgrowth.towers import skew_growth
 
 
 def _positive_degrees(table):
@@ -102,3 +122,93 @@ def _collision(table, side, factor_degree, other_degree):
                 return factor, seen[result], other
             seen[result] = other
     return None
+
+
+def inversion_two_step(table, forest=None, cancellativity=None) -> CheckReport:
+    """P*N == 1 under truncated convolution, then N == invert(P) term by
+    term, each reported at its first differing degree."""
+    if cancellativity is None:
+        cancellativity = check_cancellative(table)
+    growth = growth_series(table)
+    skew = skew_growth(table, forest=forest)
+    product = series_mul(growth, skew)
+    one = series_one(table.key_kind, table.cutoff)
+    notes = f"cancellativity probe: {cancellativity.status}"
+    if product != one:
+        bad = _first_difference(product, one)
+        return CheckReport(
+            name="inversion",
+            status=FAIL,
+            max_degree_verified=bad,
+            counterexample={
+                "degree": render_key(table.key_kind, bad),
+                "product_coefficient": product.coefficient(bad) - one.coefficient(bad),
+            },
+            notes=f"P*N deviates from 1 first at degree {render_key(table.key_kind, bad)}; "
+                  f"{notes}",
+            key_kind=table.key_kind,
+        )
+    inverse = series_invert(growth)
+    if skew != inverse:
+        bad = _first_difference(skew, inverse)
+        return CheckReport(
+            name="inversion",
+            status=FAIL,
+            max_degree_verified=bad,
+            counterexample={
+                "degree": render_key(table.key_kind, bad),
+                "skew_coefficient": skew.coefficient(bad),
+                "inverse_coefficient": inverse.coefficient(bad),
+            },
+            notes=(
+                f"tower series differs from invert(P) first at degree "
+                f"{render_key(table.key_kind, bad)}; {notes}"
+            ),
+            key_kind=table.key_kind,
+        )
+    return CheckReport(
+        name="inversion",
+        status=PASS,
+        max_degree_verified=table.cutoff,
+        notes=f"P*N == 1 and N == invert(P) up to cutoff; {notes}",
+        key_kind=table.key_kind,
+    )
+
+
+def recursion_by_sum(table, forest=None) -> CheckReport:
+    """The count recursion sum over terms (k, c) of N of c * m(t - k), from
+    the element counts m, at every degree t > 0 reachable as a tower
+    contribution plus an element degree, in increasing order."""
+    kind = table.key_kind
+    zero = key_zero(kind)
+    skew = skew_growth(table, forest=forest)
+    counts = {d: len(table.elements_of_degree(d)) for d in table.realized_degrees()}
+    targets = set()
+    for n_key in skew.terms:
+        for degree in counts:
+            total = key_add(kind, n_key, degree)
+            if total <= table.cutoff and total != zero:
+                targets.add(total)
+    for total in sorted(targets):
+        acc = 0
+        for n_key, coeff in skew.terms.items():
+            rest = key_sub(kind, total, n_key)
+            if rest is None:
+                continue
+            acc += coeff * counts.get(rest, 0)
+        if acc:
+            return CheckReport(
+                name="recursion",
+                status=FAIL,
+                max_degree_verified=total,
+                counterexample={"degree": render_key(kind, total), "residual": acc},
+                notes=f"count recursion fails first at degree {render_key(kind, total)}",
+                key_kind=kind,
+            )
+    return CheckReport(
+        name="recursion",
+        status=PASS,
+        max_degree_verified=table.cutoff,
+        notes=f"count recursion holds at all {len(targets)} reachable degrees",
+        key_kind=kind,
+    )

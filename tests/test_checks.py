@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+from scan_oracles import inversion_two_step, recursion_by_sum
 from skewgrowth.checks import (
     FAIL,
     NOT_APPLICABLE,
@@ -15,7 +17,8 @@ from skewgrowth.checks import (
 from skewgrowth.dirichlet import growth_series, series_one
 from skewgrowth.models import RewriteModel
 from skewgrowth.presentation import parse_presentation
-from skewgrowth.towers import skew_growth
+from skewgrowth.towers import enumerate_towers, skew_growth
+from test_models import small_presentations
 
 LEFT_BAD = parse_presentation("gen a : 1\ngen b : 1\ngen c : 1\nrel a b = a c\n")
 RIGHT_BAD = parse_presentation("gen a : 1\ngen b : 1\ngen c : 1\nrel b a = c a\n")
@@ -119,3 +122,27 @@ def test_pass_reports_carry_cutoff(zpos_table):
     report = check_recursion(zpos_table)
     assert report.status == PASS
     assert report.max_degree_verified == 30
+
+
+def _assert_product_reports_match_oracles(table):
+    forest = enumerate_towers(table)
+    cancel = check_cancellative(table)
+    expected = [inversion_two_step(table, forest=forest, cancellativity=cancel).to_json(),
+                recursion_by_sum(table, forest=forest).to_json()]
+    assert [r.to_json() for r in run_all_checks(table)[1:3]] == expected
+    assert [check_inversion(table).to_json(), check_recursion(table).to_json()] == expected
+
+
+def test_product_reports_match_oracles(example3_table, braid3_table, free2_table,
+                                       zpos_table, mp_table, left_bad_table):
+    right_bad_table = RewriteModel(RIGHT_BAD).enumerate_up_to(Fraction(4))
+    for table in (example3_table, braid3_table, free2_table, zpos_table, mp_table,
+                  left_bad_table, right_bad_table):
+        _assert_product_reports_match_oracles(table)
+
+
+@settings(deadline=None, max_examples=100)
+@given(small_presentations())
+def test_product_reports_match_oracles_on_random_presentations(drawn):
+    presentation, cutoff = drawn
+    _assert_product_reports_match_oracles(RewriteModel(presentation).enumerate_up_to(cutoff))

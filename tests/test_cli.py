@@ -96,6 +96,8 @@ def test_verify_failure_exits_one(tmp_path, capsys):
     ["skew", "--preset", "example3", "--ground", ""],
     ["towers", "--preset", "example3", "--ground", "a,aa"],
     ["growth", "--preset", "example3", "--word-cap", "0"],
+    ["verify", "--preset", "braid3", "--max-degree", "0"],
+    ["verify", "--preset", "zpos:30", "--nmax", "1"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     rc = main(argv)

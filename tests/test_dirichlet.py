@@ -8,6 +8,7 @@ from skewgrowth.dirichlet import (
     KeyKind,
     Series,
     coerce_key,
+    convolve,
     evaluate_partial,
     key_repeat,
     key_sub,
@@ -124,14 +125,19 @@ def test_multint_ring_laws(f, g, h):
     assert series_mul(f, series_mul(g, h)) == series_mul(series_mul(f, g), h)
 
 
-@given(_multint_series(), _multint_series())
-def test_multint_convolution_matches_naive(f, g):
-    naive = {}
-    for ka, ca in f.terms.items():
-        for kb, cb in g.terms.items():
-            if ka * kb <= f.cutoff:
-                naive[ka * kb] = naive.get(ka * kb, 0) + ca * cb
-    assert series_mul(f, g) == Series.build(M, f.cutoff, naive)
+@given(_multint_series(), _multint_series(), _rational_series(), _rational_series())
+def test_multint_convolution_matches_naive(f, g, f_rational, g_rational):
+    for f, g in ((f, g), (f_rational, g_rational)):
+        naive = {}
+        for ka, ca in f.terms.items():
+            for kb, cb in g.terms.items():
+                key = ka * kb if f.kind is M else ka + kb
+                if key <= f.cutoff:
+                    naive[key] = naive.get(key, 0) + ca * cb
+        # the kernel sorts g itself: its cutoff break must not rely on the caller
+        descending = Series(g.kind, g.cutoff, dict(sorted(g.terms.items(), reverse=True)))
+        assert convolve(f, descending) == naive
+        assert series_mul(f, g) == Series.build(f.kind, f.cutoff, naive)
 
 
 # -------------------------------------------------------------- inversion
@@ -186,6 +192,14 @@ def test_json_roundtrip_rational(f):
 @given(_multint_series())
 def test_json_roundtrip_multint(f):
     assert series_from_json(json.loads(json.dumps(series_to_json(f)))) == f
+
+
+@pytest.mark.parametrize("coeff", [2.5, "2.5"])
+def test_json_rejects_non_integral_coefficients(coeff):
+    with pytest.raises(MalformedKeyError):
+        series_from_json({"key_kind": "rational", "cutoff": "8", "terms": [["1", coeff]]})
+    with pytest.raises(MalformedKeyError):
+        Series.build(R, 8, {1: coeff})
 
 
 # ------------------------------------------------------------- evaluation
