@@ -16,6 +16,7 @@ from .dirichlet import (
     convolve,
     growth_series,
     key_add,
+    key_to_json,
     key_zero,
     render_key,
 )
@@ -42,8 +43,8 @@ class CheckReport:
 
     def to_json(self) -> dict:
         degree = self.max_degree_verified
-        if degree is not None and self.key_kind is KeyKind.RATIONAL:
-            degree = render_key(self.key_kind, degree)
+        if degree is not None:
+            degree = key_to_json(self.key_kind, degree)
         return {
             "name": self.name,
             "status": self.status,

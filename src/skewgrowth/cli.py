@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .checks import FAIL, check_cancellative, run_all_checks
-from .dirichlet import KeyKind, Series, growth_series, render_key, series_to_json
+from .dirichlet import KeyKind, Series, growth_series, key_to_json, render_key, series_to_json
 from .errors import InvalidGroundError, SkewGrowthError, UnknownSymbolError
 from .models import RewriteModel
 from .mp_family import normal_form
@@ -303,7 +303,7 @@ def _cmd_atoms(config: RunConfig) -> int:
             "cutoff": render_key(table.key_kind, table.cutoff),
             "atoms": [
                 {"label": table.label(e),
-                 "degree": _degree_json(table, table.degree(e))}
+                 "degree": key_to_json(table.key_kind, table.degree(e))}
                 for e in atoms
             ],
         }
@@ -314,12 +314,6 @@ def _cmd_atoms(config: RunConfig) -> int:
         lines.append(f"{table.label(e)}  {render_key(table.key_kind, table.degree(e))}")
     _emit(config, "\n".join(lines) + "\n")
     return 0
-
-
-def _degree_json(table, degree):
-    if table.key_kind is KeyKind.RATIONAL:
-        return render_key(table.key_kind, degree)
-    return degree
 
 
 def _cmd_verify(config: RunConfig) -> int:

@@ -20,6 +20,7 @@ Series values are immutable once built and safe to share between threads.
 from __future__ import annotations
 
 import enum
+import heapq
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -70,19 +71,6 @@ def key_add(kind: KeyKind, a, b):
     return a + b if kind is KeyKind.RATIONAL else a * b
 
 
-def key_sub(kind: KeyKind, a, b):
-    """Inverse of :func:`key_add` where defined, else ``None``.
-
-    For rational keys this is ``a - b`` when nonnegative; for multiplicative
-    keys it is exact division ``a // b`` when ``b`` divides ``a``.
-    """
-    if kind is KeyKind.RATIONAL:
-        d = a - b
-        return d if d >= 0 else None
-    q, r = divmod(a, b)
-    return q if r == 0 else None
-
-
 def key_repeat(kind: KeyKind, key, times: int):
     """*key* combined with itself *times* times (0 gives the zero key)."""
     if kind is KeyKind.RATIONAL:
@@ -96,6 +84,12 @@ def render_key(kind: KeyKind, key) -> str:
     if key.denominator == 1:
         return str(key.numerator)
     return f"{key.numerator}/{key.denominator}"
+
+
+def key_to_json(kind: KeyKind, key):
+    """The JSON form of a key: rational keys as "p/q" strings,
+    multiplicative keys as the integers themselves."""
+    return render_key(kind, key) if kind is KeyKind.RATIONAL else key
 
 
 def parse_key(kind: KeyKind, text: str):
@@ -221,29 +215,14 @@ def series_mul(f: Series, g: Series) -> Series:
     return Series(f.kind, f.cutoff, dict(terms))
 
 
-def _support_closure(kind: KeyKind, base, cutoff) -> list:
-    """All nonzero keys reachable as combinations of *base* keys, <= cutoff,
-    in increasing order.  The inverse of a series is supported inside the
-    closure of its support, so the triangular solve only visits these keys."""
-    zero = key_zero(kind)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        cur = frontier.pop()
-        for b in base:
-            nxt = key_add(kind, cur, b)
-            if nxt <= cutoff and nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    seen.discard(zero)
-    return sorted(seen)
-
-
 def series_invert(f: Series) -> Series:
     """The truncated multiplicative inverse of *f*.
 
     Requires the constant term (at the zero key) to be 1 or -1; the solve is
-    triangular in increasing key order and exact over the integers.
+    triangular in increasing key order and exact over the integers.  Each
+    solved coefficient is pushed forward over f's sorted terms with the
+    cutoff break of :func:`convolve`; since ``k (+) kb > k`` for every
+    non-zero key kb, a key has all its contributions when it is popped.
     """
     kind, cutoff = f.kind, f.cutoff
     zero = key_zero(kind)
@@ -252,20 +231,26 @@ def series_invert(f: Series) -> Series:
         raise NonUnitConstantTermError(
             f"cannot invert: constant term is {unit}, need 1 or -1"
         )
-    positive = [k for k in f.terms if k != zero]
-    inv: dict = {zero: unit}  # 1/unit == unit for unit in {1,-1}
-    for key in _support_closure(kind, positive, cutoff):
-        total = 0
-        for base in positive:
-            rest = key_sub(kind, key, base)
-            if rest is None:
-                continue
-            coeff = inv.get(rest)
-            if coeff:
-                total += f.terms[base] * coeff
-        if total:
-            inv[key] = -unit * total
-    return Series(kind, cutoff, dict(sorted(inv.items())))
+    combine = operator.add if kind is KeyKind.RATIONAL else operator.mul
+    right = sorted((k, c) for k, c in f.terms.items() if k != zero)
+    acc = {zero: 1}  # key -> 1 minus what the solved terms put there
+    pending = [zero]
+    inv: dict = {}
+    while pending:
+        key = heapq.heappop(pending)
+        coeff = unit * acc.pop(key)  # 1/unit == unit for unit in {1,-1}
+        if not coeff:
+            continue
+        inv[key] = coeff
+        for kb, cb in right:
+            nxt = combine(key, kb)
+            if nxt > cutoff:
+                break
+            if nxt not in acc:
+                acc[nxt] = 0
+                heapq.heappush(pending, nxt)
+            acc[nxt] -= coeff * cb
+    return Series(kind, cutoff, inv)
 
 
 def growth_series(table) -> Series:
@@ -305,13 +290,10 @@ def series_to_json(f: Series) -> dict:
     """Schema: key_kind, cutoff, and [key, coefficient] pairs in key order.
     Rational keys render as "p/q" strings; coefficients are decimal strings
     so arbitrary precision survives any JSON reader."""
-    def render(key):
-        return render_key(f.kind, key) if f.kind is KeyKind.RATIONAL else key
-
     return {
         "key_kind": f.kind.value,
-        "cutoff": render(f.cutoff),
-        "terms": [[render(key), str(coeff)] for key, coeff in f.items()],
+        "cutoff": key_to_json(f.kind, f.cutoff),
+        "terms": [[key_to_json(f.kind, key), str(coeff)] for key, coeff in f.items()],
     }
 
 

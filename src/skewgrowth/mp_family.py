@@ -16,7 +16,7 @@ with ``n >= 0`` and each ``e_k`` either 0 or 1; elements are the pairs
 make the degree map injective, which turns divisibility questions into
 exact dyadic arithmetic: ``u`` divides ``v`` iff ``deg(v) - deg(u)`` is
 itself the degree of an element, and that is decided by reading the dyadic
-digits of the difference from the deepest bit up (`degree_membership`).
+digits of the difference from the deepest bit up (`element_of_degree`).
 
 Minimal common multiples are computed per dyadic pattern: for each
 ``eps`` no deeper than the inputs, the least ``a_0`` power making
@@ -146,17 +146,24 @@ def mp_product(spec: MpSpec, u: MpElement, v: MpElement) -> MpElement:
 
 def degree_membership(spec: MpSpec, value) -> bool:
     """Is *value* the degree of some element of the (depth-K) family?
+    Malformed values raise as in :func:`element_of_degree`."""
+    return element_of_degree(spec, value) is not None
+
+
+def element_of_degree(spec: MpSpec, value) -> MpElement | None:
+    """The unique element of the given degree, or None.  Inverse of
+    ``element_degree`` on the degree image.
 
     The dyadic digits of the fractional part are consumed deepest first:
-    the bit at 2^-k can only come from d_k, which pins eps; membership then
-    reduces to the leftover integral part being >= 0.  Values that are not
+    the bit at 2^-k can only come from d_k, which pins eps; the value is a
+    degree iff the leftover integral part is >= 0.  Values that are not
     dyadic rationals of depth <= K are rejected as malformed.
     """
     if isinstance(value, float):
         raise MalformedDyadicError("degree values must be exact rationals, not floats")
     value = Fraction(value)
     if value < 0:
-        return False
+        return None
     denominator = value.denominator
     if denominator & (denominator - 1):
         raise MalformedDyadicError(f"{value} is not a dyadic rational")
@@ -164,26 +171,6 @@ def degree_membership(spec: MpSpec, value) -> bool:
         raise MalformedDyadicError(
             f"{value} has dyadic depth beyond the family depth {spec.depth}"
         )
-    degrees = spec.degrees
-    frac = value - math.floor(value)
-    total = Fraction(0)
-    for k in range(spec.depth, 0, -1):
-        scaled = frac * (1 << k)
-        if scaled.numerator % (2 * scaled.denominator) >= scaled.denominator:
-            total += degrees[k]
-            step = degrees[k] - math.floor(degrees[k])
-            frac = frac - step
-            frac = frac - math.floor(frac)
-    leftover = value - total
-    return leftover.denominator == 1 and leftover >= 0
-
-
-def element_of_degree(spec: MpSpec, value) -> MpElement | None:
-    """The unique element of the given degree, or None.  Inverse of
-    ``element_degree`` on the degree image."""
-    if not degree_membership(spec, value):
-        return None
-    value = Fraction(value)
     eps = [0] * spec.depth
     degrees = spec.degrees
     frac = value - math.floor(value)
@@ -196,7 +183,10 @@ def element_of_degree(spec: MpSpec, value) -> MpElement | None:
             step = degrees[k] - math.floor(degrees[k])
             frac = frac - step
             frac = frac - math.floor(frac)
-    return MpElement(int(value - total), tuple(eps))
+    leftover = value - total
+    if leftover.denominator != 1 or leftover < 0:
+        return None
+    return MpElement(int(leftover), tuple(eps))
 
 
 def mp_left_divides(spec: MpSpec, u: MpElement, v: MpElement) -> bool:

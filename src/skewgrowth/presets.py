@@ -21,9 +21,18 @@ from .presentation import Generator, Presentation, Relation, parse_presentation
 _FREE_NAMES = string.ascii_lowercase
 
 
+def _integer(name: str, value) -> int:
+    """*value* as an int; anything not a whole number is refused, never
+    truncated."""
+    whole = isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+    if not whole or value.denominator != 1:
+        raise InvalidParamsError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 def _free(params: dict):
     try:
-        count = int(params.pop("count"))
+        count = _integer("free count", params.pop("count"))
     except KeyError:
         raise InvalidParamsError("free requires count") from None
     if count < 1 or count > len(_FREE_NAMES):
@@ -66,7 +75,7 @@ def _braid3(params: dict):
 
 def _zpos(params: dict):
     try:
-        nmax = int(params.pop("nmax"))
+        nmax = _integer("zpos nmax", params.pop("nmax"))
     except KeyError:
         raise InvalidParamsError("zpos requires nmax") from None
     return MultIntegerModel(nmax)
@@ -80,10 +89,12 @@ def _mp(params: dict):
     if p == "pow2":
         if depth is None:
             raise InvalidParamsError("mp with p=pow2 requires K")
-        p = [2 ** (k + 2) for k in range(int(depth))]
+        p = [2 ** (k + 2) for k in range(_integer("mp K", depth))]
+    elif not isinstance(p, (list, tuple)):
+        raise InvalidParamsError(f"mp p must be a list or 'pow2', got {p}")
     else:
-        p = [int(v) for v in p]
-        if depth is not None and int(depth) != len(p):
+        p = [_integer("mp p entry", v) for v in p]
+        if depth is not None and _integer("mp K", depth) != len(p):
             raise InvalidParamsError(
                 f"mp got K={depth} but p has {len(p)} entries"
             )

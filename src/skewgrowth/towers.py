@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .dirichlet import KeyKind, Series, key_add, key_repeat, key_zero, render_key
+from .dirichlet import Series, key_add, key_repeat, key_to_json, key_zero
 from .divisibility import DivPoset, mask_to_ids
 from .errors import InvalidGroundError
 
@@ -79,6 +79,8 @@ def _validate_ground(table, poset: DivPoset, ground: Sequence[int]) -> tuple[int
     ground = tuple(ground)
     if not ground:
         raise InvalidGroundError("ground set is empty")
+    if any(not isinstance(eid, int) or not 0 <= eid < table.n_elements for eid in ground):
+        raise InvalidGroundError(f"ground ids must be ints in range({table.n_elements})")
     if len(set(ground)) != len(ground):
         raise InvalidGroundError("ground set repeats an element")
     if table.unit in ground:
@@ -152,17 +154,13 @@ def height_headroom_holds(table, tower: Tower) -> bool:
 
 def forest_to_json(forest: TowerForest, table) -> dict:
     kind = table.key_kind
-
-    def render(key):
-        return render_key(kind, key) if kind is KeyKind.RATIONAL else key
-
     return {
         "ground": [table.label(eid) for eid in forest.ground],
         "towers": [
             {
                 "stages": [[table.label(e) for e in stage] for stage in tower.stages],
                 "top": [table.label(e) for e in tower.top],
-                "top_degrees": [render(table.degree(e)) for e in tower.top],
+                "top_degrees": [key_to_json(kind, table.degree(e)) for e in tower.top],
                 "sign": tower.sign,
                 "height": tower.height,
             }

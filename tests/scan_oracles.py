@@ -7,7 +7,9 @@ scan walks every pair of elements whose degrees fit under the cutoff and
 asks the table for their product.  Two series computations check the
 inversion and recursion reports, which the library reads off one truncated
 convolution P*N: the inversion identity as P*N against 1 followed by N
-against invert(P), and the count recursion summed degree by degree.
+against invert(P), and the count recursion summed degree by degree.  A pull
+solve over the closure of the support checks ``series_invert``, which
+pushes each solved coefficient forward instead.
 """
 from skewgrowth.checks import (
     FAIL,
@@ -17,16 +19,26 @@ from skewgrowth.checks import (
     check_cancellative,
 )
 from skewgrowth.dirichlet import (
+    KeyKind,
+    Series,
     growth_series,
     key_add,
-    key_sub,
     key_zero,
     render_key,
-    series_invert,
     series_mul,
     series_one,
 )
+from skewgrowth.errors import NonUnitConstantTermError
 from skewgrowth.towers import skew_growth
+
+
+def _key_sub(kind, a, b):
+    """The key c with b (+) c == a, or None where there is none."""
+    if kind is KeyKind.RATIONAL:
+        d = a - b
+        return d if d >= 0 else None
+    q, r = divmod(a, b)
+    return q if r == 0 else None
 
 
 def _positive_degrees(table):
@@ -74,7 +86,7 @@ def cancellative_by_scan(table) -> CheckReport:
     degrees = table.realized_degrees()
     for total in degrees:
         for factor_degree in _positive_degrees(table):
-            other_degree = key_sub(kind, total, factor_degree)
+            other_degree = _key_sub(kind, total, factor_degree)
             if other_degree is None or not table.elements_of_degree(other_degree):
                 continue
             for side in ("left", "right"):
@@ -148,7 +160,7 @@ def inversion_two_step(table, forest=None, cancellativity=None) -> CheckReport:
                   f"{notes}",
             key_kind=table.key_kind,
         )
-    inverse = series_invert(growth)
+    inverse = invert_by_closure(growth)
     if skew != inverse:
         bad = _first_difference(skew, inverse)
         return CheckReport(
@@ -192,7 +204,7 @@ def recursion_by_sum(table, forest=None) -> CheckReport:
     for total in sorted(targets):
         acc = 0
         for n_key, coeff in skew.terms.items():
-            rest = key_sub(kind, total, n_key)
+            rest = _key_sub(kind, total, n_key)
             if rest is None:
                 continue
             acc += coeff * counts.get(rest, 0)
@@ -212,3 +224,46 @@ def recursion_by_sum(table, forest=None) -> CheckReport:
         notes=f"count recursion holds at all {len(targets)} reachable degrees",
         key_kind=kind,
     )
+
+
+def _support_closure(kind, base, cutoff) -> list:
+    """All nonzero keys reachable as combinations of *base* keys, <= cutoff,
+    in increasing order; the inverse is supported inside this closure."""
+    zero = key_zero(kind)
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        cur = frontier.pop()
+        for b in base:
+            nxt = key_add(kind, cur, b)
+            if nxt <= cutoff and nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    seen.discard(zero)
+    return sorted(seen)
+
+
+def invert_by_closure(f: Series) -> Series:
+    """The truncated inverse of *f* solved key by key in increasing order:
+    each coefficient pulls in every (base key, remaining key) pair."""
+    kind, cutoff = f.kind, f.cutoff
+    zero = key_zero(kind)
+    unit = f.terms.get(zero, 0)
+    if unit not in (1, -1):
+        raise NonUnitConstantTermError(
+            f"cannot invert: constant term is {unit}, need 1 or -1"
+        )
+    positive = [k for k in f.terms if k != zero]
+    inv: dict = {zero: unit}  # 1/unit == unit for unit in {1,-1}
+    for key in _support_closure(kind, positive, cutoff):
+        total = 0
+        for base in positive:
+            rest = _key_sub(kind, key, base)
+            if rest is None:
+                continue
+            coeff = inv.get(rest)
+            if coeff:
+                total += f.terms[base] * coeff
+        if total:
+            inv[key] = -unit * total
+    return Series(kind, cutoff, dict(sorted(inv.items())))

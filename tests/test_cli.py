@@ -98,6 +98,8 @@ def test_verify_failure_exits_one(tmp_path, capsys):
     ["growth", "--preset", "example3", "--word-cap", "0"],
     ["verify", "--preset", "braid3", "--max-degree", "0"],
     ["verify", "--preset", "zpos:30", "--nmax", "1"],
+    ["growth", "--preset", "free:2.5"],
+    ["growth", "--preset", "zpos:7/2"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     rc = main(argv)

@@ -4,14 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from scan_oracles import invert_by_closure
 from skewgrowth.dirichlet import (
     KeyKind,
     Series,
     coerce_key,
     convolve,
     evaluate_partial,
+    growth_series,
     key_repeat,
-    key_sub,
     parse_key,
     render_key,
     series_add,
@@ -50,13 +51,6 @@ def test_coerce_rejects_bad_values():
         coerce_key(M, 0)
     with pytest.raises(MalformedKeyError):
         coerce_key(M, True)
-
-
-def test_key_sub_is_partial():
-    assert key_sub(R, Fraction(3), Fraction(1)) == Fraction(2)
-    assert key_sub(R, Fraction(1), Fraction(3)) is None
-    assert key_sub(M, 12, 4) == 3
-    assert key_sub(M, 12, 5) is None
 
 
 def test_key_repeat():
@@ -142,12 +136,36 @@ def test_multint_convolution_matches_naive(f, g, f_rational, g_rational):
 
 # -------------------------------------------------------------- inversion
 
-@given(_rational_series())
+def _invertible(series):
+    """Series with constant term 1 or -1 (the only invertible ones)."""
+    def with_unit(drawn):
+        f, unit = drawn
+        zero = Fraction(0) if f.kind is R else 1
+        terms = {k: c for k, c in f.terms.items() if k != zero}
+        return Series.build(f.kind, f.cutoff, {**terms, zero: unit})
+
+    return st.tuples(series, st.sampled_from((1, -1))).map(with_unit)
+
+
+@given(st.one_of(_invertible(_rational_series()), _invertible(_multint_series())))
 def test_invert_is_a_right_inverse(f):
-    f = series_add(f, series_one(R, f.cutoff))  # force constant term ...
-    if f.coefficient(0) not in (1, -1):
-        return
-    assert series_mul(f, series_invert(f)) == series_one(R, f.cutoff)
+    assert series_mul(f, series_invert(f)) == series_one(f.kind, f.cutoff)
+
+
+@given(_invertible(_rational_series()), _invertible(_multint_series()))
+def test_invert_matches_closure_solve(f_rational, f_multint):
+    for f in (f_rational, f_multint):
+        assert series_invert(f) == invert_by_closure(f)
+        # the solve sorts f itself: its cutoff break must not rely on the caller
+        descending = Series(f.kind, f.cutoff, dict(sorted(f.terms.items(), reverse=True)))
+        assert series_invert(descending) == invert_by_closure(f)
+
+
+@pytest.mark.parametrize("name", ["example3_table", "braid3_table", "free2_table",
+                                  "zpos_table", "mp_table"])
+def test_invert_matches_closure_solve_on_growth_series(name, request):
+    growth = growth_series(request.getfixturevalue(name))
+    assert series_invert(growth) == invert_by_closure(growth)
 
 
 @given(_multint_series())

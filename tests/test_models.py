@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from scan_oracles import atoms_by_scan, cancellative_by_scan, masks_by_scan
 from skewgrowth.checks import check_cancellative
-from skewgrowth.errors import CutoffTooLargeError, EmptyAlphabetError
+from skewgrowth.errors import CutoffTooLargeError, EmptyAlphabetError, InvalidParamsError
 from skewgrowth.models import MultIntegerModel, RewriteModel
 from skewgrowth.presentation import Presentation, parse_presentation
-from skewgrowth.presets import builtin
+from skewgrowth.presets import builtin, parse_preset
 
 
 def _counts(table):
@@ -307,7 +307,12 @@ def test_zpos_left_divides(zpos_table):
 
 
 def test_zpos_rejects_bad_nmax():
-    from skewgrowth.errors import InvalidParamsError
-
     with pytest.raises(InvalidParamsError):
         MultIntegerModel(0)
+
+
+@pytest.mark.parametrize("preset", ["free:count=3/2", "mp:p=4.5,8", "mp:p=pow2:K=2.5",
+                                    "mp:p=4,8:K=2.5", "mp:p=4"])
+def test_presets_reject_non_integral_params(preset):
+    with pytest.raises(InvalidParamsError):
+        parse_preset(preset)

@@ -107,6 +107,9 @@ def test_ground_validation(example3_table):
         enumerate_towers(t, ground=(t.unit, a))
     with pytest.raises(InvalidGroundError):
         enumerate_towers(t, ground=(a, aa))  # not an antichain: a divides aa
+    for out_of_range in (999, -1, t.n_elements, "a"):
+        with pytest.raises(InvalidGroundError):
+            enumerate_towers(t, ground=(out_of_range,))
 
 
 def test_custom_ground(example3_table):
