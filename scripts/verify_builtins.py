@@ -12,6 +12,7 @@ import time
 
 from skewgrowth.checks import run_all_checks
 from skewgrowth.dirichlet import parse_key
+from skewgrowth.errors import SkewGrowthError
 from skewgrowth.presets import builtin
 
 DEFAULTS = [
@@ -38,18 +39,22 @@ def main(argv=None) -> int:
 
     width = max(len(name) for name, _ in models)
     failures = 0
-    for name, make in models:
-        model = make()
-        cutoff = model.default_cutoff
-        if args.cutoff is not None:
-            cutoff = parse_key(model.key_kind, args.cutoff)
-        started = time.perf_counter()
-        table = model.enumerate_up_to(cutoff)
-        reports = run_all_checks(table)
-        elapsed = time.perf_counter() - started
-        cells = "  ".join(f"{r.name}={r.status}" for r in reports)
-        print(f"{name:<{width}}  cutoff={cutoff}  {cells}  ({elapsed:.2f}s)")
-        failures += sum(1 for r in reports if not r.ok)
+    try:
+        for name, make in models:
+            model = make()
+            cutoff = model.default_cutoff
+            if args.cutoff is not None:
+                cutoff = parse_key(model.key_kind, args.cutoff)
+            started = time.perf_counter()
+            table = model.enumerate_up_to(cutoff)
+            reports = run_all_checks(table)
+            elapsed = time.perf_counter() - started
+            cells = "  ".join(f"{r.name}={r.status}" for r in reports)
+            print(f"{name:<{width}}  cutoff={cutoff}  {cells}  ({elapsed:.2f}s)")
+            failures += sum(1 for r in reports if not r.ok)
+    except SkewGrowthError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 1 if failures else 0
 
 

@@ -36,7 +36,7 @@ class RunConfig:
     """Everything a subcommand needs once arguments are resolved."""
 
     model: object
-    cutoff: object
+    table: object
     fmt: str
     ground: tuple[int, ...] | None
     out: str | None
@@ -113,8 +113,7 @@ def _configure(args) -> RunConfig:
             raise SkewGrowthError(f"--word-cap must be >= 1, got {args.word_cap}")
         if hasattr(model, "word_cap"):
             model.word_cap = args.word_cap
-    cutoff = _resolve_cutoff(args, model)
-    table = model.enumerate_up_to(cutoff)
+    table = model.enumerate_up_to(_resolve_cutoff(args, model))
     ground = None
     if args.ground is not None:
         ground = tuple(
@@ -123,7 +122,7 @@ def _configure(args) -> RunConfig:
         )
         if not ground:
             raise InvalidGroundError("--ground named no elements")
-    return RunConfig(model=model, cutoff=cutoff, fmt=args.fmt,
+    return RunConfig(model=model, table=table, fmt=args.fmt,
                      ground=ground, out=args.out)
 
 
@@ -247,7 +246,7 @@ def _require_format(config: RunConfig, *allowed: str) -> None:
 
 def _cmd_growth(config: RunConfig) -> int:
     _require_format(config, "table", "json")
-    table = config.model.enumerate_up_to(config.cutoff)
+    table = config.table
     series = growth_series(table)
     if config.fmt == "json":
         _emit(config, _series_json("growth", config, series))
@@ -258,7 +257,7 @@ def _cmd_growth(config: RunConfig) -> int:
 
 def _cmd_skew(config: RunConfig) -> int:
     _require_format(config, "table", "json")
-    table = config.model.enumerate_up_to(config.cutoff)
+    table = config.table
     series = skew_growth(table, ground=config.ground)
     if config.fmt == "json":
         _emit(config, _series_json("skew-growth", config, series))
@@ -269,7 +268,7 @@ def _cmd_skew(config: RunConfig) -> int:
 
 def _cmd_towers(config: RunConfig) -> int:
     _require_format(config, "table", "json", "dot")
-    table = config.model.enumerate_up_to(config.cutoff)
+    table = config.table
     forest = enumerate_towers(table, ground=config.ground)
     if config.fmt == "json":
         payload = {"model": config.model.name,
@@ -295,7 +294,7 @@ def _cmd_towers(config: RunConfig) -> int:
 
 def _cmd_atoms(config: RunConfig) -> int:
     _require_format(config, "table", "json")
-    table = config.model.enumerate_up_to(config.cutoff)
+    table = config.table
     atoms = table.atoms()
     if config.fmt == "json":
         payload = {
@@ -318,7 +317,7 @@ def _cmd_atoms(config: RunConfig) -> int:
 
 def _cmd_verify(config: RunConfig) -> int:
     _require_format(config, "table", "json")
-    table = config.model.enumerate_up_to(config.cutoff)
+    table = config.table
     reports = run_all_checks(table, ground=config.ground)
     failed = any(r.status == FAIL for r in reports)
     if config.fmt == "json":
@@ -342,7 +341,7 @@ def _cmd_verify(config: RunConfig) -> int:
 
 def _cmd_cancel_check(config: RunConfig) -> int:
     _require_format(config, "table", "json")
-    table = config.model.enumerate_up_to(config.cutoff)
+    table = config.table
     report = check_cancellative(table)
     if config.fmt == "json":
         payload = {

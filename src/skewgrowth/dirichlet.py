@@ -15,12 +15,17 @@ are equal only if kinds, cutoffs and term maps all agree, and arithmetic
 refuses to mix kinds or cutoffs.  Coefficients are arbitrary-precision
 integers throughout; zero coefficients are never stored.
 
+The kernels :func:`convolve` and :func:`series_invert` run on int keys:
+rational keys are scaled to a common denominator on the way in and become
+``Fraction``s again on the way out.
+
 Series values are immutable once built and safe to share between threads.
 """
 from __future__ import annotations
 
 import enum
 import heapq
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -190,23 +195,36 @@ def series_neg(f: Series) -> Series:
     return Series(f.kind, f.cutoff, {k: -c for k, c in f.terms.items()})
 
 
+def _int_keys(kind: KeyKind, cutoff, *term_maps):
+    """(combine, cutoff, each map's items, back) on int keys: a rational key k
+    becomes k*D, D the lcm of the cutoff's and every key's denominator, which
+    keeps sums and order, and ``back`` maps an int-keyed result to n/D keys."""
+    if kind is KeyKind.MULTINT:
+        return operator.mul, cutoff, [terms.items() for terms in term_maps], lambda terms: terms
+    scale = math.lcm(cutoff.denominator, *(k.denominator for terms in term_maps for k in terms))
+    items = [[(k.numerator * (scale // k.denominator), c) for k, c in terms.items()]
+             for terms in term_maps]
+    return (operator.add, cutoff.numerator * (scale // cutoff.denominator), items,
+            lambda terms: {Fraction(n, scale): c for n, c in terms.items()})
+
+
 def convolve(f: Series, g: Series) -> dict:
     """Truncated convolution as a map from every reachable key
     ``ka (+) kb <= cutoff`` to its summed coefficient, zeros kept.  Key
     addition is monotone, so each pass over g's sorted terms stops at the
-    first key past the cutoff."""
+    first key past the cutoff.  Rational keys go through the loop as ints on a
+    common denominator and come back as ``Fraction``s."""
     _check_compatible(f, g)
-    combine = operator.add if f.kind is KeyKind.RATIONAL else operator.mul
-    cutoff = f.cutoff
-    right = sorted(g.terms.items())
+    combine, cutoff, (left, right), back = _int_keys(f.kind, f.cutoff, f.terms, g.terms)
+    right = sorted(right)
     acc: dict = {}
-    for ka, ca in f.terms.items():
+    for ka, ca in left:
         for kb, cb in right:
             key = combine(ka, kb)
             if key > cutoff:
                 break
             acc[key] = acc.get(key, 0) + ca * cb
-    return acc
+    return back(acc)
 
 
 def series_mul(f: Series, g: Series) -> Series:
@@ -221,18 +239,17 @@ def series_invert(f: Series) -> Series:
     Requires the constant term (at the zero key) to be 1 or -1; the solve is
     triangular in increasing key order and exact over the integers.  Each
     solved coefficient is pushed forward over f's sorted terms with the
-    cutoff break of :func:`convolve`; since ``k (+) kb > k`` for every
+    cutoff break of :func:`convolve`, on the same int keys (rational keys
+    scaled to a common denominator); since ``k (+) kb > k`` for every
     non-zero key kb, a key has all its contributions when it is popped.
     """
-    kind, cutoff = f.kind, f.cutoff
-    zero = key_zero(kind)
-    unit = f.terms.get(zero, 0)
+    unit = f.terms.get(key_zero(f.kind), 0)
     if unit not in (1, -1):
         raise NonUnitConstantTermError(
             f"cannot invert: constant term is {unit}, need 1 or -1"
         )
-    combine = operator.add if kind is KeyKind.RATIONAL else operator.mul
-    right = sorted((k, c) for k, c in f.terms.items() if k != zero)
+    combine, cutoff, (terms,), back = _int_keys(f.kind, f.cutoff, f.terms)
+    (zero, _), *right = sorted(terms)  # the zero key is the least key
     acc = {zero: 1}  # key -> 1 minus what the solved terms put there
     pending = [zero]
     inv: dict = {}
@@ -250,7 +267,7 @@ def series_invert(f: Series) -> Series:
                 acc[nxt] = 0
                 heapq.heappush(pending, nxt)
             acc[nxt] -= coeff * cb
-    return Series(kind, cutoff, inv)
+    return Series(f.kind, f.cutoff, back(inv))
 
 
 def growth_series(table) -> Series:

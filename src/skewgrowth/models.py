@@ -158,6 +158,17 @@ def _validate_cutoff(key_kind: KeyKind, cutoff):
     return cutoff
 
 
+def _integer(name: str, value) -> int:
+    """*value* as an int; anything not a whole number is refused, never
+    truncated."""
+    if type(value) is int:  # the common case, first: MpElement checks every bit
+        return value
+    whole = isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+    if not whole or value.denominator != 1:
+        raise InvalidParamsError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 class RewriteModel:
     """A monoid given by a positive homogeneous presentation."""
 
@@ -351,7 +362,7 @@ class MultIntegerModel:
     kind = "multiplicative-integer"
 
     def __init__(self, nmax: int):
-        nmax = int(nmax)
+        nmax = _integer("nmax", nmax)
         if nmax < 1:
             raise InvalidParamsError(f"nmax must be >= 1, got {nmax}")
         self.nmax = nmax

@@ -46,7 +46,7 @@ from .errors import (
     InvalidParamsError,
     MalformedDyadicError,
 )
-from .models import ElementTable, _validate_cutoff
+from .models import ElementTable, _integer, _validate_cutoff
 from .presentation import Generator, Presentation, Relation
 
 
@@ -57,7 +57,7 @@ class MpSpec:
     p: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "p", tuple(int(v) for v in self.p))
+        object.__setattr__(self, "p", tuple(_integer("p entry", v) for v in self.p))
         if not self.p:
             raise InvalidParamsError("p must contain at least p_1")
         if any(v < 0 for v in self.p):
@@ -86,7 +86,8 @@ class MpElement:
     eps: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", tuple(int(b) for b in self.eps))
+        object.__setattr__(self, "n", _integer("n", self.n))
+        object.__setattr__(self, "eps", tuple(_integer("eps bit", b) for b in self.eps))
         if self.n < 0 or any(b not in (0, 1) for b in self.eps):
             raise InvalidParamsError(f"not a normal form: n={self.n}, eps={self.eps}")
 

@@ -14,20 +14,11 @@ import string
 from fractions import Fraction
 
 from .errors import InvalidParamsError, UnknownBuiltinError
-from .models import MultIntegerModel, RewriteModel
+from .models import MultIntegerModel, RewriteModel, _integer
 from .mp_family import MpModel, MpSpec
 from .presentation import Generator, Presentation, Relation, parse_presentation
 
 _FREE_NAMES = string.ascii_lowercase
-
-
-def _integer(name: str, value) -> int:
-    """*value* as an int; anything not a whole number is refused, never
-    truncated."""
-    whole = isinstance(value, (int, Fraction)) and not isinstance(value, bool)
-    if not whole or value.denominator != 1:
-        raise InvalidParamsError(f"{name} must be an integer, got {value}")
-    return int(value)
 
 
 def _free(params: dict):
@@ -75,7 +66,7 @@ def _braid3(params: dict):
 
 def _zpos(params: dict):
     try:
-        nmax = _integer("zpos nmax", params.pop("nmax"))
+        nmax = params.pop("nmax")
     except KeyError:
         raise InvalidParamsError("zpos requires nmax") from None
     return MultIntegerModel(nmax)
@@ -92,12 +83,8 @@ def _mp(params: dict):
         p = [2 ** (k + 2) for k in range(_integer("mp K", depth))]
     elif not isinstance(p, (list, tuple)):
         raise InvalidParamsError(f"mp p must be a list or 'pow2', got {p}")
-    else:
-        p = [_integer("mp p entry", v) for v in p]
-        if depth is not None and _integer("mp K", depth) != len(p):
-            raise InvalidParamsError(
-                f"mp got K={depth} but p has {len(p)} entries"
-            )
+    elif depth is not None and _integer("mp K", depth) != len(p):
+        raise InvalidParamsError(f"mp got K={depth} but p has {len(p)} entries")
     return MpModel(MpSpec(tuple(p)))
 
 

@@ -9,8 +9,12 @@ inversion and recursion reports, which the library reads off one truncated
 convolution P*N: the inversion identity as P*N against 1 followed by N
 against invert(P), and the count recursion summed degree by degree.  A pull
 solve over the closure of the support checks ``series_invert``, which
-pushes each solved coefficient forward instead.
+pushes each solved coefficient forward instead.  The convolution loop on the
+keys as given, ``Fraction`` sums and comparisons for rational keys, checks
+``convolve``, which runs the same loop on keys scaled to ints.
 """
+import operator
+
 from skewgrowth.checks import (
     FAIL,
     PASS,
@@ -224,6 +228,22 @@ def recursion_by_sum(table, forest=None) -> CheckReport:
         notes=f"count recursion holds at all {len(targets)} reachable degrees",
         key_kind=kind,
     )
+
+
+def convolve_by_fractions(f: Series, g: Series) -> dict:
+    """Every reachable key ``ka (+) kb <= cutoff`` mapped to its summed
+    coefficient, zeros kept, with each pass over g's sorted terms stopped at
+    the first key past the cutoff; keys are combined as they are stored."""
+    combine = operator.add if f.kind is KeyKind.RATIONAL else operator.mul
+    right = sorted(g.terms.items())
+    acc: dict = {}
+    for ka, ca in f.terms.items():
+        for kb, cb in right:
+            key = combine(ka, kb)
+            if key > f.cutoff:
+                break
+            acc[key] = acc.get(key, 0) + ca * cb
+    return acc
 
 
 def _support_closure(kind, base, cutoff) -> list:

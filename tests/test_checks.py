@@ -1,9 +1,12 @@
+import json
+import warnings
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from scan_oracles import inversion_two_step, recursion_by_sum
+from scan_oracles import convolve_by_fractions, inversion_two_step, recursion_by_sum
+from skewgrowth import checks
 from skewgrowth.checks import (
     FAIL,
     NOT_APPLICABLE,
@@ -17,6 +20,7 @@ from skewgrowth.checks import (
 from skewgrowth.dirichlet import growth_series, series_one
 from skewgrowth.models import RewriteModel
 from skewgrowth.presentation import parse_presentation
+from skewgrowth.presets import parse_preset
 from skewgrowth.towers import enumerate_towers, skew_growth
 from test_models import small_presentations
 
@@ -146,3 +150,18 @@ def test_product_reports_match_oracles(example3_table, braid3_table, free2_table
 def test_product_reports_match_oracles_on_random_presentations(drawn):
     presentation, cutoff = drawn
     _assert_product_reports_match_oracles(RewriteModel(presentation).enumerate_up_to(cutoff))
+
+
+@pytest.mark.parametrize("preset, cutoff", [("mp:p=4,8,16", Fraction(40)),
+                                            ("example3", Fraction(60))])
+def test_reports_match_the_fraction_kernel(preset, cutoff, monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # mp past its canonical continuation
+        table = parse_preset(preset).enumerate_up_to(cutoff)
+
+    def reports():
+        return json.dumps([r.to_json() for r in run_all_checks(table)], indent=2)
+
+    scaled = reports()
+    monkeypatch.setattr(checks, "convolve", convolve_by_fractions)
+    assert reports() == scaled

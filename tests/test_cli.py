@@ -1,8 +1,10 @@
+import importlib.util
 import json
 import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from skewgrowth.cli import main
 
 GOLDEN = sorted((Path(__file__).parent / "golden").glob("*.txt"))
+SCRIPTS = Path(__file__).parent.parent / "scripts"
 
 
 def _run(argv, capsys):
@@ -105,6 +108,24 @@ def test_usage_errors_exit_two(argv, capsys):
     rc = main(argv)
     capsys.readouterr()
     assert rc == 2
+
+
+def test_mp_depth_warning_is_given_once(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["verify", "--preset", "mp:p=4,8,16", "--max-degree", "40"])
+    capsys.readouterr()
+    assert rc == 0
+    assert sum("canonical continuation" in str(w.message) for w in caught) == 1
+
+
+def test_verify_builtins_script_reports_errors(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "verify_builtins", SCRIPTS / "verify_builtins.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["nosuch"]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown builtin 'nosuch'")
 
 
 def test_word_cap_budget_exhaustion(capsys):

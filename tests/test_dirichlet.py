@@ -1,10 +1,11 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from scan_oracles import invert_by_closure
+from scan_oracles import convolve_by_fractions, invert_by_closure
 from skewgrowth.dirichlet import (
     KeyKind,
     Series,
@@ -134,6 +135,45 @@ def test_multint_convolution_matches_naive(f, g, f_rational, g_rational):
         assert series_mul(f, g) == Series.build(f.kind, f.cutoff, naive)
 
 
+# ------------------------------------------------------------ scaled keys
+
+_DENOMINATORS = (1, 2, 3, 4, 5, 8, 16)
+
+
+def _fractions_up_to(bound, least=0):
+    return st.sampled_from(_DENOMINATORS).flatmap(
+        lambda d: st.integers(least, math.floor(bound * d)).map(lambda n: Fraction(n, d))
+    )
+
+
+def _series_on_mixed_denominators(count):
+    """*count* rational series on one cutoff in (0, 20], where the cutoff and
+    every key have denominators in _DENOMINATORS (17/3 and 33/16 among them)."""
+    def on(cutoff):
+        terms = st.dictionaries(_fractions_up_to(cutoff), st.integers(-5, 5), max_size=8)
+        return st.tuples(*[terms.map(lambda t: Series.build(R, cutoff, t))] * count)
+
+    return _fractions_up_to(20, least=1).flatmap(on)
+
+
+@given(_series_on_mixed_denominators(2))
+def test_convolve_matches_fraction_loop(pair):
+    f, g = pair
+    product = convolve(f, g)
+    assert product == convolve_by_fractions(f, g)
+    assert all(type(key) is Fraction for key in product)
+
+
+def test_kernels_take_raw_int_keys():
+    f = Series(R, 8, {0: 1, 2: 1})  # the raw constructor keeps int keys
+    product = convolve(f, f)
+    assert product == {0: 1, 2: 2, 4: 1}
+    assert all(type(key) is Fraction for key in product)
+    inverse = series_invert(f)
+    assert inverse == Series.build(R, 8, {0: 1, 2: -1, 4: 1, 6: -1, 8: 1})
+    assert all(type(key) is Fraction for key in inverse.terms)
+
+
 # -------------------------------------------------------------- inversion
 
 def _invertible(series):
@@ -159,6 +199,13 @@ def test_invert_matches_closure_solve(f_rational, f_multint):
         # the solve sorts f itself: its cutoff break must not rely on the caller
         descending = Series(f.kind, f.cutoff, dict(sorted(f.terms.items(), reverse=True)))
         assert series_invert(descending) == invert_by_closure(f)
+
+
+@given(_invertible(_series_on_mixed_denominators(1).map(lambda drawn: drawn[0])))
+def test_invert_matches_closure_solve_on_mixed_denominators(f):
+    inverse = series_invert(f)
+    assert inverse == invert_by_closure(f)
+    assert all(type(key) is Fraction for key in inverse.terms)
 
 
 @pytest.mark.parametrize("name", ["example3_table", "braid3_table", "free2_table",

@@ -311,6 +311,12 @@ def test_zpos_rejects_bad_nmax():
         MultIntegerModel(0)
 
 
+@pytest.mark.parametrize("nmax", [Fraction(7, 2), 3.5, True, "3"])
+def test_zpos_refuses_non_integral_nmax(nmax):
+    with pytest.raises(InvalidParamsError):
+        MultIntegerModel(nmax)
+
+
 @pytest.mark.parametrize("preset", ["free:count=3/2", "mp:p=4.5,8", "mp:p=pow2:K=2.5",
                                     "mp:p=4,8:K=2.5", "mp:p=4"])
 def test_presets_reject_non_integral_params(preset):

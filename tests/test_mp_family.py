@@ -40,6 +40,19 @@ def test_spec_validation():
     MpSpec((2, 0, 7))  # later entries may be any nonnegative integer
 
 
+@pytest.mark.parametrize("p", [(4.5, 8), (F(9, 2), 8), (4, "8")])
+def test_spec_refuses_non_integral_p(p):
+    with pytest.raises(InvalidParamsError):
+        MpSpec(p)
+
+
+@pytest.mark.parametrize("n, eps", [(0, (0.5, 0, 0)), (0, (F(1, 2), 0, 0)),
+                                    (F(5, 2), (0, 0, 0)), (1.0, (0, 0, 0))])
+def test_element_refuses_non_integral_parts(n, eps):
+    with pytest.raises(InvalidParamsError):
+        MpElement(n, eps)
+
+
 def test_generator_degrees():
     assert [generator_degree(SPEC, k) for k in range(4)] == [
         F(1), F(5, 2), F(21, 4), F(85, 8)]
