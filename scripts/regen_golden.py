@@ -3,15 +3,18 @@
 
 Each golden file records its command line in a leading '# argv:' comment;
 the test suite re-runs that exact command and compares bytes.  Run this
-after an intentional output-format change, then review the diff.
+after an intentional output-format change, then review the diff.  With
+``--check`` it writes nothing: it lists each golden whose bytes would change
+and exits 1 if any would, 0 if all are current.
 """
+import argparse
 import io
 import shlex
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from skewgrowth.cli import main
+from skewgrowth.cli import main as cli_main
 
 CASES = [
     ("growth_example3_table", "growth --preset example3 --max-degree 6"),
@@ -48,21 +51,37 @@ CASES = [
 ]
 
 
-def run() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate the CLI golden files.")
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; list the goldens whose bytes would "
+                             "change and exit 1 if any would")
+    args = parser.parse_args(argv)
     golden = Path(__file__).resolve().parent.parent / "tests" / "golden"
-    golden.mkdir(parents=True, exist_ok=True)
+    if not args.check:
+        golden.mkdir(parents=True, exist_ok=True)
+    stale = []
     for name, argv_text in CASES:
         buffer = io.StringIO()
         with redirect_stdout(buffer):
-            rc = main(shlex.split(argv_text))
+            rc = cli_main(shlex.split(argv_text))
         if rc != 0:
             print(f"{name}: exit code {rc}, refusing to freeze", file=sys.stderr)
             return 1
         path = golden / f"{name}.txt"
-        path.write_text(f"# argv: {argv_text}\n" + buffer.getvalue(), encoding="utf-8")
-        print(f"wrote {path.relative_to(golden.parent.parent)}")
-    return 0
+        text = f"# argv: {argv_text}\n" + buffer.getvalue()
+        shown = path.relative_to(golden.parent.parent)
+        if args.check:
+            if not path.is_file() or path.read_bytes() != text.encode("utf-8"):
+                stale.append(shown)
+                print(f"would change {shown}")
+            continue
+        path.write_text(text, encoding="utf-8")
+        print(f"wrote {shown}")
+    if args.check:
+        print(f"{len(CASES) - len(stale)} of {len(CASES)} goldens current")
+    return 1 if stale else 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(run())
+    raise SystemExit(main())

@@ -20,8 +20,8 @@ from .dirichlet import (
     key_zero,
     render_key,
 )
-from .divisibility import DivPoset, mask_to_ids
-from .towers import TowerForest, enumerate_towers, skew_growth
+from .divisibility import DivPoset
+from .towers import TowerForest, enumerate_towers, forest_over, skew_growth
 
 PASS = "pass"
 FAIL = "fail"
@@ -225,16 +225,29 @@ def check_lcm_reduction(table, poset: DivPoset | None = None,
     has exactly one minimal common multiple D_J, the skew-growth series
     collapses to  1 + sum_J (-1)^|J| t^deg(D_J).  The check compares that sum
     against the tower series; a ground subset with two or more minimal common
-    multiples makes the shortcut inapplicable and is reported as such.
+    multiples makes the shortcut inapplicable and is reported as such, the
+    first in lexicographic order over the sorted ground.
+
+    The subsets are read off the forest, not walked again.  A singleton's
+    only minimal common multiple is itself.  The subsets of two or more
+    elements with a common multiple in range, and their minimal common
+    multiples, are the first stages and tops of the root's children, in
+    the same order.  The tower walk drops a ground element g whose degree
+    plus the least positive degree d_min passes the cutoff, but such a g is
+    in no supported subset: a common multiple of g and another element of
+    the antichain is a strict multiple g*x, and x is a non-unit of degree
+    at most that of g*x, hence enumerated, so deg(g*x) >= deg(g) (+) d_min
+    is past the cutoff.
     """
-    if poset is None:
-        poset = table.poset()
-    if ground is None:
-        ground = forest.ground if forest is not None else table.atoms()
+    forest = forest_over(table, poset, ground, forest)
     kind = table.key_kind
     terms = {key_zero(kind): 1}
-    for subset, mask in poset.iter_supported_subsets(ground, min_size=1):
-        tops = poset.minimal_elements(mask_to_ids(mask))
+    for eid in forest.ground:
+        degree = table.degree(eid)
+        terms[degree] = terms.get(degree, 0) - 1
+    for child in forest.children[0]:
+        tower = forest.towers[child]
+        subset, tops = tower.stages[0], tower.tops[0]
         if len(tops) > 1:
             return CheckReport(
                 name="lcm-reduction",
@@ -247,10 +260,9 @@ def check_lcm_reduction(table, poset: DivPoset | None = None,
                 key_kind=kind,
             )
         degree = table.degree(tops[0])
-        sign = -1 if len(subset) % 2 else 1
-        terms[degree] = terms.get(degree, 0) + sign
+        terms[degree] = terms.get(degree, 0) + (-1 if len(subset) % 2 else 1)
     reduced = Series.build(kind, table.cutoff, terms)
-    skew = skew_growth(table, poset=poset, ground=ground, forest=forest)
+    skew = skew_growth(table, forest=forest)
     if reduced != skew:
         bad = _first_difference(reduced, skew)
         return CheckReport(

@@ -6,7 +6,8 @@ poset records it bitwise: for every element, the set of its divisors and the
 set of its multiples as integer bitmasks indexed by element id.  Both are
 built from the table's right generator maps ``x -> x * g``, since ``u``
 divides ``v`` exactly when ``v`` is reached from ``u`` by a chain of such
-steps.
+steps.  Every query reads the multiple masks alone; the divisor masks are
+built for callers that size the poset.
 
 Truncation contract: every query answer is exact for the enumerated range.
 In particular ``min_common_multiples(J)`` equals the untruncated minimal
@@ -63,55 +64,67 @@ class DivPoset:
         return cls(table, divisors, multiples)
 
     def divides(self, u: int, v: int) -> bool:
-        return bool(self.divisor_masks[v] >> u & 1)
+        return bool(self.multiple_masks[u] >> v & 1)
 
-    def common_multiples(self, index_set: Iterable[int]) -> list[int]:
-        """All enumerated common right multiples of the index set, ascending.
-        The empty index set is rejected: its common-multiple set would be the
-        whole monoid, which has no meaning under a cutoff."""
+    def _common_mask(self, index_set: Iterable[int]) -> int:
         ids = list(index_set)
         if not ids:
             raise EmptyIndexSetError("common multiples of the empty set are not defined here")
         mask = self.multiple_masks[ids[0]]
         for eid in ids[1:]:
             mask &= self.multiple_masks[eid]
-        return mask_to_ids(mask)
+        return mask
 
-    def minimal_elements(self, subset: Sequence[int]) -> list[int]:
-        """Elements of the subset with no strict divisor inside the subset.
-        Empty input yields empty output."""
+    def common_multiples(self, index_set: Iterable[int]) -> list[int]:
+        """All enumerated common right multiples of the index set, ascending.
+        The empty index set is rejected: its common-multiple set would be the
+        whole monoid, which has no meaning under a cutoff."""
+        return mask_to_ids(self._common_mask(index_set))
+
+    def minimal_in_mask(self, mask: int) -> list[int]:
+        """The minimal elements of a mask, ascending.  A strict divisor has a
+        smaller degree and so a smaller id, so the lowest set bit is minimal;
+        record it, clear all of its multiples and repeat.  One AND per
+        minimal element."""
+        out = []
+        while mask:
+            low = (mask & -mask).bit_length() - 1
+            out.append(low)
+            mask &= ~self.multiple_masks[low]
+        return out
+
+    def minimal_elements(self, subset: Iterable[int]) -> list[int]:
+        """Elements of the subset with no strict divisor inside the subset,
+        ascending.  Empty input yields empty output."""
         mask = 0
         for eid in subset:
             mask |= 1 << eid
-        out = []
-        for eid in subset:
-            if self.divisor_masks[eid] & mask & ~(1 << eid) == 0:
-                out.append(eid)
-        return sorted(out)
+        return self.minimal_in_mask(mask)
 
     def min_common_multiples(self, index_set: Iterable[int]) -> list[int]:
-        return self.minimal_elements(self.common_multiples(index_set))
+        return self.minimal_in_mask(self._common_mask(index_set))
 
     def iter_supported_subsets(self, candidates: Sequence[int], min_size: int):
         """Yield subsets (as tuples, in lexicographic candidate order) of at
         least ``min_size`` elements whose common-multiple set is non-empty
         within the cutoff, with each subset's common-multiple mask.
 
-        Supersets of a subset with no common multiple are pruned wholesale,
-        which keeps the walk proportional to the number of supported subsets.
+        Each subset hands its extensions a survivor pool: the later
+        candidates whose common-multiple mask still meets its own, each
+        paired with the ANDed mask.  A candidate that misses a subset's mask
+        misses every superset's too, so it is never tested again below.  A
+        supported subset costs one AND per entry after it in the pool it was
+        drawn from, that is per later candidate its parent subset still
+        meets, rather than per later candidate.
         """
-        candidates = list(candidates)
-
-        def rec(start: int, chosen: list[int], mask: int):
-            for i in range(start, len(candidates)):
-                eid = candidates[i]
-                next_mask = mask & self.multiple_masks[eid] if chosen else self.multiple_masks[eid]
-                if not next_mask:
-                    continue
+        def rec(chosen: list[int], pool: list[tuple[int, int]]):
+            for i, (eid, mask) in enumerate(pool):
                 chosen.append(eid)
                 if len(chosen) >= min_size:
-                    yield tuple(chosen), next_mask
-                yield from rec(i + 1, chosen, next_mask)
+                    yield tuple(chosen), mask
+                below = [(e, both) for e, m in pool[i + 1:] if (both := m & mask)]
+                if below:
+                    yield from rec(chosen, below)
                 chosen.pop()
 
-        yield from rec(0, [], 0)
+        yield from rec([], [(eid, self.multiple_masks[eid]) for eid in candidates])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .dirichlet import Series, key_add, key_repeat, key_to_json, key_zero
-from .divisibility import DivPoset, mask_to_ids
+from .divisibility import DivPoset
 from .errors import InvalidGroundError
 
 
@@ -112,7 +112,7 @@ def enumerate_towers(table, poset: DivPoset | None = None,
             if key_add(table.key_kind, table.degree(eid), d_min) <= table.cutoff
         ]
         for stage, mask in poset.iter_supported_subsets(candidates, min_size=2):
-            top = poset.minimal_elements(mask_to_ids(mask))
+            top = poset.minimal_in_mask(mask)
             child = Tower(ground, tower.stages + (stage,), tower.tops + (tuple(top),))
             children[cursor].append(len(towers))
             towers.append(child)
@@ -121,13 +121,26 @@ def enumerate_towers(table, poset: DivPoset | None = None,
     return TowerForest(ground, tuple(towers), tuple(tuple(c) for c in children))
 
 
+def forest_over(table, poset: DivPoset | None = None,
+                ground: Sequence[int] | None = None,
+                forest: TowerForest | None = None) -> TowerForest:
+    """*forest* if given, else the towers over *ground*.  A *ground* given
+    alongside a forest must validate to the forest's own ground; any other
+    raises InvalidGroundError rather than mix two grounds."""
+    if forest is None:
+        return enumerate_towers(table, poset, ground)
+    if ground is not None:
+        if _validate_ground(table, poset or table.poset(), ground) != forest.ground:
+            raise InvalidGroundError("ground set differs from the forest's ground")
+    return forest
+
+
 def skew_growth(table, poset: DivPoset | None = None,
                 ground: Sequence[int] | None = None,
                 forest: TowerForest | None = None) -> Series:
     """1 plus the signed degree sum over all tower tops, truncated at the
     table cutoff.  Pass an existing *forest* to skip re-enumeration."""
-    if forest is None:
-        forest = enumerate_towers(table, poset, ground)
+    forest = forest_over(table, poset, ground, forest)
     kind = table.key_kind
     terms: dict = {key_zero(kind): 1}
     for tower in forest:

@@ -11,12 +11,18 @@ against invert(P), and the count recursion summed degree by degree.  A pull
 solve over the closure of the support checks ``series_invert``, which
 pushes each solved coefficient forward instead.  The convolution loop on the
 keys as given, ``Fraction`` sums and comparisons for rational keys, checks
-``convolve``, which runs the same loop on keys scaled to ints.
+``convolve``, which runs the same loop on keys scaled to ints.  A subset
+walk that tests every later candidate at every node, minimal elements read
+from divisor masks, the tower enumeration built on the two, and an
+lcm-reduction that walks the ground's subsets again check the survivor-pool
+walk, the minimal-element peel and the lcm-reduction read off the forest.
 """
+import functools
 import operator
 
 from skewgrowth.checks import (
     FAIL,
+    NOT_APPLICABLE,
     PASS,
     CheckReport,
     _first_difference,
@@ -32,8 +38,15 @@ from skewgrowth.dirichlet import (
     series_mul,
     series_one,
 )
+from skewgrowth.divisibility import mask_to_ids
 from skewgrowth.errors import NonUnitConstantTermError
-from skewgrowth.towers import skew_growth
+from skewgrowth.towers import (
+    Tower,
+    TowerForest,
+    _min_positive_degree,
+    _validate_ground,
+    skew_growth,
+)
 
 
 def _key_sub(kind, a, b):
@@ -287,3 +300,112 @@ def invert_by_closure(f: Series) -> Series:
         if total:
             inv[key] = -unit * total
     return Series(kind, cutoff, dict(sorted(inv.items())))
+
+
+def supported_subsets_by_rescan(poset, candidates, min_size):
+    """Every subset of *candidates* of at least *min_size* elements with a
+    common multiple in range, with its common-multiple mask, in
+    lexicographic order; each node ANDs its mask with every later
+    candidate."""
+    candidates = list(candidates)
+
+    def rec(start, chosen, mask):
+        for i in range(start, len(candidates)):
+            eid = candidates[i]
+            next_mask = mask & poset.multiple_masks[eid] if chosen else poset.multiple_masks[eid]
+            if not next_mask:
+                continue
+            chosen.append(eid)
+            if len(chosen) >= min_size:
+                yield tuple(chosen), next_mask
+            yield from rec(i + 1, chosen, next_mask)
+            chosen.pop()
+
+    yield from rec(0, [], 0)
+
+
+def minimal_by_divisors(poset, subset):
+    """The members of *subset* with no strict divisor in it, ascending,
+    each tested against its divisor mask."""
+    mask = 0
+    for eid in subset:
+        mask |= 1 << eid
+    return sorted(eid for eid in subset
+                  if poset.divisor_masks[eid] & mask & ~(1 << eid) == 0)
+
+
+def min_common_multiples_by_divisors(poset, index_set):
+    mask = functools.reduce(operator.and_, (poset.multiple_masks[e] for e in index_set))
+    return minimal_by_divisors(poset, mask_to_ids(mask))
+
+
+def towers_by_rescan(table, ground=None) -> TowerForest:
+    """Breadth-first towers over *ground* (default the atoms), each stage
+    found by the rescanning walk and each top by divisor masks."""
+    poset = table.poset()
+    if ground is None:
+        ground = table.atoms()
+        if not ground:
+            return TowerForest((), (Tower(()),), ((),))
+    ground = _validate_ground(table, poset, ground)
+    d_min = _min_positive_degree(table)
+    towers = [Tower(ground)]
+    children = [[]]
+    for cursor, tower in enumerate(towers):  # grows while it is read
+        candidates = [eid for eid in tower.top
+                      if key_add(table.key_kind, table.degree(eid), d_min) <= table.cutoff]
+        for stage, mask in supported_subsets_by_rescan(poset, candidates, 2):
+            top = tuple(minimal_by_divisors(poset, mask_to_ids(mask)))
+            children[cursor].append(len(towers))
+            towers.append(Tower(ground, tower.stages + (stage,), tower.tops + (top,)))
+            children.append([])
+    return TowerForest(ground, tuple(towers), tuple(tuple(c) for c in children))
+
+
+def lcm_reduction_by_walk(table, ground=None) -> CheckReport:
+    """Every nonempty ground subset with a common multiple in range, walked
+    in lexicographic order: the first with several minimal common multiples
+    makes the check not applicable; otherwise 1 + sum (-1)^|J| t^deg(D_J)
+    is compared with the tower series of the rescanning enumeration."""
+    poset = table.poset()
+    forest = towers_by_rescan(table, ground)
+    kind = table.key_kind
+    terms = {key_zero(kind): 1}
+    for subset, mask in supported_subsets_by_rescan(poset, forest.ground, 1):
+        tops = minimal_by_divisors(poset, mask_to_ids(mask))
+        if len(tops) > 1:
+            return CheckReport(
+                name="lcm-reduction",
+                status=NOT_APPLICABLE,
+                counterexample={
+                    "subset": [table.label(e) for e in subset],
+                    "minimal_common_multiples": [table.label(e) for e in tops],
+                },
+                notes="a ground subset has several minimal common multiples",
+                key_kind=kind,
+            )
+        degree = table.degree(tops[0])
+        terms[degree] = terms.get(degree, 0) + (-1 if len(subset) % 2 else 1)
+    reduced = Series.build(kind, table.cutoff, terms)
+    skew = skew_growth(table, forest=forest)
+    if reduced != skew:
+        bad = _first_difference(reduced, skew)
+        return CheckReport(
+            name="lcm-reduction",
+            status=FAIL,
+            max_degree_verified=bad,
+            counterexample={
+                "degree": render_key(kind, bad),
+                "reduced_coefficient": reduced.coefficient(bad),
+                "tower_coefficient": skew.coefficient(bad),
+            },
+            notes="inclusion-exclusion over unique lcms disagrees with towers",
+            key_kind=kind,
+        )
+    return CheckReport(
+        name="lcm-reduction",
+        status=PASS,
+        max_degree_verified=table.cutoff,
+        notes="unique-lcm inclusion-exclusion reproduces the tower series",
+        key_kind=kind,
+    )

@@ -128,6 +128,32 @@ def test_verify_builtins_script_reports_errors(capsys):
     assert capsys.readouterr().err.startswith("error: unknown builtin 'nosuch'")
 
 
+
+def _load_regen_golden():
+    spec = importlib.util.spec_from_file_location(
+        "regen_golden", SCRIPTS / "regen_golden.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_regen_golden_check_finds_every_golden_current(capsys):
+    script = _load_regen_golden()
+    assert len(script.CASES) == len(GOLDEN)
+    assert script.main(["--check"]) == 0
+    assert capsys.readouterr().out == f"{len(GOLDEN)} of {len(GOLDEN)} goldens current\n"
+
+
+def test_regen_golden_check_lists_a_stale_golden_and_writes_nothing(capsys, monkeypatch):
+    script = _load_regen_golden()
+    path = Path(__file__).parent / "golden" / "skew_zpos30_table.txt"
+    before = path.read_bytes()
+    monkeypatch.setattr(script, "CASES", [("skew_zpos30_table", "skew --preset zpos:31")])
+    assert script.main(["--check"]) == 1
+    assert capsys.readouterr().out == ("would change tests/golden/skew_zpos30_table.txt\n"
+                                       "0 of 1 goldens current\n")
+    assert path.read_bytes() == before
+
 def test_word_cap_budget_exhaustion(capsys):
     rc = main(["growth", "--preset", "free:2", "--max-degree", "10",
                "--word-cap", "100"])

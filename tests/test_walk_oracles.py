@@ -1,0 +1,70 @@
+"""The survivor-pool subset walk, the minimal-element peel and the
+lcm-reduction read off the forest against the rescanning oracles."""
+import itertools
+
+import pytest
+from hypothesis import given, settings
+
+from scan_oracles import (
+    lcm_reduction_by_walk,
+    min_common_multiples_by_divisors,
+    minimal_by_divisors,
+    supported_subsets_by_rescan,
+    towers_by_rescan,
+)
+from skewgrowth import builtin
+from skewgrowth.checks import check_lcm_reduction, run_all_checks
+from skewgrowth.models import RewriteModel
+from skewgrowth.towers import enumerate_towers, forest_to_json
+from test_models import small_presentations
+
+
+def _assert_matches_oracles(table, ground=None):
+    poset = table.poset()
+    forest = enumerate_towers(table, ground=ground)
+    assert forest_to_json(forest, table) == forest_to_json(towers_by_rescan(table, ground), table)
+    expected = lcm_reduction_by_walk(table, ground).to_json()
+    assert check_lcm_reduction(table, ground=ground).to_json() == expected
+    assert run_all_checks(table, ground=ground)[3].to_json() == expected
+    for size in (1, 2):
+        assert list(poset.iter_supported_subsets(forest.ground, size)) == \
+            list(supported_subsets_by_rescan(poset, forest.ground, size))
+    for pair in itertools.combinations(forest.ground, 2):
+        assert poset.min_common_multiples(pair) == min_common_multiples_by_divisors(poset, pair)
+    for tower in forest:
+        assert poset.minimal_elements(tower.top) == minimal_by_divisors(poset, tower.top)
+
+
+def test_walk_matches_oracles_on_builtins(example3_table, braid3_table, free2_table,
+                                          zpos_table, mp_table):
+    for table in (example3_table, braid3_table, free2_table, zpos_table, mp_table):
+        _assert_matches_oracles(table)
+
+
+@pytest.mark.parametrize("values", [(4, 6, 9, 10, 15, 25), (5, 6, 7, 8, 9)])
+def test_walk_matches_oracles_on_a_custom_ground(zpos_table, values):
+    # antichains under division that are not the atom set
+    ground = tuple(zpos_table.element_id(v) for v in values)
+    assert set(ground) != set(zpos_table.atoms())
+    _assert_matches_oracles(zpos_table, ground)
+
+
+def test_walk_matches_oracles_on_a_ground_of_squares(example3_table):
+    degree_two = tuple(example3_table.elements_of_degree(2))
+    assert len(degree_two) > 1
+    _assert_matches_oracles(example3_table, degree_two)
+
+
+@settings(deadline=None, max_examples=100)
+@given(small_presentations())
+def test_walk_matches_oracles_on_random_presentations(drawn):
+    presentation, cutoff = drawn
+    _assert_matches_oracles(RewriteModel(presentation).enumerate_up_to(cutoff))
+
+
+def test_zpos3000_forest_and_lcm_report_match_oracles():
+    table = builtin("zpos", nmax=3000).enumerate_up_to(3000)
+    forest = enumerate_towers(table)
+    assert forest_to_json(forest, table) == forest_to_json(towers_by_rescan(table), table)
+    assert check_lcm_reduction(table, forest=forest).to_json() == \
+        lcm_reduction_by_walk(table).to_json()
