@@ -48,6 +48,10 @@ CASES = [
     ("cancel_check_zpos30", "cancel-check --preset zpos:30"),
     ("cancel_check_mp", "cancel-check --preset mp:p=4,8,16:K=3"),
     ("cancel_check_free2", "cancel-check --preset free:2 --max-degree 5"),
+    # custom grounds, one token spelling per model
+    ("towers_mp_ground_table",
+     "towers --preset mp:p=4,8,16:K=3 --max-degree 14 --ground 'a0^2,a1,a2'"),
+    ("towers_zpos30_ground_json", "towers --preset zpos:30 --ground 4,6,9 --format json"),
 ]
 
 

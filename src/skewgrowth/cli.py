@@ -25,7 +25,6 @@ from .checks import FAIL, check_cancellative, run_all_checks
 from .dirichlet import KeyKind, Series, growth_series, key_to_json, render_key, series_to_json
 from .errors import InvalidGroundError, SkewGrowthError, UnknownSymbolError
 from .models import RewriteModel
-from .mp_family import normal_form
 from .presentation import parse_presentation
 from .presets import parse_preset
 from .towers import enumerate_towers, forest_to_dot, forest_to_json, skew_growth
@@ -175,12 +174,9 @@ def _resolve_element(table, token: str) -> int:
                 raise UnknownSymbolError(f"unknown generator {part!r} in ground "
                                          f"token {token!r}")
         eid = table.class_of_names(parts)
-    elif hasattr(table, "value"):  # multiplicative integers
-        try:
-            eid = table.element_id(int(token))
-        except ValueError:
-            raise InvalidGroundError(f"ground token {token!r} is not an integer") from None
-    else:  # normal-form family
+    elif table.key_kind is KeyKind.MULTINT:  # multiplicative integers
+        eid = table.element_id(_natural(token, token))
+    else:  # the mp family, addressed by degree
         eid = _resolve_mp(table, token)
     if eid is None:
         raise InvalidGroundError(f"ground element {token!r} is outside the "
@@ -188,20 +184,27 @@ def _resolve_element(table, token: str) -> int:
     return eid
 
 
+def _natural(text: str, token: str) -> int:
+    """*text* as an int; only a non-empty run of ASCII digits is accepted."""
+    if not (text.isascii() and text.isdigit()):
+        raise InvalidGroundError(f"cannot parse ground token {token!r}")
+    return int(text)
+
+
 def _resolve_mp(table, token: str):
-    word: list[int] = []
+    """Id of a token like 'a0^2 a1', looked up by its degree."""
+    degrees = table.spec.degrees
+    total = 0
     for part in token.split():
-        name, _, power = part.partition("^")
-        if not name.startswith("a") or not name[1:].isdigit():
+        name, caret, power = part.partition("^")
+        if not name.startswith("a"):
             raise InvalidGroundError(f"cannot parse ground token {token!r}")
-        times = int(power) if power else 1
-        word.extend([int(name[1:])] * times)
-    try:
-        element = normal_form(table.spec, word)
-    except IndexError:
-        raise InvalidGroundError(f"ground token {token!r} uses a generator "
-                                 f"beyond the family depth") from None
-    return table.element_id(element)
+        k = _natural(name[1:], token)
+        if k >= len(degrees):
+            raise InvalidGroundError(f"ground token {token!r} uses a generator "
+                                     f"beyond the family depth")
+        total += degrees[k] * (_natural(power, token) if caret else 1)
+    return table.id_of_degree(total)
 
 
 # ------------------------------------------------------------------ rendering

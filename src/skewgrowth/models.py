@@ -303,18 +303,15 @@ class RewriteTable(ElementTable):
 
     def class_of_word(self, word: Sequence[int]) -> int | None:
         """Element id of an arbitrary word, or None past the cutoff."""
-        if self.word_degree(word) > self.cutoff:
-            return None
         return self._fold(word, self.unit)
 
     def class_of_names(self, names: Sequence[str]) -> int | None:
-        degrees = {g.name: g.degree for g in self.presentation.generators}
         for name in names:
-            if name not in degrees:
+            if name not in self.presentation.names:
                 raise KeyError(f"unknown generator {name!r}")
-        if sum((degrees[n] for n in names), Fraction(0)) > self.cutoff:
-            return None
         index = {n: i for i, n in enumerate(self._gen_names)}
+        if not all(n in index for n in names):
+            return None  # a generator heavier than the cutoff
         return self.class_of_word(tuple(index[n] for n in names))
 
     def product(self, u: int, v: int) -> int | None:
@@ -386,9 +383,6 @@ class MultIntTable(ElementTable):
         degrees = list(range(1, cutoff + 1))
         by_degree = {n: (n - 1,) for n in degrees}
         super().__init__(KeyKind.MULTINT, cutoff, degrees, by_degree)
-
-    def value(self, eid: int) -> int:
-        return eid + 1
 
     def element_id(self, n: int) -> int | None:
         return n - 1 if 1 <= n <= self.cutoff else None

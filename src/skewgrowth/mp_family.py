@@ -18,13 +18,15 @@ exact dyadic arithmetic: ``u`` divides ``v`` iff ``deg(v) - deg(u)`` is
 itself the degree of an element, and that is decided by reading the dyadic
 digits of the difference from the deepest bit up (`element_of_degree`).
 
-Minimal common multiples are computed per dyadic pattern: for each
-``eps`` no deeper than the inputs, the least ``a_0`` power making
-``(n, eps)`` a common multiple is found by a bounded scan, and the minimal
-elements of that finite candidate set are exactly the minimal common
-multiples.  This route is intrinsically different from the generic
-poset-based computation in :mod:`skewgrowth.divisibility`, and the test
-suite cross-validates the two against each other.
+The enumerated table (`MpTable`) is addressed by degree: a degree names
+one element, so the product of two ids is the id of the summed degree.
+``normal_form``, ``mp_product`` and ``mp_min_common_multiples`` are the
+intrinsic reference that the tests hold the table and the generic poset
+route (:mod:`skewgrowth.divisibility`) to.  The last works per dyadic
+pattern: for each ``eps`` no deeper than the inputs, the least ``a_0``
+power making ``(n, eps)`` a common multiple is found by a bounded scan,
+and the minimal elements of that candidate set are the minimal common
+multiples.
 
 Depth truncation is transparent: quotients of depth <= K elements have
 depth <= K, so the truncated family is a full submonoid and every answer
@@ -306,42 +308,40 @@ class MpTable(ElementTable):
 
     def __init__(self, spec: MpSpec, cutoff: Fraction):
         self.spec = spec
-        elements: list[tuple[Fraction, MpElement]] = []
+        flagged = spec.degrees[1:]
+        triples: list[tuple[Fraction, int, tuple[int, ...]]] = []
         for pattern in itertools.product((0, 1), repeat=spec.depth):
-            base = element_degree(spec, MpElement(0, pattern))
-            n = 0
-            while base + n <= cutoff:
-                element = MpElement(n, pattern)
-                elements.append((base + n, element))
-                n += 1
-        elements.sort(key=lambda pair: pair[0])  # degrees are all distinct
-        self._elements = [e for _, e in elements]
-        self._ids = {e: i for i, e in enumerate(self._elements)}
-        degrees = [d for d, _ in elements]
+            base = sum((d for d, bit in zip(flagged, pattern) if bit), Fraction(0))
+            triples += [(base + n, n, pattern) for n in range(math.floor(cutoff - base) + 1)]
+        triples.sort(key=lambda triple: triple[0])  # degrees are all distinct
+        self._forms = [(n, pattern) for _, n, pattern in triples]
+        degrees = [d for d, _, _ in triples]
         by_degree = {d: (i,) for i, d in enumerate(degrees)}
         super().__init__(KeyKind.RATIONAL, cutoff, degrees, by_degree)
 
+    def id_of_degree(self, degree) -> int | None:
+        """Id of the one element of this degree, or None past the cutoff."""
+        return self._by_degree.get(degree, (None,))[0]
+
     def element(self, eid: int) -> MpElement:
-        return self._elements[eid]
+        return MpElement(*self._forms[eid])
 
     def element_id(self, element: MpElement) -> int | None:
-        return self._ids.get(element)
+        if len(element.eps) != self.spec.depth:
+            return None
+        return self.id_of_degree(element_degree(self.spec, element))
 
     def product(self, u: int, v: int) -> int | None:
-        result = mp_product(self.spec, self._elements[u], self._elements[v])
-        return self._ids.get(result)
+        # deg is additive and injective, and every element within the cutoff is listed
+        return self.id_of_degree(self._degrees[u] + self._degrees[v])
 
     def generators(self) -> tuple[int, ...]:
         """The ids of a_0..a_K that lie within the cutoff."""
-        letters = (normal_form(self.spec, (k,)) for k in range(self.spec.depth + 1))
-        return tuple(sorted(self._ids[g] for g in letters if g in self._ids))
+        ids = (self.id_of_degree(d) for d in self.spec.degrees)
+        return tuple(sorted(eid for eid in ids if eid is not None))
 
     def label(self, eid: int) -> str:
-        element = self._elements[eid]
-        parts = []
-        if element.n == 1:
-            parts.append("a0")
-        elif element.n > 1:
-            parts.append(f"a0^{element.n}")
-        parts += [f"a{k}" for k, bit in enumerate(element.eps, start=1) if bit]
+        n, eps = self._forms[eid]
+        parts = ["a0" if n == 1 else f"a0^{n}"] if n else []
+        parts += [f"a{k}" for k, bit in enumerate(eps, start=1) if bit]
         return " ".join(parts) if parts else "1"

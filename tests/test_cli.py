@@ -103,6 +103,14 @@ def test_verify_failure_exits_one(tmp_path, capsys):
     ["verify", "--preset", "zpos:30", "--nmax", "1"],
     ["growth", "--preset", "free:2.5"],
     ["growth", "--preset", "zpos:7/2"],
+    ["towers", "--preset", "mp:p=4,8,16", "--ground", "a0^x"],
+    ["towers", "--preset", "mp:p=4,8,16", "--ground", "a0^-1 a1"],
+    ["towers", "--preset", "mp:p=4,8,16", "--ground", "a0^+2"],
+    ["towers", "--preset", "mp:p=4,8,16", "--ground", "a0^"],
+    ["towers", "--preset", "mp:p=4,8,16", "--ground", "a0^\u00b2"],
+    ["towers", "--preset", "mp:p=4,8,16", "--ground", "a\u0661"],
+    ["towers", "--preset", "zpos:30", "--ground", "1_3"],
+    ["towers", "--preset", "zpos:30", "--ground", "\u0663"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     rc = main(argv)

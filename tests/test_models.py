@@ -175,6 +175,28 @@ def test_class_of_word_past_cutoff_is_none(example3_table):
     assert example3_table.class_of_word((0,) * 9) is None
 
 
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 1), max_size=10), st.lists(st.integers(0, 1), max_size=10))
+def test_class_of_word_is_none_exactly_past_the_cutoff(braid3_table, left, right):
+    table = braid3_table
+    word = left + right
+    eid = table.class_of_word(word)
+    assert (eid is None) == (table.word_degree(word) > table.cutoff)
+    if eid is not None:
+        assert eid == table.product(table.class_of_word(left), table.class_of_word(right))
+
+
+def test_class_of_names_with_a_generator_past_the_cutoff():
+    text = "gen a : 1\ngen b : 3/2\ngen c : 9\nrel a a a = b b\n"
+    table = RewriteModel(parse_presentation(text)).enumerate_up_to(Fraction(6))
+    assert table.class_of_names(["a", "b"]) == table.class_of_word((0, 1))
+    assert table.class_of_names(["a"] * 7) is None
+    assert table.class_of_names(["c"]) is None
+    assert table.class_of_names(["a", "c"]) is None
+    with pytest.raises(KeyError):
+        table.class_of_names(["c", "zz"])
+
+
 def test_mixed_degree_presentation_uses_general_path():
     model = RewriteModel(parse_presentation("gen a : 1\ngen b : 2\nrel a a = b\n"))
     table = model.enumerate_up_to(Fraction(6))

@@ -1,16 +1,19 @@
+import functools
 import warnings
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewgrowth.cli import _resolve_element
 from skewgrowth.dirichlet import KeyKind, Series, growth_series, series_invert, series_mul
-from skewgrowth.errors import InvalidParamsError, MalformedDyadicError
+from skewgrowth.errors import InvalidGroundError, InvalidParamsError, MalformedDyadicError
 from skewgrowth.models import RewriteModel
 from skewgrowth.mp_family import (
     MpElement,
     MpModel,
     MpSpec,
+    MpTable,
     degree_membership,
     element_degree,
     element_of_degree,
@@ -244,3 +247,74 @@ def test_depth_cap_warning_on_canonical_p():
         warnings.simplefilter("error")
         model.enumerate_up_to(F(10))
         builtin("mp", p=[4, 6]).enumerate_up_to(F(40))  # off-pattern: never warns
+
+
+# ------------------------------------------------ degree addressing, oracle
+# MpTable finds elements by degree; the normal-form reducer is the
+# reference it is compared with.
+
+ORACLE_CASES = [(spec, cutoff)
+                for spec in (SPEC, MpSpec((2, 0, 7)), builtin("mp", p="pow2", K=4).spec)
+                for cutoff in (F(12), F(383, 16))]
+ORACLE_IDS = [f"p={','.join(map(str, spec.p))}@{cutoff}" for spec, cutoff in ORACLE_CASES]
+
+
+@functools.cache
+def _oracle(spec, cutoff):
+    """The table, its elements as the reducer spells them, and the ids
+    keyed by those normal forms."""
+    table = MpTable(spec, cutoff)
+    elements = [table.element(e) for e in table.all_elements()]
+    return table, elements, {element: e for e, element in enumerate(elements)}
+
+
+@pytest.mark.parametrize("spec, cutoff", ORACLE_CASES, ids=ORACLE_IDS)
+def test_degree_product_matches_normal_form_product(spec, cutoff):
+    table, elements, ids = _oracle(spec, cutoff)
+    assert len(ids) == table.n_elements
+    for u, x in enumerate(elements):
+        for v, y in enumerate(elements):
+            w = mp_product(spec, x, y)
+            assert table.product(u, v) == ids.get(w) == table.element_id(w)
+
+
+@pytest.mark.parametrize("spec, cutoff", ORACLE_CASES, ids=ORACLE_IDS)
+def test_degree_generators_match_normal_form_letters(spec, cutoff):
+    table, _, ids = _oracle(spec, cutoff)
+    letters = (normal_form(spec, (k,)) for k in range(spec.depth + 1))
+    assert table.generators() == tuple(sorted(ids[g] for g in letters if g in ids))
+
+
+@pytest.mark.parametrize("spec, cutoff", ORACLE_CASES, ids=ORACLE_IDS)
+def test_element_and_element_id_round_trip(spec, cutoff):
+    table, elements, _ = _oracle(spec, cutoff)
+    for e, element in enumerate(elements):
+        assert element_degree(spec, element) == table.degree(e)
+        assert table.element_id(element) == e
+    zeros = (0,) * spec.depth
+    assert table.element_id(MpElement(0, zeros[1:])) is None      # eps too short
+    assert table.element_id(MpElement(0, zeros + (0,))) is None   # eps too long
+    assert table.element_id(MpElement(0, (1,) + zeros + (1,))) is None
+    assert table.element_id(MpElement(int(cutoff) + 1, zeros)) is None
+
+
+def _token(powers):
+    return " ".join(f"a{k}" if power == 1 else f"a{k}^{power}" for k, power in powers)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(ORACLE_CASES),
+       st.lists(st.tuples(st.integers(0, 4), st.integers(0, 9)), min_size=1, max_size=4))
+def test_cli_token_by_degree_matches_normal_form(case, powers):
+    spec, _ = case
+    table, _, ids = _oracle(*case)
+    if any(k > spec.depth for k, _ in powers):
+        with pytest.raises(InvalidGroundError, match="beyond the family depth"):
+            _resolve_element(table, _token(powers))
+        return
+    expected = ids.get(normal_form(spec, [k for k, power in powers for _ in range(power)]))
+    if expected is None:
+        with pytest.raises(InvalidGroundError, match="outside the enumerated range"):
+            _resolve_element(table, _token(powers))
+    else:
+        assert _resolve_element(table, _token(powers)) == expected
