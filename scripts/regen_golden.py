@@ -52,6 +52,7 @@ CASES = [
     ("towers_mp_ground_table",
      "towers --preset mp:p=4,8,16:K=3 --max-degree 14 --ground 'a0^2,a1,a2'"),
     ("towers_zpos30_ground_json", "towers --preset zpos:30 --ground 4,6,9 --format json"),
+    ("skew_example3_ground_table", "skew --preset example3 --max-degree 6 --ground 'aa,ab'"),
 ]
 
 

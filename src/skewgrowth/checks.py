@@ -21,7 +21,7 @@ from .dirichlet import (
     render_key,
 )
 from .divisibility import DivPoset
-from .towers import TowerForest, enumerate_towers, forest_over, skew_growth
+from .towers import TowerForest, enumerate_towers, skew_growth
 
 PASS = "pass"
 FAIL = "fail"
@@ -217,7 +217,7 @@ def _recursion_report(table, product: dict) -> CheckReport:
 # -------------------------------------------------------------- lcm reduction
 
 def check_lcm_reduction(table, poset: DivPoset | None = None,
-                        ground=None, forest: TowerForest | None = None) -> CheckReport:
+                        forest: TowerForest | None = None) -> CheckReport:
     """Inclusion-exclusion shortcut available when minimal common multiples
     of ground subsets are unique.
 
@@ -238,8 +238,15 @@ def check_lcm_reduction(table, poset: DivPoset | None = None,
     the antichain is a strict multiple g*x, and x is a non-unit of degree
     at most that of g*x, hence enumerated, so deg(g*x) >= deg(g) (+) d_min
     is past the cutoff.
+
+    Read off the forest, the comparison checks the code, not the monoid:
+    when every child of the root has a single top, no tower rises above
+    height 1, and the sum recounts the height-0 and height-1 terms of
+    ``skew_growth``.  A FAIL then points to a bug in ``skew_growth`` or
+    ``Tower.sign``, not to a property of the monoid.
     """
-    forest = forest_over(table, poset, ground, forest)
+    if forest is None:
+        forest = enumerate_towers(table, poset)
     kind = table.key_kind
     terms = {key_zero(kind): 1}
     for eid in forest.ground:
@@ -286,17 +293,15 @@ def check_lcm_reduction(table, poset: DivPoset | None = None,
     )
 
 
-def run_all_checks(table, poset: DivPoset | None = None,
-                   ground=None) -> list[CheckReport]:
-    """The full battery in a stable order, sharing one poset and forest."""
-    if poset is None:
-        poset = table.poset()
-    forest = enumerate_towers(table, poset=poset, ground=ground)
+def run_all_checks(table, ground=None) -> list[CheckReport]:
+    """The full battery in a stable order, sharing one forest: the towers
+    over *ground*, by default the atoms."""
+    forest = enumerate_towers(table, ground=ground)
     cancel = check_cancellative(table)
     product = _product(table, forest)
     return [
         cancel,
         _inversion_report(table, product, cancel),
         _recursion_report(table, product),
-        check_lcm_reduction(table, poset=poset, ground=ground, forest=forest),
+        check_lcm_reduction(table, forest=forest),
     ]

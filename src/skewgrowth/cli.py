@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .checks import FAIL, check_cancellative, run_all_checks
 from .dirichlet import KeyKind, Series, growth_series, key_to_json, render_key, series_to_json
-from .errors import InvalidGroundError, SkewGrowthError, UnknownSymbolError
+from .errors import InvalidGroundError, SkewGrowthError
 from .models import RewriteModel
 from .presentation import parse_presentation
 from .presets import parse_preset
@@ -160,51 +160,12 @@ def _resolve_cutoff(args, model):
 
 
 def _resolve_element(table, token: str) -> int:
-    """Turn a user token into an element id of the enumerated table."""
-    if hasattr(table, "class_of_names"):  # presented
-        names = set(g.name for g in table.presentation.generators)
-        if token in names:
-            parts = (token,)
-        elif " " in token:
-            parts = tuple(token.split())
-        else:
-            parts = tuple(token)  # single-char alphabet convenience
-        for part in parts:
-            if part not in names:
-                raise UnknownSymbolError(f"unknown generator {part!r} in ground "
-                                         f"token {token!r}")
-        eid = table.class_of_names(parts)
-    elif table.key_kind is KeyKind.MULTINT:  # multiplicative integers
-        eid = table.element_id(_natural(token, token))
-    else:  # the mp family, addressed by degree
-        eid = _resolve_mp(table, token)
+    """Turn a user token, spelled as the table labels elements, into an id."""
+    eid = table.parse_label(token)
     if eid is None:
         raise InvalidGroundError(f"ground element {token!r} is outside the "
                                  f"enumerated range")
     return eid
-
-
-def _natural(text: str, token: str) -> int:
-    """*text* as an int; only a non-empty run of ASCII digits is accepted."""
-    if not (text.isascii() and text.isdigit()):
-        raise InvalidGroundError(f"cannot parse ground token {token!r}")
-    return int(text)
-
-
-def _resolve_mp(table, token: str):
-    """Id of a token like 'a0^2 a1', looked up by its degree."""
-    degrees = table.spec.degrees
-    total = 0
-    for part in token.split():
-        name, caret, power = part.partition("^")
-        if not name.startswith("a"):
-            raise InvalidGroundError(f"cannot parse ground token {token!r}")
-        k = _natural(name[1:], token)
-        if k >= len(degrees):
-            raise InvalidGroundError(f"ground token {token!r} uses a generator "
-                                     f"beyond the family depth")
-        total += degrees[k] * (_natural(power, token) if caret else 1)
-    return table.id_of_degree(total)
 
 
 # ------------------------------------------------------------------ rendering
@@ -261,7 +222,7 @@ def _cmd_growth(config: RunConfig) -> int:
 def _cmd_skew(config: RunConfig) -> int:
     _require_format(config, "table", "json")
     table = config.table
-    series = skew_growth(table, ground=config.ground)
+    series = skew_growth(table, enumerate_towers(table, ground=config.ground))
     if config.fmt == "json":
         _emit(config, _series_json("skew-growth", config, series))
     else:

@@ -34,8 +34,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .dirichlet import KeyKind, coerce_key, key_zero
-from .errors import (CutoffTooLargeError, EmptyAlphabetError, InvalidParamsError,
-                     MalformedKeyError)
+from .errors import (CutoffTooLargeError, EmptyAlphabetError, InvalidGroundError,
+                     InvalidParamsError, MalformedKeyError, UnknownSymbolError)
 from .presentation import Presentation
 
 DEFAULT_WORD_CAP = 10_000_000
@@ -92,6 +92,11 @@ class ElementTable(abc.ABC):
     @abc.abstractmethod
     def label(self, eid: int) -> str:
         """Canonical human-readable form; stable across runs and cutoffs."""
+
+    @abc.abstractmethod
+    def parse_label(self, text: str) -> int | None:
+        """Inverse of label: the id of the element *text* names, or None
+        past the cutoff.  Text that names no element raises."""
 
     @abc.abstractmethod
     def generators(self) -> tuple[int, ...]:
@@ -158,6 +163,13 @@ def _validate_cutoff(key_kind: KeyKind, cutoff):
     return cutoff
 
 
+def _natural(text: str, token: str) -> int:
+    """*text* as an int; only a non-empty run of ASCII digits is accepted."""
+    if not (text.isascii() and text.isdigit()):
+        raise InvalidGroundError(f"cannot parse ground token {token!r}")
+    return int(text)
+
+
 def _integer(name: str, value) -> int:
     """*value* as an int; anything not a whole number is refused, never
     truncated."""
@@ -201,19 +213,19 @@ class RewriteTable(ElementTable):
         self._gen_names = [g.name for g in presentation.generators if g.degree <= cutoff]
         self._gen_degrees = [g.degree for g in presentation.generators if g.degree <= cutoff]
         self._joiner = "" if all(len(n) == 1 for n in self._gen_names) else " "
-        name_to_idx = {n: i for i, n in enumerate(self._gen_names)}
+        self._letters = {n: i for i, n in enumerate(self._gen_names)}
 
-        # relations whose sides fit under the cutoff, as index tuples, with
-        # both orientations collapsed to one unordered pair
-        rules: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+        # relations whose sides fit under the cutoff, as index tuples with
+        # both orientations collapsed to one unordered pair, and their degree
+        rules: set[tuple[tuple[int, ...], tuple[int, ...], Fraction]] = set()
         for rel in presentation.relations:
-            if any(n not in name_to_idx for n in rel.lhs + rel.rhs):
+            if any(n not in self._letters for n in rel.lhs + rel.rhs):
                 continue  # mentions a generator too heavy for this cutoff
-            lhs = tuple(name_to_idx[n] for n in rel.lhs)
-            rhs = tuple(name_to_idx[n] for n in rel.rhs)
+            lhs = tuple(self._letters[n] for n in rel.lhs)
+            rhs = tuple(self._letters[n] for n in rel.rhs)
             if lhs == rhs:
                 continue
-            rules.add((min(lhs, rhs), max(lhs, rhs)))
+            rules.add((min(lhs, rhs), max(lhs, rhs), presentation.word_degree(rel.lhs)))
         self._rules = sorted(rules)
 
         degrees: list = [Fraction(0)]
@@ -258,8 +270,8 @@ class RewriteTable(ElementTable):
                 i = parent[i]
             return i
 
-        for lhs, rhs in self._rules:
-            for y in by_degree.get(degree - self.word_degree(lhs), ()):
+        for lhs, rhs, rule_degree in self._rules:
+            for y in by_degree.get(degree - rule_degree, ()):
                 a = find(start[lhs[0]] + self._fold(lhs[1:], y))
                 b = find(start[rhs[0]] + self._fold(rhs[1:], y))
                 if a != b:
@@ -298,21 +310,30 @@ class RewriteTable(ElementTable):
     def word(self, eid: int) -> tuple[int, ...]:
         return self._words[eid]
 
-    def word_degree(self, word: Sequence[int]) -> Fraction:
-        return sum((self._gen_degrees[i] for i in word), Fraction(0))
-
     def class_of_word(self, word: Sequence[int]) -> int | None:
         """Element id of an arbitrary word, or None past the cutoff."""
         return self._fold(word, self.unit)
 
-    def class_of_names(self, names: Sequence[str]) -> int | None:
-        for name in names:
-            if name not in self.presentation.names:
-                raise KeyError(f"unknown generator {name!r}")
-        index = {n: i for i, n in enumerate(self._gen_names)}
-        if not all(n in index for n in names):
+    def parse_label(self, text: str) -> int | None:
+        """A whole generator name, names separated by spaces, or
+        one-character names run together.  A generator heavier than the
+        cutoff and spelled like a run of lighter names yields to the run
+        when labels run names together, as label prints it."""
+        letters = self._letters
+        run = not self._joiner and set(text) <= letters.keys()
+        if " " in text:
+            parts = text.split()
+        elif text in self.presentation.names and not run:
+            parts = [text]
+        else:
+            parts = list(text)
+        for part in parts:
+            if part not in self.presentation.names:
+                raise UnknownSymbolError(f"unknown generator {part!r} in ground "
+                                         f"token {text!r}")
+        if not all(part in letters for part in parts):
             return None  # a generator heavier than the cutoff
-        return self.class_of_word(tuple(index[n] for n in names))
+        return self.class_of_word([letters[part] for part in parts])
 
     def product(self, u: int, v: int) -> int | None:
         return self._fold(self._words[u], v)
@@ -401,3 +422,6 @@ class MultIntTable(ElementTable):
 
     def label(self, eid: int) -> str:
         return str(eid + 1)
+
+    def parse_label(self, text: str) -> int | None:
+        return self.element_id(_natural(text, text))

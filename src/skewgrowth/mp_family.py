@@ -19,7 +19,8 @@ itself the degree of an element, and that is decided by reading the dyadic
 digits of the difference from the deepest bit up (`element_of_degree`).
 
 The enumerated table (`MpTable`) is addressed by degree: a degree names
-one element, so the product of two ids is the id of the summed degree.
+one element, so the product of two ids is the id of the summed degree, and
+a label is read back as the sum of its letters' degrees.
 ``normal_form``, ``mp_product`` and ``mp_min_common_multiples`` are the
 intrinsic reference that the tests hold the table and the generic poset
 route (:mod:`skewgrowth.divisibility`) to.  The last works per dyadic
@@ -45,10 +46,11 @@ from .dirichlet import KeyKind
 from .errors import (
     EmptyIndexSetError,
     EnumerationError,
+    InvalidGroundError,
     InvalidParamsError,
     MalformedDyadicError,
 )
-from .models import ElementTable, _integer, _validate_cutoff
+from .models import ElementTable, _integer, _natural, _validate_cutoff
 from .presentation import Generator, Presentation, Relation
 
 
@@ -345,3 +347,18 @@ class MpTable(ElementTable):
         parts = ["a0" if n == 1 else f"a0^{n}"] if n else []
         parts += [f"a{k}" for k, bit in enumerate(eps, start=1) if bit]
         return " ".join(parts) if parts else "1"
+
+    def parse_label(self, text: str) -> int | None:
+        """Id of a text like 'a0^2 a1', looked up by its degree."""
+        degrees = self.spec.degrees
+        total = 0
+        for part in text.split():
+            name, caret, power = part.partition("^")
+            if not name.startswith("a"):
+                raise InvalidGroundError(f"cannot parse ground token {text!r}")
+            k = _natural(name[1:], text)
+            if k >= len(degrees):
+                raise InvalidGroundError(f"ground token {text!r} uses a generator "
+                                         f"beyond the family depth")
+            total += degrees[k] * (_natural(power, text) if caret else 1)
+        return self.id_of_degree(total)

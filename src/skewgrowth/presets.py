@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import InvalidParamsError, UnknownBuiltinError
 from .models import MultIntegerModel, RewriteModel, _integer
 from .mp_family import MpModel, MpSpec
-from .presentation import Generator, Presentation, Relation, parse_presentation
+from .presentation import Generator, Presentation, parse_presentation
 
 _FREE_NAMES = string.ascii_lowercase
 
@@ -32,6 +32,8 @@ def _free(params: dict):
     if degrees is None:
         degrees = [Fraction(1)] * count
     else:
+        if not isinstance(degrees, (list, tuple)):
+            degrees = [degrees]  # 'degrees=2' parses to a scalar
         degrees = [Fraction(d) for d in degrees]
         if len(degrees) != count:
             raise InvalidParamsError("free degrees must match count")

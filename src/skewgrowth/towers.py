@@ -23,7 +23,7 @@ Enumeration is breadth-first and fully deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .dirichlet import Series, key_add, key_repeat, key_to_json, key_zero
 from .divisibility import DivPoset
@@ -121,26 +121,12 @@ def enumerate_towers(table, poset: DivPoset | None = None,
     return TowerForest(ground, tuple(towers), tuple(tuple(c) for c in children))
 
 
-def forest_over(table, poset: DivPoset | None = None,
-                ground: Sequence[int] | None = None,
-                forest: TowerForest | None = None) -> TowerForest:
-    """*forest* if given, else the towers over *ground*.  A *ground* given
-    alongside a forest must validate to the forest's own ground; any other
-    raises InvalidGroundError rather than mix two grounds."""
-    if forest is None:
-        return enumerate_towers(table, poset, ground)
-    if ground is not None:
-        if _validate_ground(table, poset or table.poset(), ground) != forest.ground:
-            raise InvalidGroundError("ground set differs from the forest's ground")
-    return forest
-
-
-def skew_growth(table, poset: DivPoset | None = None,
-                ground: Sequence[int] | None = None,
-                forest: TowerForest | None = None) -> Series:
+def skew_growth(table, forest: TowerForest | None = None) -> Series:
     """1 plus the signed degree sum over all tower tops, truncated at the
-    table cutoff.  Pass an existing *forest* to skip re-enumeration."""
-    forest = forest_over(table, poset, ground, forest)
+    table cutoff.  The towers are *forest*'s, by default those over the
+    atoms; a forest over another ground gives that ground's series."""
+    if forest is None:
+        forest = enumerate_towers(table)
     kind = table.key_kind
     terms: dict = {key_zero(kind): 1}
     for tower in forest:

@@ -18,7 +18,6 @@ from skewgrowth.checks import (
     run_all_checks,
 )
 from skewgrowth.dirichlet import growth_series, series_one
-from skewgrowth.errors import InvalidGroundError
 from skewgrowth.models import RewriteModel
 from skewgrowth.presentation import parse_presentation
 from skewgrowth.presets import parse_preset
@@ -100,17 +99,6 @@ def test_lcm_reduction_reports_the_offending_subset(example3_table):
     report = check_lcm_reduction(example3_table)
     assert report.counterexample["subset"] == ["a", "b"]
     assert report.counterexample["minimal_common_multiples"] == ["aa", "ab"]
-
-
-def test_lcm_reduction_refuses_a_ground_the_forest_was_not_built_on(zpos_table):
-    t = zpos_table
-    forest = enumerate_towers(t)
-    other = (t.element_id(2), t.element_id(3))
-    with pytest.raises(InvalidGroundError, match="differs from the forest"):
-        check_lcm_reduction(t, ground=other, forest=forest)
-    own = check_lcm_reduction(t, ground=other)
-    assert own.status == PASS
-    assert check_lcm_reduction(t, ground=other, forest=enumerate_towers(t, ground=other)) == own
 
 
 def test_report_json_schema(braid3_table):

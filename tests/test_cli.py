@@ -58,10 +58,15 @@ def test_file_input(tmp_path, capsys):
 
 
 def test_ground_flag_matches_default(capsys):
-    rc1, explicit = _run(["skew", "--preset", "braid3", "--ground", "a,b"], capsys)
-    rc2, default = _run(["skew", "--preset", "braid3"], capsys)
-    assert rc1 == rc2 == 0
-    assert explicit == default
+    for argv, atoms in [
+        (["skew", "--preset", "braid3"], "a,b"),
+        # reversed, so verify reads the atoms through --ground, not the default
+        (["verify", "--preset", "zpos:30"], "29,23,19,17,13,11,7,5,3,2"),
+    ]:
+        rc1, explicit = _run(argv + ["--ground", atoms], capsys)
+        rc2, default = _run(argv, capsys)
+        assert rc1 == rc2 == 0
+        assert explicit == default
 
 
 def test_ground_flag_mp_tokens(capsys):
@@ -111,11 +116,27 @@ def test_verify_failure_exits_one(tmp_path, capsys):
     ["towers", "--preset", "mp:p=4,8,16", "--ground", "a\u0661"],
     ["towers", "--preset", "zpos:30", "--ground", "1_3"],
     ["towers", "--preset", "zpos:30", "--ground", "\u0663"],
+    ["growth", "--preset", "free:2:degrees=2"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     rc = main(argv)
     capsys.readouterr()
     assert rc == 2
+
+
+@pytest.mark.parametrize("preset, token", [
+    ("example3", "aaaaaaaaa"), ("zpos:30", "31"), ("mp:p=4,8,16", "a0^100"),
+])
+def test_ground_token_past_the_cutoff_is_refused(preset, token, capsys):
+    assert main(["skew", "--preset", preset, "--ground", token]) == 2
+    assert capsys.readouterr().err == (f"error: ground element {token!r} is outside "
+                                       f"the enumerated range\n")
+
+
+def test_free_preset_takes_a_single_degree(capsys):
+    rc, out = _run(["growth", "--preset", "free:1:degrees=2", "--max-degree", "6"], capsys)
+    assert rc == 0
+    assert out.splitlines()[2:] == ["0  1", "2  1", "4  1", "6  1"]
 
 
 def test_mp_depth_warning_is_given_once(capsys):

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from scan_oracles import atoms_by_scan, cancellative_by_scan, masks_by_scan
 from skewgrowth.checks import check_cancellative
-from skewgrowth.errors import CutoffTooLargeError, EmptyAlphabetError, InvalidParamsError
+from skewgrowth.errors import (CutoffTooLargeError, EmptyAlphabetError, InvalidParamsError,
+                               UnknownSymbolError)
 from skewgrowth.models import MultIntegerModel, RewriteModel
-from skewgrowth.presentation import Presentation, parse_presentation
+from skewgrowth.presentation import Generator, Presentation, Relation, parse_presentation
 from skewgrowth.presets import builtin, parse_preset
 
 
@@ -160,6 +161,47 @@ def test_class_graph_matches_word_closure_on_random_presentations(drawn):
     _assert_matches_word_closure(*drawn)
 
 
+_NAME_POOL = ["a", "b", "ab", "ba", "xy", "z", "w2"]
+
+
+@st.composite
+def renamed_presentations(draw):
+    """small_presentations with names drawn from a pool of one- and
+    two-character names, some spelling a run of others, and maybe one more
+    generator heavier than the cutoff."""
+    presentation, cutoff = draw(small_presentations())
+    count = len(presentation.generators) + draw(st.integers(0, 1))
+    names = draw(st.lists(st.sampled_from(_NAME_POOL), min_size=count, max_size=count,
+                          unique=True))
+    rename = dict(zip(presentation.names, names))
+    generators = [Generator(rename[g.name], g.degree) for g in presentation.generators]
+    if count > len(generators):
+        generators.append(Generator(names[-1], cutoff + 1))
+    relations = [Relation(tuple(rename[n] for n in r.lhs), tuple(rename[n] for n in r.rhs))
+                 for r in presentation.relations]
+    return Presentation(tuple(generators), tuple(relations)), cutoff
+
+
+def _assert_parse_label_inverts_label(table):
+    for e in range(1, table.n_elements):
+        assert table.parse_label(table.label(e)) == e, table.label(e)
+
+
+@pytest.mark.parametrize("preset, cutoff", [
+    ("free:2", 6), ("example3", 8), ("braid3", 8), ("zpos:200", 200),
+    ("mp:p=4,8,16", 12), ("mp:p=pow2:K=4", 10), ("mp:p=2,0,7", 10),
+])
+def test_parse_label_inverts_label(preset, cutoff):
+    _assert_parse_label_inverts_label(parse_preset(preset).enumerate_up_to(cutoff))
+
+
+@settings(deadline=None, max_examples=100)
+@given(renamed_presentations())
+def test_parse_label_inverts_label_on_random_presentations(drawn):
+    presentation, cutoff = drawn
+    _assert_parse_label_inverts_label(RewriteModel(presentation).enumerate_up_to(cutoff))
+
+
 def test_example3_counts_at_cutoff_200():
     table = builtin("example3").enumerate_up_to(Fraction(200))
     assert _counts(table) == [1] + [2] * 200
@@ -181,20 +223,32 @@ def test_class_of_word_is_none_exactly_past_the_cutoff(braid3_table, left, right
     table = braid3_table
     word = left + right
     eid = table.class_of_word(word)
-    assert (eid is None) == (table.word_degree(word) > table.cutoff)
+    names = [table.presentation.names[i] for i in word]
+    assert (eid is None) == (table.presentation.word_degree(names) > table.cutoff)
     if eid is not None:
         assert eid == table.product(table.class_of_word(left), table.class_of_word(right))
 
 
-def test_class_of_names_with_a_generator_past_the_cutoff():
+def test_parse_label_with_a_generator_past_the_cutoff():
     text = "gen a : 1\ngen b : 3/2\ngen c : 9\nrel a a a = b b\n"
     table = RewriteModel(parse_presentation(text)).enumerate_up_to(Fraction(6))
-    assert table.class_of_names(["a", "b"]) == table.class_of_word((0, 1))
-    assert table.class_of_names(["a"] * 7) is None
-    assert table.class_of_names(["c"]) is None
-    assert table.class_of_names(["a", "c"]) is None
-    with pytest.raises(KeyError):
-        table.class_of_names(["c", "zz"])
+    ab = table.class_of_word((0, 1))
+    assert table.parse_label("ab") == table.parse_label("a b") == ab
+    assert table.parse_label("a" * 7) is None
+    assert table.parse_label("c") is None
+    assert table.parse_label("ac") is None
+    with pytest.raises(UnknownSymbolError):
+        table.parse_label("c zz")
+    # labels run one-character names together, so "ab" is a*b, not the
+    # heavy generator of that name; once a longer name fits, labels space
+    # their names and "ab" is the generator again
+    run = RewriteModel(parse_presentation("gen a : 1\ngen b : 1\ngen ab : 9\n"))
+    table = run.enumerate_up_to(Fraction(4))
+    assert table.parse_label("ab") == table.class_of_word((0, 1))
+    spaced = RewriteModel(parse_presentation(
+        "gen a : 1\ngen b : 1\ngen xy : 1\ngen ab : 9\n")).enumerate_up_to(Fraction(4))
+    assert spaced.parse_label("ab") is None
+    assert spaced.parse_label("a b") == spaced.class_of_word((0, 1))
 
 
 def test_mixed_degree_presentation_uses_general_path():

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewgrowth.cli import _resolve_element
 from skewgrowth.dirichlet import KeyKind, Series, growth_series, series_invert, series_mul
 from skewgrowth.errors import InvalidGroundError, InvalidParamsError, MalformedDyadicError
 from skewgrowth.models import RewriteModel
@@ -310,11 +309,7 @@ def test_cli_token_by_degree_matches_normal_form(case, powers):
     table, _, ids = _oracle(*case)
     if any(k > spec.depth for k, _ in powers):
         with pytest.raises(InvalidGroundError, match="beyond the family depth"):
-            _resolve_element(table, _token(powers))
+            table.parse_label(_token(powers))
         return
     expected = ids.get(normal_form(spec, [k for k, power in powers for _ in range(power)]))
-    if expected is None:
-        with pytest.raises(InvalidGroundError, match="outside the enumerated range"):
-            _resolve_element(table, _token(powers))
-    else:
-        assert _resolve_element(table, _token(powers)) == expected
+    assert table.parse_label(_token(powers)) == expected

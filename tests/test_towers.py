@@ -112,16 +112,6 @@ def test_ground_validation(example3_table):
             enumerate_towers(t, ground=(out_of_range,))
 
 
-def test_ground_must_match_a_given_forest(zpos_table):
-    t = zpos_table
-    forest = enumerate_towers(t)
-    other = (t.element_id(2), t.element_id(3))
-    with pytest.raises(InvalidGroundError, match="differs from the forest"):
-        skew_growth(t, ground=other, forest=forest)
-    same = tuple(reversed(forest.ground))  # validated, so order does not matter
-    assert skew_growth(t, ground=same, forest=forest) == skew_growth(t, forest=forest)
-
-
 def test_custom_ground(example3_table):
     t = example3_table
     a, b = t.atoms()
@@ -129,7 +119,7 @@ def test_custom_ground(example3_table):
     ab = t.product(a, b)
     forest = enumerate_towers(t, ground=(aa, ab))
     assert forest.ground == (aa, ab)
-    series = skew_growth(t, ground=(aa, ab))
+    series = skew_growth(t, forest)
     assert series.coefficient(Fraction(2)) == -2
 
 

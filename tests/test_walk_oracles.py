@@ -24,7 +24,7 @@ def _assert_matches_oracles(table, ground=None):
     forest = enumerate_towers(table, ground=ground)
     assert forest_to_json(forest, table) == forest_to_json(towers_by_rescan(table, ground), table)
     expected = lcm_reduction_by_walk(table, ground).to_json()
-    assert check_lcm_reduction(table, ground=ground).to_json() == expected
+    assert check_lcm_reduction(table, forest=forest).to_json() == expected
     assert run_all_checks(table, ground=ground)[3].to_json() == expected
     for size in (1, 2):
         assert list(poset.iter_supported_subsets(forest.ground, size)) == \
