@@ -53,6 +53,10 @@ CASES = [
      "towers --preset mp:p=4,8,16:K=3 --max-degree 14 --ground 'a0^2,a1,a2'"),
     ("towers_zpos30_ground_json", "towers --preset zpos:30 --ground 4,6,9 --format json"),
     ("skew_example3_ground_table", "skew --preset example3 --max-degree 6 --ground 'aa,ab'"),
+    # JSON shapes of their own: a check report, int series keys, "p/q" degrees
+    ("cancel_check_example3_json", "cancel-check --preset example3 --format json"),
+    ("growth_zpos30_json", "growth --preset zpos:30 --format json"),
+    ("atoms_mp_json", "atoms --preset mp:p=4,8,16:K=3 --format json"),
 ]
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .checks import FAIL, check_cancellative, run_all_checks
+from .checks import check_cancellative, run_all_checks
 from .dirichlet import KeyKind, Series, growth_series, key_to_json, render_key, series_to_json
 from .errors import InvalidGroundError, SkewGrowthError
 from .models import RewriteModel
@@ -73,14 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write output to PATH instead of stdout")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("growth", "growth series (element counts per degree)"),
-        ("skew", "skew-growth series from the tower enumeration"),
-        ("towers", "enumerate the tower forest"),
-        ("atoms", "list the atoms"),
-        ("verify", "run all verification checks"),
-        ("cancel-check", "run the cancellativity probe"),
-    ):
+    for name, (text, _, _) in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=text)
     return parser
 
@@ -93,12 +86,17 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         config = _configure(args)
-        handler = _HANDLERS[args.command]
-        return handler(config)
-    except SkewGrowthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        _, formats, handler = _COMMANDS[args.command]
+        if config.fmt not in formats:
+            raise SkewGrowthError(f"format {config.fmt!r} is not available here "
+                                  f"(choose from {', '.join(formats)})")
+        text, status = handler(config)
+        if config.out:
+            Path(config.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+        return status
+    except (SkewGrowthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -170,81 +168,55 @@ def _resolve_element(table, token: str) -> int:
 
 # ------------------------------------------------------------------ rendering
 
-def _header(kind_line: str, config: RunConfig, table) -> str:
-    cutoff = render_key(table.key_kind, table.cutoff)
-    return f"# {kind_line}  model={config.model.name}  cutoff={cutoff}"
-
-def _series_lines(title: str, config: RunConfig, table, series: Series) -> str:
-    lines = [_header(title, config, table), "degree  coefficient"]
-    for key, coeff in series.items():
-        lines.append(f"{render_key(series.kind, key)}  {coeff}")
-    return "\n".join(lines) + "\n"
+def _text(config: RunConfig, title: str, lines) -> str:
+    """Table output: a '# title  model=..  cutoff=..' line, then *lines*."""
+    cutoff = render_key(config.table.key_kind, config.table.cutoff)
+    header = f"# {title}  model={config.model.name}  cutoff={cutoff}"
+    return "\n".join([header, *lines]) + "\n"
 
 
-def _series_json(title: str, config: RunConfig, series: Series) -> str:
-    payload = {"model": config.model.name, "series": title}
-    payload.update(series_to_json(series))
-    return json.dumps(payload, indent=2) + "\n"
+def _json(config: RunConfig, payload: dict) -> str:
+    """JSON output: the "model" and "cutoff" keys, then *payload*."""
+    header = {"model": config.model.name,
+              "cutoff": render_key(config.table.key_kind, config.table.cutoff)}
+    return json.dumps({**header, **payload}, indent=2) + "\n"
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out:
-        Path(config.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _report_lines(report) -> list[str]:
+    lines = [f"{report.name}: {report.status}  ({report.notes})"]
+    if report.counterexample:
+        lines.append(f"  counterexample: {json.dumps(report.counterexample)}")
+    return lines
 
 
 def _label_set(table, eids) -> str:
     return "{" + ",".join(table.label(e) for e in eids) + "}"
 
 
+def _forest(config: RunConfig):
+    return enumerate_towers(config.table, ground=config.ground)
+
+
 # ----------------------------------------------------------------- handlers
+# Each handler returns the output text and the exit status.
 
-def _require_format(config: RunConfig, *allowed: str) -> None:
-    if config.fmt not in allowed:
-        raise SkewGrowthError(
-            f"format {config.fmt!r} is not available here (choose from "
-            f"{', '.join(allowed)})"
-        )
-
-
-def _cmd_growth(config: RunConfig) -> int:
-    _require_format(config, "table", "json")
-    table = config.table
-    series = growth_series(table)
+def _cmd_series(config: RunConfig, title: str, series: Series) -> tuple[str, int]:
     if config.fmt == "json":
-        _emit(config, _series_json("growth", config, series))
-    else:
-        _emit(config, _series_lines("growth", config, table, series))
-    return 0
+        # series JSON keeps its own cutoff: an int for multiplicative keys
+        payload = {"model": config.model.name, "series": title, **series_to_json(series)}
+        return json.dumps(payload, indent=2) + "\n", 0
+    lines = [f"{render_key(series.kind, key)}  {coeff}" for key, coeff in series.items()]
+    return _text(config, title, ["degree  coefficient", *lines]), 0
 
 
-def _cmd_skew(config: RunConfig) -> int:
-    _require_format(config, "table", "json")
+def _cmd_towers(config: RunConfig) -> tuple[str, int]:
     table = config.table
-    series = skew_growth(table, enumerate_towers(table, ground=config.ground))
+    forest = _forest(config)
     if config.fmt == "json":
-        _emit(config, _series_json("skew-growth", config, series))
-    else:
-        _emit(config, _series_lines("skew-growth", config, table, series))
-    return 0
-
-
-def _cmd_towers(config: RunConfig) -> int:
-    _require_format(config, "table", "json", "dot")
-    table = config.table
-    forest = enumerate_towers(table, ground=config.ground)
-    if config.fmt == "json":
-        payload = {"model": config.model.name,
-                   "cutoff": render_key(table.key_kind, table.cutoff)}
-        payload.update(forest_to_json(forest, table))
-        _emit(config, json.dumps(payload, indent=2) + "\n")
-        return 0
+        return _json(config, forest_to_json(forest, table)), 0
     if config.fmt == "dot":
-        _emit(config, forest_to_dot(forest, table))
-        return 0
-    lines = [_header("towers", config, table),
-             f"ground: {_label_set(table, forest.ground)}"]
+        return forest_to_dot(forest, table), 0
+    lines = [f"ground: {_label_set(table, forest.ground)}"]
     for index, tower in enumerate(forest.towers):
         stages = " ".join(_label_set(table, stage) for stage in tower.stages)
         stages = f" stages: {stages}" if stages else ""
@@ -252,84 +224,55 @@ def _cmd_towers(config: RunConfig) -> int:
             f"[{index}] height={tower.height} sign={tower.sign:+d}"
             f"{stages} top: {_label_set(table, tower.top)}"
         )
-    _emit(config, "\n".join(lines) + "\n")
-    return 0
+    return _text(config, "towers", lines), 0
 
 
-def _cmd_atoms(config: RunConfig) -> int:
-    _require_format(config, "table", "json")
+def _cmd_atoms(config: RunConfig) -> tuple[str, int]:
     table = config.table
     atoms = table.atoms()
     if config.fmt == "json":
-        payload = {
-            "model": config.model.name,
-            "cutoff": render_key(table.key_kind, table.cutoff),
-            "atoms": [
-                {"label": table.label(e),
-                 "degree": key_to_json(table.key_kind, table.degree(e))}
-                for e in atoms
-            ],
-        }
-        _emit(config, json.dumps(payload, indent=2) + "\n")
-        return 0
-    lines = [_header("atoms", config, table), "label  degree"]
-    for e in atoms:
-        lines.append(f"{table.label(e)}  {render_key(table.key_kind, table.degree(e))}")
-    _emit(config, "\n".join(lines) + "\n")
-    return 0
+        return _json(config, {"atoms": [
+            {"label": table.label(e),
+             "degree": key_to_json(table.key_kind, table.degree(e))}
+            for e in atoms
+        ]}), 0
+    lines = [f"{table.label(e)}  {render_key(table.key_kind, table.degree(e))}"
+             for e in atoms]
+    return _text(config, "atoms", ["label  degree", *lines]), 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    _require_format(config, "table", "json")
-    table = config.table
-    reports = run_all_checks(table, ground=config.ground)
-    failed = any(r.status == FAIL for r in reports)
+def _cmd_verify(config: RunConfig) -> tuple[str, int]:
+    reports = run_all_checks(config.table, ground=config.ground)
+    ok = all(r.ok for r in reports)
+    overall = "pass" if ok else "fail"
     if config.fmt == "json":
-        payload = {
-            "model": config.model.name,
-            "cutoff": render_key(table.key_kind, table.cutoff),
-            "overall": "fail" if failed else "pass",
-            "checks": [r.to_json() for r in reports],
-        }
-        _emit(config, json.dumps(payload, indent=2) + "\n")
-        return 1 if failed else 0
-    lines = [_header("verify", config, table)]
-    for r in reports:
-        lines.append(f"{r.name}: {r.status}  ({r.notes})")
-        if r.counterexample:
-            lines.append(f"  counterexample: {json.dumps(r.counterexample)}")
-    lines.append(f"overall: {'fail' if failed else 'pass'}")
-    _emit(config, "\n".join(lines) + "\n")
-    return 1 if failed else 0
+        text = _json(config, {"overall": overall, "checks": [r.to_json() for r in reports]})
+    else:
+        lines = [line for r in reports for line in _report_lines(r)]
+        text = _text(config, "verify", [*lines, f"overall: {overall}"])
+    return text, 0 if ok else 1
 
 
-def _cmd_cancel_check(config: RunConfig) -> int:
-    _require_format(config, "table", "json")
-    table = config.table
-    report = check_cancellative(table)
+def _cmd_cancel_check(config: RunConfig) -> tuple[str, int]:
+    report = check_cancellative(config.table)
     if config.fmt == "json":
-        payload = {
-            "model": config.model.name,
-            "cutoff": render_key(table.key_kind, table.cutoff),
-        }
-        payload.update(report.to_json())
-        _emit(config, json.dumps(payload, indent=2) + "\n")
-        return 0 if report.ok else 1
-    lines = [_header("cancel-check", config, table),
-             f"{report.name}: {report.status}  ({report.notes})"]
-    if report.counterexample:
-        lines.append(f"  counterexample: {json.dumps(report.counterexample)}")
-    _emit(config, "\n".join(lines) + "\n")
-    return 0 if report.ok else 1
+        text = _json(config, report.to_json())
+    else:
+        text = _text(config, "cancel-check", _report_lines(report))
+    return text, 0 if report.ok else 1
 
 
-_HANDLERS = {
-    "growth": _cmd_growth,
-    "skew": _cmd_skew,
-    "towers": _cmd_towers,
-    "atoms": _cmd_atoms,
-    "verify": _cmd_verify,
-    "cancel-check": _cmd_cancel_check,
+# command: (help text, the formats it offers, handler)
+_COMMANDS = {
+    "growth": ("growth series (element counts per degree)", ("table", "json"),
+               lambda config: _cmd_series(config, "growth", growth_series(config.table))),
+    "skew": ("skew-growth series from the tower enumeration", ("table", "json"),
+             lambda config: _cmd_series(config, "skew-growth",
+                                        skew_growth(config.table, _forest(config)))),
+    "towers": ("enumerate the tower forest", ("table", "json", "dot"), _cmd_towers),
+    "atoms": ("list the atoms", ("table", "json"), _cmd_atoms),
+    "verify": ("run all verification checks", ("table", "json"), _cmd_verify),
+    "cancel-check": ("run the cancellativity probe", ("table", "json"), _cmd_cancel_check),
 }
 
 

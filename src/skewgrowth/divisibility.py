@@ -34,7 +34,6 @@ def mask_to_ids(mask: int) -> list[int]:
 
 @dataclass
 class DivPoset:
-    table: object
     divisor_masks: list[int]   # divisor_masks[v] has bit u set iff u | v
     multiple_masks: list[int]  # multiple_masks[u] has bit v set iff u | v
 
@@ -61,7 +60,7 @@ class DivPoset:
                     break
                 mask |= multiples[row[u]]
             multiples[u] = mask
-        return cls(table, divisors, multiples)
+        return cls(divisors, multiples)
 
     def divides(self, u: int, v: int) -> bool:
         return bool(self.multiple_masks[u] >> v & 1)

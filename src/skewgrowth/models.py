@@ -5,8 +5,7 @@ elements of degree <= cutoff, with degree and product queries.  Its
 algebraic core is the maps that multiply by each member of a generating
 set, on the left and on the right; the atoms, the divisibility poset and the
 cancellativity probe are all derived from them.  Tables are immutable after
-construction and safe to share across threads; models memoize one table per
-cutoff.
+construction and safe to share across threads.
 
 Two model families live here:
 
@@ -48,8 +47,6 @@ class ElementTable(abc.ABC):
     id 0 is always the unit.  The table is complete and duplicate-free for
     every degree <= cutoff.
     """
-
-    kind: str
 
     def __init__(self, key_kind: KeyKind, cutoff, degrees: list, by_degree: dict):
         self.key_kind = key_kind
@@ -184,8 +181,6 @@ def _integer(name: str, value) -> int:
 class RewriteModel:
     """A monoid given by a positive homogeneous presentation."""
 
-    kind = "rewrite-presented"
-
     def __init__(self, presentation: Presentation, word_cap: int = DEFAULT_WORD_CAP,
                  default_cutoff=Fraction(8), name: str | None = None):
         self.presentation = presentation
@@ -193,18 +188,13 @@ class RewriteModel:
         self.default_cutoff = Fraction(default_cutoff)
         self.name = name or "presented"
         self.key_kind = KeyKind.RATIONAL
-        self._tables: dict = {}
 
     def enumerate_up_to(self, cutoff) -> "RewriteTable":
         cutoff = _validate_cutoff(KeyKind.RATIONAL, cutoff)
-        if cutoff not in self._tables:
-            self._tables[cutoff] = RewriteTable(self.presentation, cutoff, self.word_cap)
-        return self._tables[cutoff]
+        return RewriteTable(self.presentation, cutoff, self.word_cap)
 
 
 class RewriteTable(ElementTable):
-    kind = "rewrite-presented"
-
     def __init__(self, presentation: Presentation, cutoff: Fraction, word_cap: int):
         if not presentation.generators:
             raise EmptyAlphabetError("presentation declares no generators")
@@ -377,8 +367,6 @@ class MultIntegerModel:
     """The positive integers under multiplication, degree key = the integer
     itself (standing for log n).  ``nmax`` is the default enumeration bound."""
 
-    kind = "multiplicative-integer"
-
     def __init__(self, nmax: int):
         nmax = _integer("nmax", nmax)
         if nmax < 1:
@@ -387,19 +375,13 @@ class MultIntegerModel:
         self.default_cutoff = nmax
         self.name = f"zpos:{nmax}"
         self.key_kind = KeyKind.MULTINT
-        self._tables: dict = {}
 
     def enumerate_up_to(self, cutoff=None) -> "MultIntTable":
         cutoff = self.nmax if cutoff is None else cutoff
-        cutoff = _validate_cutoff(KeyKind.MULTINT, cutoff)
-        if cutoff not in self._tables:
-            self._tables[cutoff] = MultIntTable(cutoff)
-        return self._tables[cutoff]
+        return MultIntTable(_validate_cutoff(KeyKind.MULTINT, cutoff))
 
 
 class MultIntTable(ElementTable):
-    kind = "multiplicative-integer"
-
     def __init__(self, cutoff: int):
         degrees = list(range(1, cutoff + 1))
         by_degree = {n: (n - 1,) for n in degrees}

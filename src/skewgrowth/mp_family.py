@@ -266,14 +266,11 @@ def family_presentation(spec: MpSpec) -> Presentation:
 class MpModel:
     """Family member as a monoid model over its intrinsic normal forms."""
 
-    kind = "mp-normal-form"
-
     def __init__(self, spec: MpSpec, default_cutoff=Fraction(8), name: str | None = None):
         self.spec = spec
         self.default_cutoff = Fraction(default_cutoff)
         self.name = name or f"mp:p={','.join(map(str, spec.p))}"
         self.key_kind = KeyKind.RATIONAL
-        self._tables: dict = {}
 
     def enumerate_up_to(self, cutoff) -> "MpTable":
         cutoff = _validate_cutoff(KeyKind.RATIONAL, cutoff)
@@ -287,9 +284,7 @@ class MpModel:
                 UserWarning,
                 stacklevel=2,
             )
-        if cutoff not in self._tables:
-            self._tables[cutoff] = MpTable(self.spec, cutoff)
-        return self._tables[cutoff]
+        return MpTable(self.spec, cutoff)
 
 
 def _canonical_next_degree(spec: MpSpec) -> Fraction | None:
@@ -306,8 +301,6 @@ def _canonical_next_degree(spec: MpSpec) -> Fraction | None:
 
 
 class MpTable(ElementTable):
-    kind = "mp-normal-form"
-
     def __init__(self, spec: MpSpec, cutoff: Fraction):
         self.spec = spec
         flagged = spec.degrees[1:]

@@ -34,7 +34,10 @@ def _free(params: dict):
     else:
         if not isinstance(degrees, (list, tuple)):
             degrees = [degrees]  # 'degrees=2' parses to a scalar
-        degrees = [Fraction(d) for d in degrees]
+        try:
+            degrees = [Fraction(d) for d in degrees]
+        except (TypeError, ValueError):  # 'degrees=pow2' parses to a string
+            raise InvalidParamsError(f"free degrees must be numbers, got {degrees}") from None
         if len(degrees) != count:
             raise InvalidParamsError("free degrees must match count")
     generators = tuple(

@@ -37,7 +37,7 @@ def test_battery_passes_on_builtins(example3_table, braid3_table, free2_table,
                                     zpos_table, mp_table):
     for table in (example3_table, braid3_table, free2_table, zpos_table, mp_table):
         for report in run_all_checks(table):
-            assert report.status in (PASS, NOT_APPLICABLE), (table.kind, report)
+            assert report.status in (PASS, NOT_APPLICABLE), (type(table).__name__, report)
 
 
 def test_battery_order_and_names(braid3_table):

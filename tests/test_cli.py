@@ -38,12 +38,17 @@ def test_output_is_byte_stable(capsys):
     assert first == second
 
 
-def test_out_flag_writes_the_same_bytes(tmp_path, capsys):
-    target = tmp_path / "series.txt"
-    rc, _ = _run(["growth", "--preset", "braid3", "--max-degree", "4",
-                  "--out", str(target)], capsys)
+@pytest.mark.parametrize("argv", [
+    ["growth", "--preset", "braid3", "--max-degree", "4"],
+    ["towers", "--preset", "braid3", "--format", "dot"],
+    ["verify", "--preset", "zpos:30", "--format", "json"],
+], ids=["growth-table", "towers-dot", "verify-json"])
+def test_out_flag_writes_the_same_bytes(argv, tmp_path, capsys):
+    target = tmp_path / "out.txt"
+    rc, written = _run(argv + ["--out", str(target)], capsys)
     assert rc == 0
-    rc, stdout = _run(["growth", "--preset", "braid3", "--max-degree", "4"], capsys)
+    assert written == ""
+    rc, stdout = _run(argv, capsys)
     assert target.read_text(encoding="utf-8") == stdout
 
 
@@ -77,17 +82,72 @@ def test_ground_flag_mp_tokens(capsys):
     assert payload["ground"] == ["a0", "a1"]
 
 
+_BAD_CANCEL = {
+    "name": "cancellativity", "status": "fail", "max_degree_verified": "2",
+    "counterexample": {"side": "left", "factor": "a", "first": "b", "second": "c",
+                       "product_degree": "2"},
+    "notes": "left multiplication by a identifies b and c",
+}
+_BAD_CANCEL_LINES = [
+    "cancellativity: fail  (left multiplication by a identifies b and c)",
+    '  counterexample: {"side": "left", "factor": "a", "first": "b", "second": "c", '
+    '"product_degree": "2"}',
+]
+_BAD_VERIFY_JSON = {"model": "bad", "cutoff": "4", "overall": "fail", "checks": [
+    _BAD_CANCEL,
+    {"name": "inversion", "status": "fail", "max_degree_verified": "2",
+     "counterexample": {"degree": "2", "product_coefficient": -1},
+     "notes": "P*N deviates from 1 first at degree 2; cancellativity probe: fail"},
+    {"name": "recursion", "status": "fail", "max_degree_verified": "2",
+     "counterexample": {"degree": "2", "residual": -1},
+     "notes": "count recursion fails first at degree 2"},
+    {"name": "lcm-reduction", "status": "pass", "max_degree_verified": "4",
+     "counterexample": None,
+     "notes": "unique-lcm inclusion-exclusion reproduces the tower series"},
+]}
+
+
 def test_verify_failure_exits_one(tmp_path, capsys):
+    """The failing paths, whose exit status 1 keeps them out of the goldens,
+    pinned byte for byte on the non-cancellative ab = ac."""
     source = tmp_path / "bad.txt"
     source.write_text("gen a : 1\ngen b : 1\ngen c : 1\nrel a b = a c\n",
                       encoding="utf-8")
-    rc, out = _run(["verify", "--file", str(source), "--max-degree", "4"], capsys)
-    assert rc == 1
-    assert "overall: fail" in out
-    rc, out = _run(["cancel-check", "--file", str(source), "--max-degree", "4"],
-                   capsys)
-    assert rc == 1
-    assert "cancellativity: fail" in out
+    source_args = ["--file", str(source), "--max-degree", "4"]
+    expected = {
+        ("verify", "table"): [
+            "# verify  model=bad  cutoff=4",
+            *_BAD_CANCEL_LINES,
+            "inversion: fail  (P*N deviates from 1 first at degree 2; "
+            "cancellativity probe: fail)",
+            '  counterexample: {"degree": "2", "product_coefficient": -1}',
+            "recursion: fail  (count recursion fails first at degree 2)",
+            '  counterexample: {"degree": "2", "residual": -1}',
+            "lcm-reduction: pass  (unique-lcm inclusion-exclusion reproduces the "
+            "tower series)",
+            "overall: fail",
+        ],
+        ("verify", "json"): _BAD_VERIFY_JSON,
+        ("cancel-check", "table"): ["# cancel-check  model=bad  cutoff=4",
+                                    *_BAD_CANCEL_LINES],
+        ("cancel-check", "json"): {"model": "bad", "cutoff": "4", **_BAD_CANCEL},
+    }
+    for (command, fmt), want in expected.items():
+        rc, out = _run([command, *source_args, "--format", fmt], capsys)
+        assert rc == 1
+        if fmt == "json":
+            assert out == json.dumps(want, indent=2) + "\n"
+        else:
+            assert out == "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize("command", ["growth", "skew", "atoms", "verify", "cancel-check"])
+def test_dot_is_refused_where_not_offered(command, capsys):
+    assert main([command, "--preset", "example3", "--format", "dot"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: format 'dot' is not available here "
+                            "(choose from table, json)\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -117,6 +177,7 @@ def test_verify_failure_exits_one(tmp_path, capsys):
     ["towers", "--preset", "zpos:30", "--ground", "1_3"],
     ["towers", "--preset", "zpos:30", "--ground", "\u0663"],
     ["growth", "--preset", "free:2:degrees=2"],
+    ["growth", "--preset", "free:2:degrees=pow2"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     rc = main(argv)

@@ -278,11 +278,6 @@ def test_word_cap_guard():
         model.enumerate_up_to(Fraction(8))
 
 
-def test_tables_are_memoized():
-    model = RewriteModel(parse_presentation("gen a : 1\n"))
-    assert model.enumerate_up_to(Fraction(3)) is model.enumerate_up_to(Fraction(3))
-
-
 def test_determinism_across_fresh_models():
     text = "gen a : 1\ngen b : 1\nrel a b a = b a b\n"
     t1 = RewriteModel(parse_presentation(text)).enumerate_up_to(Fraction(6))
