@@ -16,9 +16,7 @@ from .checks import (
 from .dirichlet import (
     KeyKind,
     Series,
-    evaluate_partial,
     growth_series,
-    series_add,
     series_from_json,
     series_invert,
     series_mul,
@@ -28,7 +26,7 @@ from .dirichlet import (
 from .divisibility import DivPoset
 from .errors import SkewGrowthError
 from .models import ElementTable, MultIntegerModel, RewriteModel
-from .mp_family import MpElement, MpModel, MpSpec, family_presentation
+from .mp_family import MpModel, MpSpec, family_presentation
 from .presentation import Generator, Presentation, Relation, parse_presentation
 from .presets import builtin, parse_preset
 from .towers import (
@@ -48,7 +46,6 @@ __all__ = [
     "ElementTable",
     "Generator",
     "KeyKind",
-    "MpElement",
     "MpModel",
     "MpSpec",
     "MultIntegerModel",
@@ -65,7 +62,6 @@ __all__ = [
     "check_lcm_reduction",
     "check_recursion",
     "enumerate_towers",
-    "evaluate_partial",
     "family_presentation",
     "forest_to_dot",
     "forest_to_json",
@@ -73,7 +69,6 @@ __all__ = [
     "parse_presentation",
     "parse_preset",
     "run_all_checks",
-    "series_add",
     "series_from_json",
     "series_invert",
     "series_mul",

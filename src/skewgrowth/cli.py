@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write output to PATH instead of stdout")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, _, _) in _COMMANDS.items():
+    for name, (text, *_) in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=text)
     return parser
 
@@ -86,10 +86,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         config = _configure(args)
-        _, formats, handler = _COMMANDS[args.command]
+        _, formats, takes_ground, handler = _COMMANDS[args.command]
         if config.fmt not in formats:
             raise SkewGrowthError(f"format {config.fmt!r} is not available here "
                                   f"(choose from {', '.join(formats)})")
+        if config.ground is not None and not takes_ground:
+            raise SkewGrowthError(f"--ground does not apply to {args.command}")
         text, status = handler(config)
         if config.out:
             Path(config.out).write_text(text, encoding="utf-8")
@@ -108,8 +110,9 @@ def _configure(args) -> RunConfig:
     if args.word_cap is not None:
         if args.word_cap < 1:
             raise SkewGrowthError(f"--word-cap must be >= 1, got {args.word_cap}")
-        if hasattr(model, "word_cap"):
-            model.word_cap = args.word_cap
+        if not hasattr(model, "word_cap"):
+            raise SkewGrowthError(f"--word-cap applies to presented models, not {model.name}")
+        model.word_cap = args.word_cap
     table = model.enumerate_up_to(_resolve_cutoff(args, model))
     ground = None
     if args.ground is not None:
@@ -262,17 +265,18 @@ def _cmd_cancel_check(config: RunConfig) -> tuple[str, int]:
     return text, 0 if report.ok else 1
 
 
-# command: (help text, the formats it offers, handler)
+# command: (help text, the formats it offers, whether it reads --ground, handler)
 _COMMANDS = {
-    "growth": ("growth series (element counts per degree)", ("table", "json"),
+    "growth": ("growth series (element counts per degree)", ("table", "json"), False,
                lambda config: _cmd_series(config, "growth", growth_series(config.table))),
-    "skew": ("skew-growth series from the tower enumeration", ("table", "json"),
+    "skew": ("skew-growth series from the tower enumeration", ("table", "json"), True,
              lambda config: _cmd_series(config, "skew-growth",
                                         skew_growth(config.table, _forest(config)))),
-    "towers": ("enumerate the tower forest", ("table", "json", "dot"), _cmd_towers),
-    "atoms": ("list the atoms", ("table", "json"), _cmd_atoms),
-    "verify": ("run all verification checks", ("table", "json"), _cmd_verify),
-    "cancel-check": ("run the cancellativity probe", ("table", "json"), _cmd_cancel_check),
+    "towers": ("enumerate the tower forest", ("table", "json", "dot"), True, _cmd_towers),
+    "atoms": ("list the atoms", ("table", "json"), False, _cmd_atoms),
+    "verify": ("run all verification checks", ("table", "json"), True, _cmd_verify),
+    "cancel-check": ("run the cancellativity probe", ("table", "json"), False,
+                     _cmd_cancel_check),
 }
 
 

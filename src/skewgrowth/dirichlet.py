@@ -33,7 +33,6 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     CutoffMismatchError,
-    DomainError,
     KeyKindMismatchError,
     MalformedKeyError,
     NonUnitConstantTermError,
@@ -74,13 +73,6 @@ def coerce_key(kind: KeyKind, value):
 
 def key_add(kind: KeyKind, a, b):
     return a + b if kind is KeyKind.RATIONAL else a * b
-
-
-def key_repeat(kind: KeyKind, key, times: int):
-    """*key* combined with itself *times* times (0 gives the zero key)."""
-    if kind is KeyKind.RATIONAL:
-        return key * times
-    return key ** times
 
 
 def render_key(kind: KeyKind, key) -> str:
@@ -179,22 +171,6 @@ def _check_compatible(f: Series, g: Series) -> None:
         )
 
 
-def series_add(f: Series, g: Series) -> Series:
-    _check_compatible(f, g)
-    terms = dict(f.terms)
-    for key, coeff in g.terms.items():
-        new = terms.get(key, 0) + coeff
-        if new:
-            terms[key] = new
-        else:
-            terms.pop(key, None)
-    return Series(f.kind, f.cutoff, dict(sorted(terms.items())))
-
-
-def series_neg(f: Series) -> Series:
-    return Series(f.kind, f.cutoff, {k: -c for k, c in f.terms.items()})
-
-
 def _int_keys(kind: KeyKind, cutoff, *term_maps):
     """(combine, cutoff, each map's items, back) on int keys: a rational key k
     becomes k*D, D the lcm of the cutoff's and every key's denominator, which
@@ -279,28 +255,6 @@ def growth_series(table) -> Series:
     return Series.build(table.key_kind, table.cutoff, terms)
 
 
-def evaluate_partial(f: Series, t0=None, s0=None) -> float:
-    """Numerically evaluate the truncated series at a point.
-
-    Rational-key series take ``t0`` in the open interval (0, 1) and return
-    ``sum c_d * t0**d``.  Multiplicative-key series take ``s0 > 0`` and
-    return the partial Dirichlet sum ``sum c_n * n**(-s0)``.
-    """
-    if f.kind is KeyKind.RATIONAL:
-        if t0 is None:
-            raise DomainError("rational-key series need an evaluation point t0")
-        t0 = float(t0)
-        if not 0.0 < t0 < 1.0:
-            raise DomainError(f"t0 must lie in (0, 1), got {t0}")
-        return float(sum(coeff * t0 ** float(key) for key, coeff in f.items()))
-    if s0 is None:
-        raise DomainError("multiplicative-key series need an exponent s0")
-    s0 = float(s0)
-    if s0 <= 0.0:
-        raise DomainError(f"s0 must be positive, got {s0}")
-    return float(sum(coeff * float(key) ** (-s0) for key, coeff in f.items()))
-
-
 # ---------------------------------------------------------------- JSON form
 
 def series_to_json(f: Series) -> dict:
@@ -315,7 +269,14 @@ def series_to_json(f: Series) -> dict:
 
 
 def series_from_json(obj: Mapping) -> Series:
-    kind = KeyKind(obj["key_kind"])
+    """Inverse of :func:`series_to_json`.  The JSON comes from outside the
+    program, so every malformed shape raises MalformedKeyError."""
+    try:
+        kind = KeyKind(obj["key_kind"])
+        cutoff = obj["cutoff"]
+        terms = [(key, coeff) for key, coeff in obj["terms"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedKeyError(f"malformed series JSON: {type(exc).__name__}: {exc}") from exc
 
     def read(key):
         return parse_key(kind, key) if isinstance(key, str) else coerce_key(kind, key)
@@ -326,8 +287,4 @@ def series_from_json(obj: Mapping) -> Series:
         except ValueError as exc:
             raise MalformedKeyError(f"bad coefficient {coeff!r}") from exc
 
-    return Series.build(
-        kind,
-        read(obj["cutoff"]),
-        [(read(key), read_coeff(coeff)) for key, coeff in obj["terms"]],
-    )
+    return Series.build(kind, read(cutoff), [(read(key), read_coeff(coeff)) for key, coeff in terms])

@@ -71,10 +71,6 @@ class EmptyAlphabetError(EnumerationError):
 
 # ---------------------------------------------------------------- divisibility and towers
 
-class EmptyIndexSetError(SkewGrowthError, ValueError):
-    """Common-multiple query over the empty index set."""
-
-
 class InvalidGroundError(SkewGrowthError, ValueError):
     """Tower ground set is empty, contains the unit, or is not an antichain."""
 
@@ -95,14 +91,3 @@ class NonUnitConstantTermError(SkewGrowthError, ValueError):
 
 class MalformedKeyError(SkewGrowthError, ValueError):
     pass
-
-
-class DomainError(SkewGrowthError, ValueError):
-    """Evaluation point outside the valid domain."""
-
-
-# ---------------------------------------------------------------- normal-form family
-
-class MalformedDyadicError(SkewGrowthError, ValueError):
-    """Degree-membership query on a value that is not a dyadic rational of
-    representable depth."""

@@ -170,8 +170,6 @@ def _natural(text: str, token: str) -> int:
 def _integer(name: str, value) -> int:
     """*value* as an int; anything not a whole number is refused, never
     truncated."""
-    if type(value) is int:  # the common case, first: MpElement checks every bit
-        return value
     whole = isinstance(value, (int, Fraction)) and not isinstance(value, bool)
     if not whole or value.denominator != 1:
         raise InvalidParamsError(f"{name} must be an integer, got {value}")
@@ -182,10 +180,10 @@ class RewriteModel:
     """A monoid given by a positive homogeneous presentation."""
 
     def __init__(self, presentation: Presentation, word_cap: int = DEFAULT_WORD_CAP,
-                 default_cutoff=Fraction(8), name: str | None = None):
+                 name: str | None = None):
         self.presentation = presentation
         self.word_cap = int(word_cap)
-        self.default_cutoff = Fraction(default_cutoff)
+        self.default_cutoff = Fraction(8)
         self.name = name or "presented"
         self.key_kind = KeyKind.RATIONAL
 

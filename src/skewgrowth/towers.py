@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dirichlet import Series, key_add, key_repeat, key_to_json, key_zero
+from .dirichlet import Series, key_add, key_to_json, key_zero
 from .divisibility import DivPoset
 from .errors import InvalidGroundError
 
@@ -139,14 +139,6 @@ def skew_growth(table, forest: TowerForest | None = None) -> Series:
             else:
                 del terms[degree]
     return Series(kind, table.cutoff, dict(sorted(terms.items())))
-
-
-def height_headroom_holds(table, tower: Tower) -> bool:
-    """Degree floor per height: every top element of a height-n tower has
-    degree at least (n + 1) combined copies of the least positive degree."""
-    d_min = _min_positive_degree(table)
-    floor = key_repeat(table.key_kind, d_min, tower.height + 1)
-    return all(table.degree(eid) >= floor for eid in tower.top)
 
 
 # ---------------------------------------------------------------- exports

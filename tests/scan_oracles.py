@@ -16,6 +16,11 @@ walk that tests every later candidate at every node, minimal elements read
 from divisor masks, the tower enumeration built on the two, and an
 lcm-reduction that walks the ground's subsets again check the survivor-pool
 walk, the minimal-element peel and the lcm-reduction read off the forest.
+
+Beside them sit helpers only the tests need: the poset queries ``divides``,
+``common_multiples`` and ``min_common_multiples`` on the multiple masks,
+``mask_to_ids``, ``series_add`` and ``series_neg`` for the ring laws, and
+the per-height degree floor ``height_headroom_holds``.
 """
 import functools
 import operator
@@ -38,7 +43,7 @@ from skewgrowth.dirichlet import (
     series_mul,
     series_one,
 )
-from skewgrowth.divisibility import mask_to_ids
+from skewgrowth.dirichlet import _check_compatible
 from skewgrowth.errors import NonUnitConstantTermError
 from skewgrowth.towers import (
     Tower,
@@ -47,6 +52,62 @@ from skewgrowth.towers import (
     _validate_ground,
     skew_growth,
 )
+
+
+def mask_to_ids(mask: int) -> list[int]:
+    """The set bits of *mask*, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def divides(poset, u: int, v: int) -> bool:
+    return bool(poset.multiple_masks[u] >> v & 1)
+
+
+def _common_mask(poset, index_set) -> int:
+    """The common right multiples of a non-empty index set, as a mask."""
+    return functools.reduce(operator.and_, (poset.multiple_masks[e] for e in index_set))
+
+
+def common_multiples(poset, index_set) -> list[int]:
+    return mask_to_ids(_common_mask(poset, index_set))
+
+
+def min_common_multiples(poset, index_set) -> list[int]:
+    """The minimal common multiples, peeled by the poset."""
+    return poset.minimal_in_mask(_common_mask(poset, index_set))
+
+
+def series_add(f: Series, g: Series) -> Series:
+    _check_compatible(f, g)
+    terms = dict(f.terms)
+    for key, coeff in g.terms.items():
+        new = terms.get(key, 0) + coeff
+        if new:
+            terms[key] = new
+        else:
+            terms.pop(key, None)
+    return Series(f.kind, f.cutoff, dict(sorted(terms.items())))
+
+
+def series_neg(f: Series) -> Series:
+    return Series(f.kind, f.cutoff, {k: -c for k, c in f.terms.items()})
+
+
+def key_repeat(kind, key, times: int):
+    """*key* combined with itself *times* times (0 gives the zero key)."""
+    return key * times if kind is KeyKind.RATIONAL else key ** times
+
+
+def height_headroom_holds(table, tower: Tower) -> bool:
+    """Degree floor per height: every top element of a height-n tower has
+    degree at least (n + 1) combined copies of the least positive degree."""
+    floor = key_repeat(table.key_kind, _min_positive_degree(table), tower.height + 1)
+    return all(table.degree(eid) >= floor for eid in tower.top)
 
 
 def _key_sub(kind, a, b):
@@ -335,8 +396,7 @@ def minimal_by_divisors(poset, subset):
 
 
 def min_common_multiples_by_divisors(poset, index_set):
-    mask = functools.reduce(operator.and_, (poset.multiple_masks[e] for e in index_set))
-    return minimal_by_divisors(poset, mask_to_ids(mask))
+    return minimal_by_divisors(poset, common_multiples(poset, index_set))
 
 
 def towers_by_rescan(table, ground=None) -> TowerForest:

@@ -178,6 +178,11 @@ def test_dot_is_refused_where_not_offered(command, capsys):
     ["towers", "--preset", "zpos:30", "--ground", "\u0663"],
     ["growth", "--preset", "free:2:degrees=2"],
     ["growth", "--preset", "free:2:degrees=pow2"],
+    ["growth", "--preset", "zpos:30", "--ground", "4,6,9"],
+    ["atoms", "--preset", "zpos:30", "--ground", "4,6,9"],
+    ["cancel-check", "--preset", "example3", "--ground", "aa,ab"],
+    ["atoms", "--preset", "zpos:30", "--word-cap", "1"],
+    ["growth", "--preset", "mp:p=4,8,16", "--word-cap", "5"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     rc = main(argv)

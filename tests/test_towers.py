@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from scan_oracles import height_headroom_holds
 
 from skewgrowth.dirichlet import KeyKind, Series, series_invert, growth_series
 from skewgrowth.errors import InvalidGroundError
@@ -11,7 +12,6 @@ from skewgrowth.towers import (
     enumerate_towers,
     forest_to_dot,
     forest_to_json,
-    height_headroom_holds,
     skew_growth,
 )
 
