@@ -57,6 +57,12 @@ CASES = [
     ("cancel_check_example3_json", "cancel-check --preset example3 --format json"),
     ("growth_zpos30_json", "growth --preset zpos:30 --format json"),
     ("atoms_mp_json", "atoms --preset mp:p=4,8,16:K=3 --format json"),
+    # cutoffs off the degree grid, and generator degrees on mixed denominators
+    ("growth_free2_mixed_table",
+     "growth --preset free:2:degrees=1/2,2/3 --max-degree 37/10"),
+    ("verify_mp_offgrid_json", "verify --preset mp:p=4,8,16:K=3 --max-degree 61/6 --format json"),
+    ("towers_free2_mixed_json",
+     "towers --preset free:2:degrees=1/2,2/3 --max-degree 37/10 --format json"),
 ]
 
 

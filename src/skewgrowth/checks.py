@@ -4,24 +4,17 @@ Each check returns a :class:`CheckReport`; nothing raises on a negative
 result, so a runner can collect every report before deciding an exit code.
 All verdicts are scoped to the enumerated range: "pass" means no violation
 exists among elements of degree <= cutoff, which is evidence, not a proof
-for the untruncated monoid.
+for the untruncated monoid.  The checks compute on the table's grid ints
+(see :class:`skewgrowth.dirichlet.Grid`); a degree becomes a key only when a
+report names it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dirichlet import (
-    KeyKind,
-    Series,
-    convolve,
-    growth_series,
-    key_add,
-    key_to_json,
-    key_zero,
-    render_key,
-)
+from .dirichlet import KeyKind, convolve_on_grid, key_to_json, render_key
 from .divisibility import DivPoset
-from .towers import TowerForest, enumerate_towers, skew_growth
+from .towers import TowerForest, enumerate_towers, skew_on_grid
 
 PASS = "pass"
 FAIL = "fail"
@@ -54,8 +47,9 @@ class CheckReport:
         }
 
 
-def _render(table, key) -> str:
-    return render_key(table.key_kind, key)
+def _render(table, n: int) -> str:
+    """The key at grid int *n*, as text."""
+    return render_key(table.key_kind, table.grid.key(n))
 
 
 # ------------------------------------------------------------- cancellativity
@@ -72,21 +66,21 @@ def check_cancellative(table) -> CheckReport:
     the factor of that least witness an atom, hence a generator, so it is
     the least of the first collisions of the maps.
     """
-    kind = table.key_kind
+    kind, degrees, combine = table.key_kind, table.grid_degrees, table.grid.combine
     found = []
     for side, maps in (("left", table.left_maps()), ("right", table.right_maps())):
         for factor, row in zip(table.generators(), maps):
             witness = _first_collision(row)
             if witness is not None:
-                total = key_add(kind, table.degree(factor), table.degree(witness[1]))
-                found.append((total, table.degree(factor), side == "right", factor,
+                total = combine(degrees[factor], degrees[witness[1]])
+                found.append((total, degrees[factor], side == "right", factor,
                               side) + witness)
     if found:
         total, _, _, factor, side, first, second = min(found)
         return CheckReport(
             name="cancellativity",
             status=FAIL,
-            max_degree_verified=total,
+            max_degree_verified=table.grid.key(total),
             counterexample={
                 "side": side,
                 "factor": table.label(factor),
@@ -124,8 +118,12 @@ def _first_collision(row: list[int]):
 # ------------------------------------------------- inversion and recursion
 
 def _product(table, forest: TowerForest | None) -> dict:
-    """P*N over every reachable key, sums that cancel to 0 included."""
-    return convolve(growth_series(table), skew_growth(table, forest=forest))
+    """P*N on the table's grid over every reachable int, sums that cancel
+    to 0 included."""
+    if forest is None:
+        forest = enumerate_towers(table)
+    skew = skew_on_grid(table, forest)
+    return convolve_on_grid(table.grid, table.grid_counts().items(), skew.items())
 
 
 def check_inversion(table, forest: TowerForest | None = None,
@@ -146,14 +144,14 @@ def check_inversion(table, forest: TowerForest | None = None,
 def _inversion_report(table, product: dict, cancellativity: CheckReport) -> CheckReport:
     notes = f"cancellativity probe: {cancellativity.status}"
     deviation = dict(product)
-    zero = key_zero(table.key_kind)
+    zero = table.grid.zero
     deviation[zero] = deviation.get(zero, 0) - 1
     bad = min((key for key, coeff in deviation.items() if coeff), default=None)
     if bad is not None:
         return CheckReport(
             name="inversion",
             status=FAIL,
-            max_degree_verified=bad,
+            max_degree_verified=table.grid.key(bad),
             counterexample={
                 "degree": _render(table, bad),
                 "product_coefficient": deviation[bad],
@@ -170,12 +168,9 @@ def _inversion_report(table, product: dict, cancellativity: CheckReport) -> Chec
     )
 
 
-def _first_difference(f: Series, g: Series):
-    keys = sorted(set(f.terms) | set(g.terms))
-    for key in keys:
-        if f.terms.get(key, 0) != g.terms.get(key, 0):
-            return key
-    raise ValueError("series are equal")
+def _first_difference(f: dict, g: dict):
+    """The least key where two term maps differ; they must differ."""
+    return min(key for key in f.keys() | g.keys() if f.get(key, 0) != g.get(key, 0))
 
 
 def check_recursion(table, forest: TowerForest | None = None) -> CheckReport:
@@ -193,14 +188,14 @@ def check_recursion(table, forest: TowerForest | None = None) -> CheckReport:
 
 def _recursion_report(table, product: dict) -> CheckReport:
     kind = table.key_kind
-    zero = key_zero(kind)
+    zero = table.grid.zero
     bad = min((key for key, coeff in product.items() if coeff and key != zero),
               default=None)
     if bad is not None:
         return CheckReport(
             name="recursion",
             status=FAIL,
-            max_degree_verified=bad,
+            max_degree_verified=table.grid.key(bad),
             counterexample={"degree": _render(table, bad), "residual": product[bad]},
             notes=f"count recursion fails first at degree {_render(table, bad)}",
             key_kind=kind,
@@ -247,10 +242,10 @@ def check_lcm_reduction(table, poset: DivPoset | None = None,
     """
     if forest is None:
         forest = enumerate_towers(table, poset)
-    kind = table.key_kind
-    terms = {key_zero(kind): 1}
+    kind, degrees = table.key_kind, table.grid_degrees
+    terms = {table.grid.zero: 1}
     for eid in forest.ground:
-        degree = table.degree(eid)
+        degree = degrees[eid]
         terms[degree] = terms.get(degree, 0) - 1
     for child in forest.children[0]:
         tower = forest.towers[child]
@@ -266,20 +261,20 @@ def check_lcm_reduction(table, poset: DivPoset | None = None,
                 notes="a ground subset has several minimal common multiples",
                 key_kind=kind,
             )
-        degree = table.degree(tops[0])
+        degree = degrees[tops[0]]
         terms[degree] = terms.get(degree, 0) + (-1 if len(subset) % 2 else 1)
-    reduced = Series.build(kind, table.cutoff, terms)
-    skew = skew_growth(table, forest=forest)
+    reduced = {degree: coeff for degree, coeff in terms.items() if coeff}
+    skew = skew_on_grid(table, forest)
     if reduced != skew:
         bad = _first_difference(reduced, skew)
         return CheckReport(
             name="lcm-reduction",
             status=FAIL,
-            max_degree_verified=bad,
+            max_degree_verified=table.grid.key(bad),
             counterexample={
                 "degree": _render(table, bad),
-                "reduced_coefficient": reduced.coefficient(bad),
-                "tower_coefficient": skew.coefficient(bad),
+                "reduced_coefficient": reduced.get(bad, 0),
+                "tower_coefficient": skew.get(bad, 0),
             },
             notes="inclusion-exclusion over unique lcms disagrees with towers",
             key_kind=kind,

@@ -15,9 +15,14 @@ are equal only if kinds, cutoffs and term maps all agree, and arithmetic
 refuses to mix kinds or cutoffs.  Coefficients are arbitrary-precision
 integers throughout; zero coefficients are never stored.
 
-The kernels :func:`convolve` and :func:`series_invert` run on int keys:
-rational keys are scaled to a common denominator on the way in and become
-``Fraction``s again on the way out.
+A :class:`Grid` puts the keys of one kind up to a cutoff on ints: a rational
+key k sits at k*D for a common denominator D, a multiplicative key is its own
+int.  Sums (products) and order carry over, so the element tables, the tower
+walk, the checks and the kernels all compute on these ints, and keys become
+``Fraction``s only where a public :class:`Series`, a report or a rendering
+is made.  :func:`convolve` and :func:`series_invert` take ``Series`` and put
+their keys on the coarsest grid that holds them; the loop itself,
+:func:`convolve_on_grid`, is what the checks call on a table's grid.
 
 Series values are immutable once built and safe to share between threads.
 """
@@ -69,10 +74,6 @@ def coerce_key(kind: KeyKind, value):
     if value < 1:
         raise MalformedKeyError(f"multiplicative keys must be >= 1, got {value}")
     return value
-
-
-def key_add(kind: KeyKind, a, b):
-    return a + b if kind is KeyKind.RATIONAL else a * b
 
 
 def render_key(kind: KeyKind, key) -> str:
@@ -171,36 +172,82 @@ def _check_compatible(f: Series, g: Series) -> None:
         )
 
 
-def _int_keys(kind: KeyKind, cutoff, *term_maps):
-    """(combine, cutoff, each map's items, back) on int keys: a rational key k
-    becomes k*D, D the lcm of the cutoff's and every key's denominator, which
-    keeps sums and order, and ``back`` maps an int-keyed result to n/D keys."""
-    if kind is KeyKind.MULTINT:
-        return operator.mul, cutoff, [terms.items() for terms in term_maps], lambda terms: terms
-    scale = math.lcm(cutoff.denominator, *(k.denominator for terms in term_maps for k in terms))
-    items = [[(k.numerator * (scale // k.denominator), c) for k, c in terms.items()]
-             for terms in term_maps]
-    return (operator.add, cutoff.numerator * (scale // cutoff.denominator), items,
-            lambda terms: {Fraction(n, scale): c for n, c in terms.items()})
+# ---------------------------------------------------------------- int grid
+
+class Grid:
+    """The keys of one kind up to a cutoff, as ints.
+
+    A rational key k sits at the int k*scale, scale a common denominator of
+    every key in play; a multiplicative key is its own int (scale 1).  The
+    map keeps order and turns key addition into ``combine`` on ints (+ for
+    rational keys, * for multiplicative ones), so ``key <= cutoff`` reads
+    ``int <= top``, with ``top`` the greatest int at or below the cutoff:
+    a cutoff off the grid is rounded down.  ``zero`` is the unit's int.
+    """
+
+    __slots__ = ("kind", "cutoff", "scale", "top", "zero", "combine")
+
+    def __init__(self, kind: KeyKind, cutoff, scale: int = 1):
+        self.kind, self.cutoff, self.scale = kind, cutoff, scale
+        if kind is KeyKind.RATIONAL:
+            self.top = cutoff.numerator * scale // cutoff.denominator
+            self.zero, self.combine = 0, operator.add
+        else:
+            self.top, self.zero, self.combine = cutoff, 1, operator.mul
+
+    @classmethod
+    def covering(cls, kind: KeyKind, cutoff, keys: Iterable) -> "Grid":
+        """The coarsest grid that holds every key in *keys* (an int's
+        denominator is 1)."""
+        return cls(kind, cutoff, math.lcm(1, *(k.denominator for k in keys)))
+
+    def key(self, n: int):
+        """The key at int *n*: a ``Fraction`` for rational keys."""
+        return Fraction(n, self.scale) if self.kind is KeyKind.RATIONAL else n
+
+    def point(self, key) -> int | None:
+        """The int of *key*, or None for a rational key off the grid."""
+        if self.kind is KeyKind.MULTINT:
+            return key
+        n, rest = divmod(key.numerator * self.scale, key.denominator)
+        return None if rest else n
+
+    def points(self, terms: Mapping) -> list[tuple[int, int]]:
+        """The (int, coefficient) pairs of a key-indexed map on the grid."""
+        return [(self.point(k), c) for k, c in terms.items()]
+
+    def series(self, terms: Mapping) -> Series:
+        """The public series of int-keyed *terms*, whose coefficients are
+        nonzero and whose ints are at most ``top``."""
+        return Series(self.kind, self.cutoff, {self.key(n): c for n, c in sorted(terms.items())})
 
 
-def convolve(f: Series, g: Series) -> dict:
-    """Truncated convolution as a map from every reachable key
-    ``ka (+) kb <= cutoff`` to its summed coefficient, zeros kept.  Key
-    addition is monotone, so each pass over g's sorted terms stops at the
-    first key past the cutoff.  Rational keys go through the loop as ints on a
-    common denominator and come back as ``Fraction``s."""
-    _check_compatible(f, g)
-    combine, cutoff, (left, right), back = _int_keys(f.kind, f.cutoff, f.terms, g.terms)
+def convolve_on_grid(grid: Grid, left: Iterable, right: Iterable) -> dict:
+    """The truncated product of two int-keyed term lists on *grid*: every
+    reachable int ``a (+) b <= top`` mapped to its summed coefficient, zeros
+    kept.  Combining is monotone, so each pass over the sorted right terms
+    stops at the first int past the top."""
+    combine, top = grid.combine, grid.top
     right = sorted(right)
     acc: dict = {}
     for ka, ca in left:
         for kb, cb in right:
             key = combine(ka, kb)
-            if key > cutoff:
+            if key > top:
                 break
             acc[key] = acc.get(key, 0) + ca * cb
-    return back(acc)
+    return acc
+
+
+def convolve(f: Series, g: Series) -> dict:
+    """Truncated convolution as a map from every reachable key
+    ``ka (+) kb <= cutoff`` to its summed coefficient, zeros kept: the loop
+    of :func:`convolve_on_grid` on the coarsest grid holding both series'
+    keys, which come back as ``Fraction``s for rational series."""
+    _check_compatible(f, g)
+    grid = Grid.covering(f.kind, f.cutoff, [*f.terms, *g.terms])
+    acc = convolve_on_grid(grid, grid.points(f.terms), grid.points(g.terms))
+    return {grid.key(n): c for n, c in acc.items()}
 
 
 def series_mul(f: Series, g: Series) -> Series:
@@ -215,17 +262,18 @@ def series_invert(f: Series) -> Series:
     Requires the constant term (at the zero key) to be 1 or -1; the solve is
     triangular in increasing key order and exact over the integers.  Each
     solved coefficient is pushed forward over f's sorted terms with the
-    cutoff break of :func:`convolve`, on the same int keys (rational keys
-    scaled to a common denominator); since ``k (+) kb > k`` for every
-    non-zero key kb, a key has all its contributions when it is popped.
+    cutoff break of :func:`convolve`, on the coarsest grid holding f's keys;
+    since ``k (+) kb > k`` for every non-zero key kb, a key has all its
+    contributions when it is popped.
     """
     unit = f.terms.get(key_zero(f.kind), 0)
     if unit not in (1, -1):
         raise NonUnitConstantTermError(
             f"cannot invert: constant term is {unit}, need 1 or -1"
         )
-    combine, cutoff, (terms,), back = _int_keys(f.kind, f.cutoff, f.terms)
-    (zero, _), *right = sorted(terms)  # the zero key is the least key
+    grid = Grid.covering(f.kind, f.cutoff, f.terms)
+    combine, cutoff, zero = grid.combine, grid.top, grid.zero
+    right = sorted(grid.points(f.terms))[1:]  # the zero key is the least key
     acc = {zero: 1}  # key -> 1 minus what the solved terms put there
     pending = [zero]
     inv: dict = {}
@@ -243,16 +291,12 @@ def series_invert(f: Series) -> Series:
                 acc[nxt] = 0
                 heapq.heappush(pending, nxt)
             acc[nxt] -= coeff * cb
-    return Series(f.kind, f.cutoff, back(inv))
+    return grid.series(inv)
 
 
 def growth_series(table) -> Series:
     """Element counts of an enumerated table, as a series over its key kind."""
-    terms = {
-        degree: len(table.elements_of_degree(degree))
-        for degree in table.realized_degrees()
-    }
-    return Series.build(table.key_kind, table.cutoff, terms)
+    return table.grid.series(table.grid_counts())
 
 
 # ---------------------------------------------------------------- JSON form

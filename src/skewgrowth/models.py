@@ -7,6 +7,13 @@ set, on the left and on the right; the atoms, the divisibility poset and the
 cancellativity probe are all derived from them.  Tables are immutable after
 construction and safe to share across threads.
 
+Degrees are stored on the table's :class:`~skewgrowth.dirichlet.Grid`: as
+ints n meaning n/D for rational keys, D the lcm of the generators'
+denominators, and as the integers themselves for multiplicative keys.
+Enumeration, products and every consumer downstream (towers, checks) work on
+those ints; ``cutoff``, ``degree``, ``realized_degrees`` and
+``elements_of_degree`` give and take the public keys.
+
 Two model families live here:
 
 * :class:`RewriteModel` wraps a positive homogeneous presentation.  Its
@@ -32,7 +39,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .dirichlet import KeyKind, coerce_key, key_zero
+from .dirichlet import Grid, KeyKind, coerce_key, key_zero
 from .errors import (CutoffTooLargeError, EmptyAlphabetError, InvalidGroundError,
                      InvalidParamsError, MalformedKeyError, UnknownSymbolError)
 from .presentation import Presentation
@@ -45,15 +52,16 @@ class ElementTable(abc.ABC):
 
     Element ids are dense integers ordered by (degree, canonical form);
     id 0 is always the unit.  The table is complete and duplicate-free for
-    every degree <= cutoff.
+    every degree <= cutoff.  ``grid_degrees[e]`` is the degree of e as an
+    int on ``grid``.
     """
 
-    def __init__(self, key_kind: KeyKind, cutoff, degrees: list, by_degree: dict):
-        self.key_kind = key_kind
-        self.cutoff = cutoff
-        self._degrees = degrees
+    def __init__(self, grid: Grid, degrees: list[int], by_degree: dict[int, tuple[int, ...]]):
+        self.grid = grid
+        self.key_kind = grid.kind
+        self.cutoff = grid.cutoff
+        self.grid_degrees = degrees
         self._by_degree = by_degree
-        self._realized = tuple(sorted(by_degree))
         self._atoms: tuple[int, ...] | None = None
         self._left_maps: list[list[int]] | None = None
         self._right_maps: list[list[int]] | None = None
@@ -63,23 +71,28 @@ class ElementTable(abc.ABC):
 
     @property
     def n_elements(self) -> int:
-        return len(self._degrees)
+        return len(self.grid_degrees)
 
     @property
     def unit(self) -> int:
         return 0
 
     def degree(self, eid: int):
-        return self._degrees[eid]
+        return self.grid.key(self.grid_degrees[eid])
 
     def realized_degrees(self) -> tuple:
-        return self._realized
+        return tuple(map(self.grid.key, sorted(self._by_degree)))
 
     def elements_of_degree(self, degree) -> tuple[int, ...]:
-        return self._by_degree.get(degree, ())
+        return self._by_degree.get(self.grid.point(degree), ())
+
+    def grid_counts(self) -> dict[int, int]:
+        """The element count at each realized degree, keyed by grid int,
+        ascending."""
+        return {n: len(ids) for n, ids in sorted(self._by_degree.items())}
 
     def all_elements(self) -> range:
-        return range(len(self._degrees))
+        return range(len(self.grid_degrees))
 
     @abc.abstractmethod
     def product(self, u: int, v: int) -> int | None:
@@ -198,14 +211,16 @@ class RewriteTable(ElementTable):
             raise EmptyAlphabetError("presentation declares no generators")
         self.presentation = presentation
         # generators of degree > cutoff cannot occur in any enumerated word
-        self._gen_names = [g.name for g in presentation.generators if g.degree <= cutoff]
-        self._gen_degrees = [g.degree for g in presentation.generators if g.degree <= cutoff]
+        kept = [g for g in presentation.generators if g.degree <= cutoff]
+        grid = Grid(KeyKind.RATIONAL, cutoff, math.lcm(1, *(g.degree.denominator for g in kept)))
+        self._gen_names = [g.name for g in kept]
+        self._gen_degrees = [grid.point(g.degree) for g in kept]
         self._joiner = "" if all(len(n) == 1 for n in self._gen_names) else " "
         self._letters = {n: i for i, n in enumerate(self._gen_names)}
 
         # relations whose sides fit under the cutoff, as index tuples with
         # both orientations collapsed to one unordered pair, and their degree
-        rules: set[tuple[tuple[int, ...], tuple[int, ...], Fraction]] = set()
+        rules: set[tuple[tuple[int, ...], tuple[int, ...], int]] = set()
         for rel in presentation.relations:
             if any(n not in self._letters for n in rel.lhs + rel.rhs):
                 continue  # mentions a generator too heavy for this cutoff
@@ -213,20 +228,21 @@ class RewriteTable(ElementTable):
             rhs = tuple(self._letters[n] for n in rel.rhs)
             if lhs == rhs:
                 continue
-            rules.add((min(lhs, rhs), max(lhs, rhs), presentation.word_degree(rel.lhs)))
+            degree = sum(self._gen_degrees[i] for i in lhs)
+            rules.add((min(lhs, rhs), max(lhs, rhs), degree))
         self._rules = sorted(rules)
 
-        degrees: list = [Fraction(0)]
-        by_degree: dict = {Fraction(0): (0,)}
+        super().__init__(grid, [0], {0: (0,)})  # the levels are added in place
         self._words: list[tuple[int, ...]] = [()]
+        # _tails[x] is the class of the least word of x without its first letter
+        self._tails = [0]
         # _lmul[g][x] is the id of g*x, for every class x with
         # deg(x) + deg(g) <= cutoff; lists grow in id order
         self._lmul: list[list[int]] = [[] for _ in self._gen_names]
-        for degree in _degree_closure(self._gen_degrees, cutoff)[1:]:
-            self._close_level(degree, word_cap, degrees, by_degree)
-        super().__init__(KeyKind.RATIONAL, cutoff, degrees, by_degree)
+        for degree in _degree_closure(self._gen_degrees, grid.top)[1:]:
+            self._close_level(degree, word_cap)
 
-    def _close_level(self, degree, word_cap, degrees, by_degree):
+    def _close_level(self, degree: int, word_cap: int):
         """Enumerate the classes of one degree from the lower ones.
 
         Every word of this degree is g*w with w of class x at degree
@@ -235,9 +251,10 @@ class RewriteTable(ElementTable):
         its node; one at the front uses a relation g*u = h*u' and joins
         (g, [u*y]) with (h, [u'*y]) for a class y of degree deg - deg(g*u).
         The classes are the connected components, each named by the
-        shortlex-least g + word(x) among its nodes.
+        shortlex-least g + word(x) among its nodes; that x is its tail.
         """
         words, lmul = self._words, self._lmul
+        degrees, by_degree = self.grid_degrees, self._by_degree
         nodes: list[tuple[int, int]] = []
         start = []  # node index of (g, x) is start[g] + x
         for g, gd in enumerate(self._gen_degrees):
@@ -246,7 +263,7 @@ class RewriteTable(ElementTable):
             nodes.extend((g, x) for x in lower)
         if len(nodes) > word_cap:
             raise CutoffTooLargeError(
-                f"{len(nodes)} (generator, class) pairs at degree {degree} "
+                f"{len(nodes)} (generator, class) pairs at degree {self.grid.key(degree)} "
                 f"exceed the word cap {word_cap}"
             )
 
@@ -265,18 +282,21 @@ class RewriteTable(ElementTable):
                 if a != b:
                     parent[b] = a
 
-        least: dict[int, tuple[int, ...]] = {}
+        least: dict[int, tuple[tuple[int, tuple[int, ...]], int]] = {}  # (shortlex key, tail)
         for i, (g, x) in enumerate(nodes):
             word = (g,) + words[x]
+            key = (len(word), word)
             root = find(i)
             best = least.get(root)
-            if best is None or (len(word), word) < (len(best), best):
-                least[root] = word
-        order = sorted(least, key=lambda r: (len(least[r]), least[r]))
+            if best is None or key < best[0]:
+                least[root] = (key, x)
+        order = sorted(least, key=least.get)
         eid_of = {root: len(degrees) + rank for rank, root in enumerate(order)}
         for root in order:
+            (_, word), tail = least[root]
             degrees.append(degree)
-            words.append(least[root])
+            words.append(word)
+            self._tails.append(tail)
         by_degree[degree] = tuple(eid_of[root] for root in order)
         for i, (g, _) in enumerate(nodes):
             lmul[g].append(eid_of[find(i)])
@@ -303,10 +323,12 @@ class RewriteTable(ElementTable):
         return self._fold(word, self.unit)
 
     def parse_label(self, text: str) -> int | None:
-        """A whole generator name, names separated by spaces, or
-        one-character names run together.  A generator heavier than the
-        cutoff and spelled like a run of lighter names yields to the run
-        when labels run names together, as label prints it."""
+        """"1" for the unit, a whole generator name, names separated by
+        spaces, or one-character names run together.  A generator heavier
+        than the cutoff and spelled like a run of lighter names yields to
+        the run when labels run names together, as label prints it."""
+        if text == "1":
+            return self.unit
         letters = self._letters
         run = not self._joiner and set(text) <= letters.keys()
         if " " in text:
@@ -329,11 +351,26 @@ class RewriteTable(ElementTable):
     def generators(self) -> tuple[int, ...]:
         return tuple(sorted({row[0] for row in self._lmul}))
 
-    def left_maps(self) -> list[list[int]]:
-        # the class graph already stores g*x for every letter g; letters
-        # naming the same element have the same map
-        rows = {row[0]: row for row in self._lmul}
-        return [rows[g] for g in self.generators()]
+    def _generator_maps(self, left: bool) -> list[list[int]]:
+        """The class graph already stores g*x for every letter g, and
+        letters naming the same element have the same map.  On the right,
+        x*g is f*(t*g) for x's least word f + word(t), t its tail: the left
+        map of f at the entry for t, which has the smaller id, so the row
+        holds it by then.  The first entry past the cutoff ends the row."""
+        if left:
+            rows = {row[0]: row for row in self._lmul}
+            return [rows[g] for g in self.generators()]
+        words, tails, lmul = self._words, self._tails, self._lmul
+        maps = []
+        for g in self.generators():
+            row = [g]
+            for x in range(1, self.n_elements):
+                first, y = lmul[words[x][0]], row[tails[x]]
+                if y >= len(first):
+                    break
+                row.append(first[y])
+            maps.append(row)
+        return maps
 
     def label(self, eid: int) -> str:
         word = self._words[eid]
@@ -342,16 +379,16 @@ class RewriteTable(ElementTable):
         return self._joiner.join(self._gen_names[i] for i in word)
 
 
-def _degree_closure(gen_degrees: Iterable[Fraction], cutoff: Fraction) -> list[Fraction]:
-    """All degrees <= cutoff realizable as sums of generator degrees."""
+def _degree_closure(gen_degrees: Iterable[int], top: int) -> list[int]:
+    """All grid degrees <= top realizable as sums of generator degrees."""
     base = sorted(set(gen_degrees))
-    seen = {Fraction(0)}
-    frontier = [Fraction(0)]
+    seen = {0}
+    frontier = [0]
     while frontier:
         current = frontier.pop()
         for d in base:
             nxt = current + d
-            if nxt <= cutoff and nxt not in seen:
+            if nxt <= top and nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
     return sorted(seen)
@@ -383,7 +420,7 @@ class MultIntTable(ElementTable):
     def __init__(self, cutoff: int):
         degrees = list(range(1, cutoff + 1))
         by_degree = {n: (n - 1,) for n in degrees}
-        super().__init__(KeyKind.MULTINT, cutoff, degrees, by_degree)
+        super().__init__(Grid(KeyKind.MULTINT, cutoff), degrees, by_degree)
 
     def element_id(self, n: int) -> int | None:
         return n - 1 if 1 <= n <= self.cutoff else None

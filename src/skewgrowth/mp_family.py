@@ -16,7 +16,9 @@ make the degree map injective.
 
 The enumerated table (`MpTable`) is addressed by degree: a degree names
 one element, so the product of two ids is the id of the summed degree, and
-a label is read back as the sum of its letters' degrees.  The normal-form
+a label is read back as the sum of its letters' degrees.  Degrees are kept
+as ints on the grid of step 1/2^K, where every d_k lies, so a product is
+one int sum and one dict lookup.  The normal-form
 reducer that the tests hold the table to lives in ``tests/mp_reference.py``.
 
 Depth truncation is transparent: quotients of depth <= K elements have
@@ -26,12 +28,11 @@ below the cutoff agrees with the untruncated family.
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dirichlet import KeyKind
+from .dirichlet import Grid, KeyKind
 from .errors import InvalidGroundError, InvalidParamsError
 from .models import ElementTable, _integer, _natural, _validate_cutoff
 from .presentation import Generator, Presentation, Relation
@@ -125,28 +126,31 @@ def _canonical_next_degree(spec: MpSpec) -> Fraction | None:
 class MpTable(ElementTable):
     def __init__(self, spec: MpSpec, cutoff: Fraction):
         self.spec = spec
-        flagged = spec.degrees[1:]
-        triples: list[tuple[Fraction, int, tuple[int, ...]]] = []
+        grid = Grid(KeyKind.RATIONAL, cutoff, 2 ** spec.depth)
+        self._gen_degrees = [grid.point(d) for d in spec.degrees]
+        step, *flagged = self._gen_degrees
+        triples: list[tuple[int, int, tuple[int, ...]]] = []
         for pattern in itertools.product((0, 1), repeat=spec.depth):
-            base = sum((d for d, bit in zip(flagged, pattern) if bit), Fraction(0))
-            triples += [(base + n, n, pattern) for n in range(math.floor(cutoff - base) + 1)]
-        triples.sort(key=lambda triple: triple[0])  # degrees are all distinct
+            base = sum(d for d, bit in zip(flagged, pattern) if bit)
+            triples += [(base + n * step, n, pattern)
+                        for n in range((grid.top - base) // step + 1)]
+        triples.sort()  # degrees are all distinct
         self._forms = [(n, pattern) for _, n, pattern in triples]
         degrees = [d for d, _, _ in triples]
-        by_degree = {d: (i,) for i, d in enumerate(degrees)}
-        super().__init__(KeyKind.RATIONAL, cutoff, degrees, by_degree)
+        self._ids = {d: i for i, d in enumerate(degrees)}
+        super().__init__(grid, degrees, {d: (i,) for d, i in self._ids.items()})
 
     def id_of_degree(self, degree) -> int | None:
         """Id of the one element of this degree, or None past the cutoff."""
-        return self._by_degree.get(degree, (None,))[0]
+        return self._ids.get(self.grid.point(degree))
 
     def product(self, u: int, v: int) -> int | None:
         # deg is additive and injective, and every element within the cutoff is listed
-        return self.id_of_degree(self._degrees[u] + self._degrees[v])
+        return self._ids.get(self.grid_degrees[u] + self.grid_degrees[v])
 
     def generators(self) -> tuple[int, ...]:
         """The ids of a_0..a_K that lie within the cutoff."""
-        ids = (self.id_of_degree(d) for d in self.spec.degrees)
+        ids = (self._ids.get(d) for d in self._gen_degrees)
         return tuple(sorted(eid for eid in ids if eid is not None))
 
     def label(self, eid: int) -> str:
@@ -156,8 +160,10 @@ class MpTable(ElementTable):
         return " ".join(parts) if parts else "1"
 
     def parse_label(self, text: str) -> int | None:
-        """Id of a text like 'a0^2 a1', looked up by its degree."""
-        degrees = self.spec.degrees
+        """Id of "1" or of a text like 'a0^2 a1', looked up by its degree."""
+        if text == "1":
+            return self.unit
+        degrees = self._gen_degrees
         total = 0
         for part in text.split():
             name, caret, power = part.partition("^")
@@ -168,4 +174,4 @@ class MpTable(ElementTable):
                 raise InvalidGroundError(f"ground token {text!r} uses a generator "
                                          f"beyond the family depth")
             total += degrees[k] * (_natural(power, text) if caret else 1)
-        return self.id_of_degree(total)
+        return self._ids.get(total)

@@ -18,14 +18,16 @@ Truncation: a stage can only produce useful top elements if every picked
 element keeps at least one minimal positive degree of headroom below the
 cutoff, so candidate picks are filtered accordingly; every dropped tower
 has its whole top set above the cutoff and cannot affect reported degrees.
-Enumeration is breadth-first and fully deterministic.
+Enumeration is breadth-first and fully deterministic.  The filter and the
+skew-growth terms work on the table's grid ints (see
+:class:`skewgrowth.dirichlet.Grid`); keys are made when the series is.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dirichlet import Series, key_add, key_to_json, key_zero
+from .dirichlet import Series, key_to_json
 from .divisibility import DivPoset
 from .errors import InvalidGroundError
 
@@ -70,11 +72,6 @@ class TowerForest:
         return iter(self.towers)
 
 
-def _min_positive_degree(table):
-    positive = [d for d in table.realized_degrees() if d != key_zero(table.key_kind)]
-    return min(positive) if positive else None
-
-
 def _validate_ground(table, poset: DivPoset, ground: Sequence[int]) -> tuple[int, ...]:
     ground = tuple(ground)
     if not ground:
@@ -101,16 +98,16 @@ def enumerate_towers(table, poset: DivPoset | None = None,
         if not ground:
             return TowerForest((), (Tower(()),), ((),))
     ground = _validate_ground(table, poset, ground)
-    d_min = _min_positive_degree(table)
+    degrees, combine, limit = table.grid_degrees, table.grid.combine, table.grid.top
+    # ids ascend with degree and only the unit has degree zero, so id 1
+    # (there is one, as the ground holds a non-unit) has the least positive one
+    d_min = degrees[1]
     towers: list[Tower] = [Tower(ground)]
     children: list[list[int]] = [[]]
     cursor = 0
     while cursor < len(towers):
         tower = towers[cursor]
-        candidates = [
-            eid for eid in tower.top
-            if key_add(table.key_kind, table.degree(eid), d_min) <= table.cutoff
-        ]
+        candidates = [eid for eid in tower.top if combine(degrees[eid], d_min) <= limit]
         for stage, mask in poset.iter_supported_subsets(candidates, min_size=2):
             top = poset.minimal_in_mask(mask)
             child = Tower(ground, tower.stages + (stage,), tower.tops + (tuple(top),))
@@ -121,24 +118,31 @@ def enumerate_towers(table, poset: DivPoset | None = None,
     return TowerForest(ground, tuple(towers), tuple(tuple(c) for c in children))
 
 
+def skew_on_grid(table, forest: TowerForest) -> dict[int, int]:
+    """The nonzero terms of the skew-growth series of *forest*, keyed by
+    the table's grid ints: 1 at the zero, plus each tower's sign at the
+    degree of every element of its top."""
+    degrees = table.grid_degrees
+    terms = {table.grid.zero: 1}
+    for tower in forest:
+        sign = tower.sign
+        for eid in tower.top:
+            degree = degrees[eid]
+            total = terms.get(degree, 0) + sign
+            if total:
+                terms[degree] = total
+            else:
+                del terms[degree]
+    return terms
+
+
 def skew_growth(table, forest: TowerForest | None = None) -> Series:
     """1 plus the signed degree sum over all tower tops, truncated at the
     table cutoff.  The towers are *forest*'s, by default those over the
     atoms; a forest over another ground gives that ground's series."""
     if forest is None:
         forest = enumerate_towers(table)
-    kind = table.key_kind
-    terms: dict = {key_zero(kind): 1}
-    for tower in forest:
-        sign = tower.sign
-        for eid in tower.top:
-            degree = table.degree(eid)
-            total = terms.get(degree, 0) + sign
-            if total:
-                terms[degree] = total
-            else:
-                del terms[degree]
-    return Series(kind, table.cutoff, dict(sorted(terms.items())))
+    return table.grid.series(skew_on_grid(table, forest))
 
 
 # ---------------------------------------------------------------- exports

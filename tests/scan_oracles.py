@@ -11,7 +11,9 @@ against invert(P), and the count recursion summed degree by degree.  A pull
 solve over the closure of the support checks ``series_invert``, which
 pushes each solved coefficient forward instead.  The convolution loop on the
 keys as given, ``Fraction`` sums and comparisons for rational keys, checks
-``convolve``, which runs the same loop on keys scaled to ints.  A subset
+``convolve``, which runs the same loop on keys scaled to ints.  Growth and
+skew series summed on ``Fraction`` degrees read off each element's least
+word check the int grid a presented table keeps its degrees on.  A subset
 walk that tests every later candidate at every node, minimal elements read
 from divisor masks, the tower enumeration built on the two, and an
 lcm-reduction that walks the ground's subsets again check the survivor-pool
@@ -19,25 +21,20 @@ walk, the minimal-element peel and the lcm-reduction read off the forest.
 
 Beside them sit helpers only the tests need: the poset queries ``divides``,
 ``common_multiples`` and ``min_common_multiples`` on the multiple masks,
-``mask_to_ids``, ``series_add`` and ``series_neg`` for the ring laws, and
-the per-height degree floor ``height_headroom_holds``.
+``mask_to_ids``, ``series_add`` and ``series_neg`` for the ring laws,
+``key_add`` and ``first_difference`` on keys as they are, and the
+per-height degree floor ``height_headroom_holds``, which like the oracles
+reads the least positive degree off the table's public degrees.
 """
 import functools
 import operator
+from fractions import Fraction
 
-from skewgrowth.checks import (
-    FAIL,
-    NOT_APPLICABLE,
-    PASS,
-    CheckReport,
-    _first_difference,
-    check_cancellative,
-)
+from skewgrowth.checks import FAIL, NOT_APPLICABLE, PASS, CheckReport, check_cancellative
 from skewgrowth.dirichlet import (
     KeyKind,
     Series,
     growth_series,
-    key_add,
     key_zero,
     render_key,
     series_mul,
@@ -45,13 +42,7 @@ from skewgrowth.dirichlet import (
 )
 from skewgrowth.dirichlet import _check_compatible
 from skewgrowth.errors import NonUnitConstantTermError
-from skewgrowth.towers import (
-    Tower,
-    TowerForest,
-    _min_positive_degree,
-    _validate_ground,
-    skew_growth,
-)
+from skewgrowth.towers import Tower, TowerForest, _validate_ground, skew_growth
 
 
 def mask_to_ids(mask: int) -> list[int]:
@@ -98,6 +89,17 @@ def series_neg(f: Series) -> Series:
     return Series(f.kind, f.cutoff, {k: -c for k, c in f.terms.items()})
 
 
+def key_add(kind, a, b):
+    """a (+) b on keys as they are: a sum of ``Fraction``s, a product of ints."""
+    return a + b if kind is KeyKind.RATIONAL else a * b
+
+
+def first_difference(f: Series, g: Series):
+    """The least key where two series differ; they must differ."""
+    return min(key for key in f.terms.keys() | g.terms.keys()
+               if f.terms.get(key, 0) != g.terms.get(key, 0))
+
+
 def key_repeat(kind, key, times: int):
     """*key* combined with itself *times* times (0 gives the zero key)."""
     return key * times if kind is KeyKind.RATIONAL else key ** times
@@ -105,8 +107,9 @@ def key_repeat(kind, key, times: int):
 
 def height_headroom_holds(table, tower: Tower) -> bool:
     """Degree floor per height: every top element of a height-n tower has
-    degree at least (n + 1) combined copies of the least positive degree."""
-    floor = key_repeat(table.key_kind, _min_positive_degree(table), tower.height + 1)
+    degree at least (n + 1) combined copies of the least positive degree,
+    read off the table's public degrees."""
+    floor = key_repeat(table.key_kind, min(_positive_degrees(table)), tower.height + 1)
     return all(table.degree(eid) >= floor for eid in tower.top)
 
 
@@ -225,7 +228,7 @@ def inversion_two_step(table, forest=None, cancellativity=None) -> CheckReport:
     one = series_one(table.key_kind, table.cutoff)
     notes = f"cancellativity probe: {cancellativity.status}"
     if product != one:
-        bad = _first_difference(product, one)
+        bad = first_difference(product, one)
         return CheckReport(
             name="inversion",
             status=FAIL,
@@ -240,7 +243,7 @@ def inversion_two_step(table, forest=None, cancellativity=None) -> CheckReport:
         )
     inverse = invert_by_closure(growth)
     if skew != inverse:
-        bad = _first_difference(skew, inverse)
+        bad = first_difference(skew, inverse)
         return CheckReport(
             name="inversion",
             status=FAIL,
@@ -302,6 +305,29 @@ def recursion_by_sum(table, forest=None) -> CheckReport:
         notes=f"count recursion holds at all {len(targets)} reachable degrees",
         key_kind=kind,
     )
+
+
+def word_degrees(table) -> list[Fraction]:
+    """The degree of each element of a presented table, as the ``Fraction``
+    sum of its least word's generator degrees."""
+    names = [g.name for g in table.presentation.generators if g.degree <= table.cutoff]
+    return [table.presentation.word_degree([names[i] for i in table.word(e)])
+            for e in table.all_elements()]
+
+
+def series_by_fractions(table, forest) -> tuple[Series, Series]:
+    """Growth and skew series of a presented table, summed on the
+    ``Fraction`` degrees of :func:`word_degrees`; the towers are *forest*'s."""
+    degrees = word_degrees(table)
+    growth: dict = {}
+    for degree in degrees:
+        growth[degree] = growth.get(degree, 0) + 1
+    skew = {Fraction(0): 1}
+    for tower in forest:
+        for eid in tower.top:
+            skew[degrees[eid]] = skew.get(degrees[eid], 0) + tower.sign
+    return (Series.build(KeyKind.RATIONAL, table.cutoff, growth),
+            Series.build(KeyKind.RATIONAL, table.cutoff, skew))
 
 
 def convolve_by_fractions(f: Series, g: Series) -> dict:
@@ -408,7 +434,7 @@ def towers_by_rescan(table, ground=None) -> TowerForest:
         if not ground:
             return TowerForest((), (Tower(()),), ((),))
     ground = _validate_ground(table, poset, ground)
-    d_min = _min_positive_degree(table)
+    d_min = min(_positive_degrees(table))
     towers = [Tower(ground)]
     children = [[]]
     for cursor, tower in enumerate(towers):  # grows while it is read
@@ -449,7 +475,7 @@ def lcm_reduction_by_walk(table, ground=None) -> CheckReport:
     reduced = Series.build(kind, table.cutoff, terms)
     skew = skew_growth(table, forest=forest)
     if reduced != skew:
-        bad = _first_difference(reduced, skew)
+        bad = first_difference(reduced, skew)
         return CheckReport(
             name="lcm-reduction",
             status=FAIL,

@@ -162,6 +162,14 @@ def test_reports_match_the_fraction_kernel(preset, cutoff, monkeypatch):
     def reports():
         return json.dumps([r.to_json() for r in run_all_checks(table)], indent=2)
 
-    scaled = reports()
-    monkeypatch.setattr(checks, "convolve", convolve_by_fractions)
-    assert reports() == scaled
+    def product_by_fractions(table, forest):
+        """P*N of the public Fraction series by the Fraction loop, its keys
+        put on the table's grid where the reports read them."""
+        if forest is None:
+            forest = enumerate_towers(table)
+        product = convolve_by_fractions(growth_series(table), skew_growth(table, forest))
+        return {table.grid.point(key): coeff for key, coeff in product.items()}
+
+    on_grid = reports()
+    monkeypatch.setattr(checks, "_product", product_by_fractions)
+    assert reports() == on_grid

@@ -183,11 +183,22 @@ def test_dot_is_refused_where_not_offered(command, capsys):
     ["cancel-check", "--preset", "example3", "--ground", "aa,ab"],
     ["atoms", "--preset", "zpos:30", "--word-cap", "1"],
     ["growth", "--preset", "mp:p=4,8,16", "--word-cap", "5"],
+    ["towers", "--preset", "example3", "--ground", "1"],
+    ["towers", "--preset", "mp:p=4,8,16", "--ground", "1"],
+    ["towers", "--preset", "zpos:30", "--ground", "1"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     rc = main(argv)
     capsys.readouterr()
     assert rc == 2
+
+
+@pytest.mark.parametrize("preset", ["example3", "braid3", "free:2", "mp:p=4,8,16", "zpos:30"])
+def test_ground_with_the_unit_is_refused(preset, capsys):
+    # every table reads its unit's label "1" back, so each model gives the
+    # same reason
+    assert main(["skew", "--preset", preset, "--ground", "1"]) == 2
+    assert capsys.readouterr().err == "error: ground set may not contain the unit\n"
 
 
 @pytest.mark.parametrize("preset, token", [

@@ -1,16 +1,20 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scan_oracles import atoms_by_scan, cancellative_by_scan, divides, masks_by_scan
+from scan_oracles import (atoms_by_scan, cancellative_by_scan, divides, masks_by_scan,
+                          series_by_fractions, towers_by_rescan, word_degrees)
 from skewgrowth.checks import check_cancellative
+from skewgrowth.dirichlet import growth_series
 from skewgrowth.errors import (CutoffTooLargeError, EmptyAlphabetError, InvalidParamsError,
                                UnknownSymbolError)
 from skewgrowth.models import MultIntegerModel, RewriteModel
 from skewgrowth.presentation import Generator, Presentation, Relation, parse_presentation
 from skewgrowth.presets import builtin, parse_preset
+from skewgrowth.towers import skew_growth
 
 
 def _counts(table):
@@ -136,6 +140,14 @@ def small_presentations(draw):
     the word-closure oracle."""
     degrees = draw(st.lists(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)]),
                             min_size=1, max_size=3))
+    text = _presentation_text(draw, degrees)
+    cutoff = draw(st.sampled_from([Fraction(3), Fraction(4), Fraction(9, 2)]))
+    return parse_presentation(text), cutoff
+
+
+def _presentation_text(draw, degrees) -> str:
+    """Generators a, b, .. of the given degrees and up to 3 homogeneous
+    relations with sides of 1 to 3 letters, as presentation text."""
     names = "abc"[:len(degrees)]
     sides = {}
     for length in (1, 2, 3):
@@ -150,15 +162,42 @@ def small_presentations(draw):
         relations.append(f"rel {' '.join(names[i] for i in lhs)} = "
                          f"{' '.join(names[i] for i in rhs)}")
     text = "".join(f"gen {n} : {d}\n" for n, d in zip(names, degrees))
-    text += "".join(r + "\n" for r in relations)
-    cutoff = draw(st.sampled_from([Fraction(3), Fraction(4), Fraction(9, 2)]))
-    return parse_presentation(text), cutoff
+    return text + "".join(r + "\n" for r in relations)
 
 
 @settings(deadline=None, max_examples=100)
 @given(small_presentations())
 def test_class_graph_matches_word_closure_on_random_presentations(drawn):
     _assert_matches_word_closure(*drawn)
+
+
+@st.composite
+def presentations_on_mixed_grids(draw):
+    """Up to 3 generators whose degrees p/q have q in 1..6 and lie in
+    (1/2, 2], homogeneous relations as in small_presentations, and a cutoff
+    below 3 half-way between two multiples of 1/D, D the lcm of the
+    denominators, so off the degree grid of any table of the presentation."""
+    degree = st.integers(1, 6).flatmap(
+        lambda q: st.integers(q // 2 + 1, 2 * q).map(lambda p: Fraction(p, q)))
+    degrees = draw(st.lists(degree, min_size=1, max_size=3))
+    scale = math.lcm(*(d.denominator for d in degrees))
+    cutoff = Fraction(2 * draw(st.integers(0, 3 * scale - 1)) + 1, 2 * scale)
+    return parse_presentation(_presentation_text(draw, degrees)), cutoff, scale
+
+
+@settings(deadline=None, max_examples=100)
+@given(presentations_on_mixed_grids())
+def test_degrees_on_mixed_grids_match_fraction_sums(drawn):
+    presentation, cutoff, scale = drawn
+    table = RewriteModel(presentation).enumerate_up_to(cutoff)
+    assert [table.degree(e) for e in table.all_elements()] == word_degrees(table)
+    realized = table.realized_degrees()
+    growth, skew = growth_series(table), skew_growth(table)
+    for key in (*realized, *growth.terms, *skew.terms):
+        assert type(key) is Fraction
+    for degree in (cutoff, *(d + Fraction(1, 2 * scale) for d in realized)):
+        assert table.elements_of_degree(degree) == ()
+    assert (growth, skew) == series_by_fractions(table, towers_by_rescan(table))
 
 
 _NAME_POOL = ["a", "b", "ab", "ba", "xy", "z", "w2"]
@@ -183,7 +222,7 @@ def renamed_presentations(draw):
 
 
 def _assert_parse_label_inverts_label(table):
-    for e in range(1, table.n_elements):
+    for e in range(table.n_elements):
         assert table.parse_label(table.label(e)) == e, table.label(e)
 
 
