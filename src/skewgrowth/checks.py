@@ -1,12 +1,13 @@
 """Verification passes over an enumerated monoid table.
 
-Each check returns a :class:`CheckReport`; nothing raises on a negative
-result, so a runner can collect every report before deciding an exit code.
-All verdicts are scoped to the enumerated range: "pass" means no violation
-exists among elements of degree <= cutoff, which is evidence, not a proof
-for the untruncated monoid.  The checks compute on the table's grid ints
-(see :class:`skewgrowth.dirichlet.Grid`); a degree becomes a key only when a
-report names it.
+Each check returns a :class:`CheckReport` built by :func:`_report`; nothing
+raises on a negative result, so a runner can collect every report before
+deciding an exit code.  All verdicts are scoped to the enumerated range:
+"pass" means no violation exists among elements of degree <= cutoff, which is
+evidence, not a proof for the untruncated monoid.  The checks compute on the
+table's grid ints (see :class:`skewgrowth.dirichlet.Grid`).  Inversion,
+recursion and lcm reduction each build a term map that must be all zero and
+fail at its least nonzero int; :func:`run_all_checks` sums N once for all three.
 """
 from __future__ import annotations
 
@@ -47,9 +48,23 @@ class CheckReport:
         }
 
 
+def _report(table, name: str, status: str, at: int | None = None,
+            counterexample: dict | None = None, notes: str = "") -> CheckReport:
+    """A report on *table*: a pass is verified up to the cutoff, a failure
+    up to the grid int *at* where it was found, and a check that does not
+    apply names no degree."""
+    verified = table.cutoff if status == PASS else (None if at is None else table.grid.key(at))
+    return CheckReport(name, status, verified, counterexample, notes, table.key_kind)
+
+
 def _render(table, n: int) -> str:
     """The key at grid int *n*, as text."""
     return render_key(table.key_kind, table.grid.key(n))
+
+
+def _least_nonzero(terms: dict) -> int | None:
+    """The least int with a nonzero coefficient in *terms*, or None."""
+    return min((n for n, coeff in terms.items() if coeff), default=None)
 
 
 # ------------------------------------------------------------- cancellativity
@@ -66,7 +81,7 @@ def check_cancellative(table) -> CheckReport:
     the factor of that least witness an atom, hence a generator, so it is
     the least of the first collisions of the maps.
     """
-    kind, degrees, combine = table.key_kind, table.grid_degrees, table.grid.combine
+    degrees, combine = table.grid_degrees, table.grid.combine
     found = []
     for side, maps in (("left", table.left_maps()), ("right", table.right_maps())):
         for factor, row in zip(table.generators(), maps):
@@ -75,32 +90,16 @@ def check_cancellative(table) -> CheckReport:
                 total = combine(degrees[factor], degrees[witness[1]])
                 found.append((total, degrees[factor], side == "right", factor,
                               side) + witness)
-    if found:
-        total, _, _, factor, side, first, second = min(found)
-        return CheckReport(
-            name="cancellativity",
-            status=FAIL,
-            max_degree_verified=table.grid.key(total),
-            counterexample={
-                "side": side,
-                "factor": table.label(factor),
-                "first": table.label(first),
-                "second": table.label(second),
-                "product_degree": _render(table, total),
-            },
-            notes=(
-                f"{side} multiplication by {table.label(factor)} "
-                f"identifies {table.label(first)} and {table.label(second)}"
-            ),
-            key_kind=kind,
-        )
-    return CheckReport(
-        name="cancellativity",
-        status=PASS,
-        max_degree_verified=table.cutoff,
-        notes="no collision among products of degree <= cutoff",
-        key_kind=kind,
-    )
+    if not found:
+        return _report(table, "cancellativity", PASS,
+                       notes="no collision among products of degree <= cutoff")
+    total, _, _, factor, side, first, second = min(found)
+    factor, first, second = (table.label(e) for e in (factor, first, second))
+    return _report(
+        table, "cancellativity", FAIL, total,
+        {"side": side, "factor": factor, "first": first, "second": second,
+         "product_degree": _render(table, total)},
+        f"{side} multiplication by {factor} identifies {first} and {second}")
 
 
 def _first_collision(row: list[int]):
@@ -117,12 +116,14 @@ def _first_collision(row: list[int]):
 
 # ------------------------------------------------- inversion and recursion
 
-def _product(table, forest: TowerForest | None) -> dict:
+def _skew(table, forest: TowerForest | None) -> dict[int, int]:
+    """N on the table's grid, from *forest*, by default the atoms' towers."""
+    return skew_on_grid(table, forest if forest is not None else enumerate_towers(table))
+
+
+def _product(table, skew: dict[int, int]) -> dict:
     """P*N on the table's grid over every reachable int, sums that cancel
-    to 0 included."""
-    if forest is None:
-        forest = enumerate_towers(table)
-    skew = skew_on_grid(table, forest)
+    to 0 included; *skew* is N on the grid."""
     return convolve_on_grid(table.grid, table.grid_counts().items(), skew.items())
 
 
@@ -138,39 +139,21 @@ def check_inversion(table, forest: TowerForest | None = None,
     """
     if cancellativity is None:
         cancellativity = check_cancellative(table)
-    return _inversion_report(table, _product(table, forest), cancellativity)
+    return _inversion_report(table, _product(table, _skew(table, forest)), cancellativity)
 
 
 def _inversion_report(table, product: dict, cancellativity: CheckReport) -> CheckReport:
     notes = f"cancellativity probe: {cancellativity.status}"
-    deviation = dict(product)
     zero = table.grid.zero
-    deviation[zero] = deviation.get(zero, 0) - 1
-    bad = min((key for key, coeff in deviation.items() if coeff), default=None)
-    if bad is not None:
-        return CheckReport(
-            name="inversion",
-            status=FAIL,
-            max_degree_verified=table.grid.key(bad),
-            counterexample={
-                "degree": _render(table, bad),
-                "product_coefficient": deviation[bad],
-            },
-            notes=f"P*N deviates from 1 first at degree {_render(table, bad)}; {notes}",
-            key_kind=table.key_kind,
-        )
-    return CheckReport(
-        name="inversion",
-        status=PASS,
-        max_degree_verified=table.cutoff,
-        notes=f"P*N == 1 and N == invert(P) up to cutoff; {notes}",
-        key_kind=table.key_kind,
-    )
-
-
-def _first_difference(f: dict, g: dict):
-    """The least key where two term maps differ; they must differ."""
-    return min(key for key in f.keys() | g.keys() if f.get(key, 0) != g.get(key, 0))
+    deviation = {**product, zero: product.get(zero, 0) - 1}  # P*N - 1
+    bad = _least_nonzero(deviation)
+    if bad is None:
+        return _report(table, "inversion", PASS,
+                       notes=f"P*N == 1 and N == invert(P) up to cutoff; {notes}")
+    return _report(
+        table, "inversion", FAIL, bad,
+        {"degree": _render(table, bad), "product_coefficient": deviation[bad]},
+        f"P*N deviates from 1 first at degree {_render(table, bad)}; {notes}")
 
 
 def check_recursion(table, forest: TowerForest | None = None) -> CheckReport:
@@ -183,30 +166,19 @@ def check_recursion(table, forest: TowerForest | None = None) -> CheckReport:
     so this reads the same truncated convolution as the inversion check, at
     every reachable degree, including those where the sum cancels.
     """
-    return _recursion_report(table, _product(table, forest))
+    return _recursion_report(table, _product(table, _skew(table, forest)))
 
 
 def _recursion_report(table, product: dict) -> CheckReport:
-    kind = table.key_kind
-    zero = table.grid.zero
-    bad = min((key for key, coeff in product.items() if coeff and key != zero),
-              default=None)
-    if bad is not None:
-        return CheckReport(
-            name="recursion",
-            status=FAIL,
-            max_degree_verified=table.grid.key(bad),
-            counterexample={"degree": _render(table, bad), "residual": product[bad]},
-            notes=f"count recursion fails first at degree {_render(table, bad)}",
-            key_kind=kind,
-        )
-    return CheckReport(
-        name="recursion",
-        status=PASS,
-        max_degree_verified=table.cutoff,
-        notes=f"count recursion holds at all {len(product.keys() - {zero})} reachable degrees",
-        key_kind=kind,
-    )
+    residuals = {n: coeff for n, coeff in product.items() if n != table.grid.zero}
+    bad = _least_nonzero(residuals)
+    if bad is None:
+        return _report(table, "recursion", PASS,
+                       notes=f"count recursion holds at all {len(residuals)} reachable degrees")
+    return _report(
+        table, "recursion", FAIL, bad,
+        {"degree": _render(table, bad), "residual": residuals[bad]},
+        f"count recursion fails first at degree {_render(table, bad)}")
 
 
 # -------------------------------------------------------------- lcm reduction
@@ -242,61 +214,46 @@ def check_lcm_reduction(table, poset: DivPoset | None = None,
     """
     if forest is None:
         forest = enumerate_towers(table, poset)
-    kind, degrees = table.key_kind, table.grid_degrees
-    terms = {table.grid.zero: 1}
+    return _lcm_report(table, forest, skew_on_grid(table, forest))
+
+
+def _lcm_report(table, forest: TowerForest, skew: dict[int, int]) -> CheckReport:
+    degrees = table.grid_degrees
+    reduced = {table.grid.zero: 1}
     for eid in forest.ground:
-        degree = degrees[eid]
-        terms[degree] = terms.get(degree, 0) - 1
+        reduced[degrees[eid]] = reduced.get(degrees[eid], 0) - 1
     for child in forest.children[0]:
         tower = forest.towers[child]
         subset, tops = tower.stages[0], tower.tops[0]
         if len(tops) > 1:
-            return CheckReport(
-                name="lcm-reduction",
-                status=NOT_APPLICABLE,
-                counterexample={
-                    "subset": [table.label(e) for e in subset],
-                    "minimal_common_multiples": [table.label(e) for e in tops],
-                },
-                notes="a ground subset has several minimal common multiples",
-                key_kind=kind,
-            )
+            return _report(table, "lcm-reduction", NOT_APPLICABLE, None,
+                           {"subset": [table.label(e) for e in subset],
+                            "minimal_common_multiples": [table.label(e) for e in tops]},
+                           "a ground subset has several minimal common multiples")
         degree = degrees[tops[0]]
-        terms[degree] = terms.get(degree, 0) + (-1 if len(subset) % 2 else 1)
-    reduced = {degree: coeff for degree, coeff in terms.items() if coeff}
-    skew = skew_on_grid(table, forest)
-    if reduced != skew:
-        bad = _first_difference(reduced, skew)
-        return CheckReport(
-            name="lcm-reduction",
-            status=FAIL,
-            max_degree_verified=table.grid.key(bad),
-            counterexample={
-                "degree": _render(table, bad),
-                "reduced_coefficient": reduced.get(bad, 0),
-                "tower_coefficient": skew.get(bad, 0),
-            },
-            notes="inclusion-exclusion over unique lcms disagrees with towers",
-            key_kind=kind,
-        )
-    return CheckReport(
-        name="lcm-reduction",
-        status=PASS,
-        max_degree_verified=table.cutoff,
-        notes="unique-lcm inclusion-exclusion reproduces the tower series",
-        key_kind=kind,
-    )
+        reduced[degree] = reduced.get(degree, 0) + (-1 if len(subset) % 2 else 1)
+    difference = {n: reduced.get(n, 0) - skew.get(n, 0) for n in reduced.keys() | skew.keys()}
+    bad = _least_nonzero(difference)
+    if bad is None:
+        return _report(table, "lcm-reduction", PASS,
+                       notes="unique-lcm inclusion-exclusion reproduces the tower series")
+    return _report(
+        table, "lcm-reduction", FAIL, bad,
+        {"degree": _render(table, bad), "reduced_coefficient": reduced.get(bad, 0),
+         "tower_coefficient": skew.get(bad, 0)},
+        "inclusion-exclusion over unique lcms disagrees with towers")
 
 
 def run_all_checks(table, ground=None) -> list[CheckReport]:
-    """The full battery in a stable order, sharing one forest: the towers
-    over *ground*, by default the atoms."""
+    """The full battery in a stable order, sharing one forest, the towers
+    over *ground* (by default the atoms), and the one N summed from it."""
     forest = enumerate_towers(table, ground=ground)
+    skew = skew_on_grid(table, forest)
     cancel = check_cancellative(table)
-    product = _product(table, forest)
+    product = _product(table, skew)
     return [
         cancel,
         _inversion_report(table, product, cancel),
         _recursion_report(table, product),
-        check_lcm_reduction(table, forest=forest),
+        _lcm_report(table, forest, skew),
     ]

@@ -62,6 +62,8 @@ def coerce_key(kind: KeyKind, value):
     if kind is KeyKind.RATIONAL:
         if isinstance(value, float):
             raise MalformedKeyError("floating point is forbidden in degree keys")
+        if isinstance(value, bool):
+            raise MalformedKeyError(f"rational keys must not be bool, got {value!r}")
         try:
             key = Fraction(value)
         except (TypeError, ValueError) as exc:

@@ -255,17 +255,18 @@ class RewriteTable(ElementTable):
         """
         words, lmul = self._words, self._lmul
         degrees, by_degree = self.grid_degrees, self._by_degree
-        nodes: list[tuple[int, int]] = []
-        start = []  # node index of (g, x) is start[g] + x
-        for g, gd in enumerate(self._gen_degrees):
-            lower = by_degree.get(degree - gd, ())
-            start.append(len(nodes) - lower[0] if lower else None)
-            nodes.extend((g, x) for x in lower)
-        if len(nodes) > word_cap:
+        lowers = [by_degree.get(degree - gd, ()) for gd in self._gen_degrees]
+        size = sum(map(len, lowers))  # counted before any pair is built
+        if size > word_cap:
             raise CutoffTooLargeError(
-                f"{len(nodes)} (generator, class) pairs at degree {self.grid.key(degree)} "
+                f"{size} (generator, class) pairs at degree {self.grid.key(degree)} "
                 f"exceed the word cap {word_cap}"
             )
+        nodes: list[tuple[int, int]] = []
+        start = []  # node index of (g, x) is start[g] + x
+        for g, lower in enumerate(lowers):
+            start.append(len(nodes) - lower[0] if lower else None)
+            nodes.extend((g, x) for x in lower)
 
         parent = list(range(len(nodes)))
 

@@ -21,7 +21,7 @@ from skewgrowth.dirichlet import growth_series, series_one
 from skewgrowth.models import RewriteModel
 from skewgrowth.presentation import parse_presentation
 from skewgrowth.presets import parse_preset
-from skewgrowth.towers import enumerate_towers, skew_growth
+from skewgrowth.towers import enumerate_towers, skew_growth, skew_on_grid
 from test_models import small_presentations
 
 LEFT_BAD = parse_presentation("gen a : 1\ngen b : 1\ngen c : 1\nrel a b = a c\n")
@@ -162,14 +162,36 @@ def test_reports_match_the_fraction_kernel(preset, cutoff, monkeypatch):
     def reports():
         return json.dumps([r.to_json() for r in run_all_checks(table)], indent=2)
 
-    def product_by_fractions(table, forest):
+    def product_by_fractions(table, skew):
         """P*N of the public Fraction series by the Fraction loop, its keys
         put on the table's grid where the reports read them."""
-        if forest is None:
-            forest = enumerate_towers(table)
-        product = convolve_by_fractions(growth_series(table), skew_growth(table, forest))
+        product = convolve_by_fractions(growth_series(table), table.grid.series(skew))
         return {table.grid.point(key): coeff for key, coeff in product.items()}
 
     on_grid = reports()
     monkeypatch.setattr(checks, "_product", product_by_fractions)
     assert reports() == on_grid
+
+
+def test_battery_sums_n_once(braid3_table, monkeypatch):
+    calls = []
+
+    def counted(table, forest):
+        calls.append(forest)
+        return skew_on_grid(table, forest)
+
+    monkeypatch.setattr(checks, "skew_on_grid", counted)
+    reports = run_all_checks(braid3_table)
+    assert len(calls) == 1
+    assert [r.status for r in reports] == [PASS, PASS, PASS, PASS]
+
+
+def test_lcm_reduction_fails_at_the_least_wrong_term_of_n(braid3_table):
+    forest = enumerate_towers(braid3_table)
+    assert skew_on_grid(braid3_table, forest) == {0: 1, 1: -2, 3: 1}
+    report = checks._lcm_report(braid3_table, forest, {0: 1, 1: -1, 3: 2})
+    assert report.status == FAIL
+    assert report.max_degree_verified == 1
+    assert report.counterexample == {
+        "degree": "1", "reduced_coefficient": -2, "tower_coefficient": -1,
+    }

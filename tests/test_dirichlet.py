@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from scan_oracles import convolve_by_fractions, invert_by_closure, series_add, series_neg
 from skewgrowth.dirichlet import (
@@ -47,6 +47,19 @@ def test_coerce_rejects_bad_values():
         coerce_key(M, 0)
     with pytest.raises(MalformedKeyError):
         coerce_key(M, True)
+    with pytest.raises(MalformedKeyError):
+        coerce_key(R, False)
+
+
+def test_rational_series_refuse_bool_keys():
+    with pytest.raises(MalformedKeyError):
+        Series.build(R, 8, {True: 2})
+    with pytest.raises(MalformedKeyError):
+        Series.build(R, True, {})
+    with pytest.raises(MalformedKeyError):
+        series_from_json({"key_kind": "rational", "cutoff": True, "terms": [[False, "1"]]})
+    with pytest.raises(MalformedKeyError):
+        series_from_json({"key_kind": "rational", "cutoff": "8", "terms": [[False, "1"]]})
 
 
 @given(st.fractions(min_value=0, max_value=100))
@@ -191,6 +204,7 @@ def test_invert_matches_closure_solve(f_rational, f_multint):
         assert series_invert(descending) == invert_by_closure(f)
 
 
+@settings(deadline=None)  # the Fraction oracle alone can take 0.2 s on one draw
 @given(_invertible(_series_on_mixed_denominators(1).map(lambda drawn: drawn[0])))
 def test_invert_matches_closure_solve_on_mixed_denominators(f):
     inverse = series_invert(f)

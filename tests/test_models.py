@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -315,6 +316,26 @@ def test_word_cap_guard():
     )
     with pytest.raises(CutoffTooLargeError):
         model.enumerate_up_to(Fraction(8))
+
+
+def test_word_cap_trips_before_the_pairs_are_built():
+    # free:26 fills the cap 26**3 at degree 3; degree 4 would hold 26**4 pairs
+    def peak_bytes(cutoff):
+        model = parse_preset("free:26")
+        model.word_cap = 26 ** 3
+        tracemalloc.start()
+        try:
+            model.enumerate_up_to(Fraction(cutoff))
+        except CutoffTooLargeError as exc:
+            assert str(exc) == ("456976 (generator, class) pairs at degree 4 "
+                                "exceed the word cap 17576")
+        else:
+            assert cutoff == 3
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return peak
+
+    assert peak_bytes(4) < 2 * peak_bytes(3)
 
 
 def test_determinism_across_fresh_models():
