@@ -106,6 +106,8 @@ def _first_collision(row: list[int]):
     """(first, second): the least id second with row[second] equal to an
     earlier value, and the least such earlier id first; None when row is
     injective."""
+    if len(set(row)) == len(row):
+        return None
     seen: dict = {}
     for x, result in enumerate(row):
         if result in seen:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .checks import check_cancellative, run_all_checks
 from .dirichlet import KeyKind, Series, growth_series, key_to_json, render_key, series_to_json
-from .errors import InvalidGroundError, SkewGrowthError
+from .errors import InvalidGroundError, PresentationParseError, SkewGrowthError
 from .models import RewriteModel
 from .presentation import parse_presentation
 from .presets import parse_preset
@@ -131,7 +131,13 @@ def _build_model(args):
         return parse_preset(args.preset)
     if args.file:
         path = Path(args.file)
-        presentation = parse_presentation(path.read_text(encoding="utf-8"))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise PresentationParseError(f"{path} is not UTF-8 text: byte "
+                                         f"0x{exc.object[exc.start]:02x} at offset "
+                                         f"{exc.start}") from None
+        presentation = parse_presentation(text)
         return RewriteModel(presentation, name=path.stem)
     raise SkewGrowthError("one of --preset or --file is required")
 

@@ -21,10 +21,12 @@ Two model families live here:
   g followed by a word of some class x of degree d - deg(g), so the pairs
   (g, x) are the nodes of a graph, relations applied at the front of a word
   are its edges, and the classes of degree d are its connected components.
-  Each class keeps its shortlex-least word (length, then declaration order)
-  and the left-multiplication maps g*x; products fold a word through those
-  maps.  A cap on the nodes per degree turns runaway enumerations into a
-  clean error.
+  Classes are ordered by their shortlex-least words (length, then
+  declaration order).  No word is stored: each class keeps its least word's
+  first letter and length and its tail, the class of the rest of that word,
+  so a word is read down the chain of tails.  The left-multiplication maps
+  g*x are kept too, and products fold a word through them.  A cap on the
+  nodes per degree turns runaway enumerations into a clean error.
 
 * :class:`MultIntegerModel` is the positive integers under multiplication
   with multiplicative-integer degree keys; enumeration up to a cutoff just
@@ -36,7 +38,9 @@ from __future__ import annotations
 
 import abc
 import math
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .dirichlet import Grid, KeyKind, coerce_key, key_zero
@@ -219,7 +223,8 @@ class RewriteTable(ElementTable):
         self._letters = {n: i for i, n in enumerate(self._gen_names)}
 
         # relations whose sides fit under the cutoff, as index tuples with
-        # both orientations collapsed to one unordered pair, and their degree
+        # both orientations collapsed to one unordered pair, and their degree;
+        # each side is kept as its first letter and the rest
         rules: set[tuple[tuple[int, ...], tuple[int, ...], int]] = set()
         for rel in presentation.relations:
             if any(n not in self._letters for n in rel.lhs + rel.rhs):
@@ -230,12 +235,15 @@ class RewriteTable(ElementTable):
                 continue
             degree = sum(self._gen_degrees[i] for i in lhs)
             rules.add((min(lhs, rhs), max(lhs, rhs), degree))
-        self._rules = sorted(rules)
+        self._rules = [(degree, lhs[0], lhs[1:], rhs[0], rhs[1:])
+                       for lhs, rhs, degree in sorted(rules)]
 
         super().__init__(grid, [0], {0: (0,)})  # the levels are added in place
-        self._words: list[tuple[int, ...]] = [()]
-        # _tails[x] is the class of the least word of x without its first letter
+        # the least word of class x is _firsts[x] followed by the least word
+        # of class _tails[x], and has _lengths[x] letters
+        self._firsts = [0]
         self._tails = [0]
+        self._lengths = [0]
         # _lmul[g][x] is the id of g*x, for every class x with
         # deg(x) + deg(g) <= cutoff; lists grow in id order
         self._lmul: list[list[int]] = [[] for _ in self._gen_names]
@@ -250,10 +258,17 @@ class RewriteTable(ElementTable):
         pair (g, x) is a node.  A substitution strictly inside w stays within
         its node; one at the front uses a relation g*u = h*u' and joins
         (g, [u*y]) with (h, [u'*y]) for a class y of degree deg - deg(g*u).
-        The classes are the connected components, each named by the
-        shortlex-least g + word(x) among its nodes; that x is its tail.
+        The classes are the connected components.
+
+        The least word of node (g, x) is g + word(x).  The classes of one
+        degree have ascending ids in shortlex order, so those words are in
+        shortlex order exactly when the int triples (len(x), g, x) are.  The
+        nodes are laid out in that order and every union keeps the smaller
+        position as root, so each root is its component's least node: one
+        pass in node order numbers the roots, and a root's g and x are its
+        class's first letter and tail.
         """
-        words, lmul = self._words, self._lmul
+        lengths, lmul = self._lengths, self._lmul
         degrees, by_degree = self.grid_degrees, self._by_degree
         lowers = [by_degree.get(degree - gd, ()) for gd in self._gen_degrees]
         size = sum(map(len, lowers))  # counted before any pair is built
@@ -262,13 +277,26 @@ class RewriteTable(ElementTable):
                 f"{size} (generator, class) pairs at degree {self.grid.key(degree)} "
                 f"exceed the word cap {word_cap}"
             )
-        nodes: list[tuple[int, int]] = []
-        start = []  # node index of (g, x) is start[g] + x
+        # runs (len(x), g, x, stop) of one g and one length: a lower level's
+        # ids are contiguous and its lengths ascend with them.  Node (g, x)
+        # sits at position shift[g, len(x)] + x.
+        runs = []
         for g, lower in enumerate(lowers):
-            start.append(len(nodes) - lower[0] if lower else None)
-            nodes.extend((g, x) for x in lower)
+            x, end = (lower[0], lower[-1] + 1) if lower else (0, 0)
+            while x < end:
+                stop = bisect_right(lengths, lengths[x], x, end)
+                runs.append((lengths[x], g, x, stop))
+                x = stop
+        runs.sort()
+        shift = {}
+        node_g: list[int] = []
+        node_x: list[int] = []
+        for length, g, x, stop in runs:
+            shift[g, length] = len(node_x) - x
+            node_g.extend(repeat(g, stop - x))
+            node_x.extend(range(x, stop))
 
-        parent = list(range(len(nodes)))
+        parent = list(range(size))
 
         def find(i: int) -> int:
             while parent[i] != i:
@@ -276,31 +304,36 @@ class RewriteTable(ElementTable):
                 i = parent[i]
             return i
 
-        for lhs, rhs, rule_degree in self._rules:
+        fold = self._fold
+        for rule_degree, g, u, h, v in self._rules:
             for y in by_degree.get(degree - rule_degree, ()):
-                a = find(start[lhs[0]] + self._fold(lhs[1:], y))
-                b = find(start[rhs[0]] + self._fold(rhs[1:], y))
+                x, z = fold(u, y), fold(v, y)
+                a = find(shift[g, lengths[x]] + x)
+                b = find(shift[h, lengths[z]] + z)
                 if a != b:
-                    parent[b] = a
+                    parent[max(a, b)] = min(a, b)
 
-        least: dict[int, tuple[tuple[int, tuple[int, ...]], int]] = {}  # (shortlex key, tail)
-        for i, (g, x) in enumerate(nodes):
-            word = (g,) + words[x]
-            key = (len(word), word)
-            root = find(i)
-            best = least.get(root)
-            if best is None or key < best[0]:
-                least[root] = (key, x)
-        order = sorted(least, key=least.get)
-        eid_of = {root: len(degrees) + rank for rank, root in enumerate(order)}
-        for root in order:
-            (_, word), tail = least[root]
-            degrees.append(degree)
-            words.append(word)
-            self._tails.append(tail)
-        by_degree[degree] = tuple(eid_of[root] for root in order)
-        for i, (g, _) in enumerate(nodes):
-            lmul[g].append(eid_of[find(i)])
+        # parent[p] < p for every non-root p, so its id is known by then
+        first = eid = len(degrees)
+        ids: list[int] = []
+        roots: list[int] = []
+        for p, q in enumerate(parent):
+            if p == q:
+                roots.append(p)
+                ids.append(eid)
+                eid += 1
+            else:
+                ids.append(ids[q])
+        tails = list(map(node_x.__getitem__, roots))
+        self._firsts += map(node_g.__getitem__, roots)
+        self._tails += tails
+        lengths += [lengths[x] + 1 for x in tails]
+        degrees += repeat(degree, len(roots))
+        by_degree[degree] = tuple(range(first, eid))
+        offset = 0  # a run's nodes sit side by side, and x ascends in g's runs
+        for _, g, x, stop in runs:
+            lmul[g] += ids[offset:offset + stop - x]
+            offset += stop - x
 
     def _fold(self, word: Sequence[int], x: int) -> int | None:
         """Id of word*x, multiplying in the letters of word right to left,
@@ -317,7 +350,13 @@ class RewriteTable(ElementTable):
     # -- queries ---------------------------------------------------------------
 
     def word(self, eid: int) -> tuple[int, ...]:
-        return self._words[eid]
+        """The shortlex-least word of class eid, read down its tail chain."""
+        firsts, tails = self._firsts, self._tails
+        word = []
+        while eid:
+            word.append(firsts[eid])
+            eid = tails[eid]
+        return tuple(word)
 
     def class_of_word(self, word: Sequence[int]) -> int | None:
         """Element id of an arbitrary word, or None past the cutoff."""
@@ -347,7 +386,7 @@ class RewriteTable(ElementTable):
         return self.class_of_word([letters[part] for part in parts])
 
     def product(self, u: int, v: int) -> int | None:
-        return self._fold(self._words[u], v)
+        return self._fold(self.word(u), v)
 
     def generators(self) -> tuple[int, ...]:
         return tuple(sorted({row[0] for row in self._lmul}))
@@ -361,12 +400,12 @@ class RewriteTable(ElementTable):
         if left:
             rows = {row[0]: row for row in self._lmul}
             return [rows[g] for g in self.generators()]
-        words, tails, lmul = self._words, self._tails, self._lmul
+        firsts, tails, lmul = self._firsts, self._tails, self._lmul
         maps = []
         for g in self.generators():
             row = [g]
             for x in range(1, self.n_elements):
-                first, y = lmul[words[x][0]], row[tails[x]]
+                first, y = lmul[firsts[x]], row[tails[x]]
                 if y >= len(first):
                     break
                 row.append(first[y])
@@ -374,10 +413,9 @@ class RewriteTable(ElementTable):
         return maps
 
     def label(self, eid: int) -> str:
-        word = self._words[eid]
-        if not word:
+        if eid == self.unit:
             return "1"
-        return self._joiner.join(self._gen_names[i] for i in word)
+        return self._joiner.join(self._gen_names[i] for i in self.word(eid))
 
 
 def _degree_closure(gen_degrees: Iterable[int], top: int) -> list[int]:

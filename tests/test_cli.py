@@ -13,6 +13,7 @@ from skewgrowth.cli import main
 
 GOLDEN = sorted((Path(__file__).parent / "golden").glob("*.txt"))
 SCRIPTS = Path(__file__).parent.parent / "scripts"
+NOT_UTF8 = Path(__file__).parent / "data" / "not_utf8.txt"  # holds byte 0xff
 
 
 def _run(argv, capsys):
@@ -186,11 +187,18 @@ def test_dot_is_refused_where_not_offered(command, capsys):
     ["towers", "--preset", "example3", "--ground", "1"],
     ["towers", "--preset", "mp:p=4,8,16", "--ground", "1"],
     ["towers", "--preset", "zpos:30", "--ground", "1"],
+    ["growth", "--file", str(NOT_UTF8)],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     rc = main(argv)
     capsys.readouterr()
     assert rc == 2
+
+
+def test_file_that_is_not_utf8_names_the_file(capsys):
+    assert main(["growth", "--file", str(NOT_UTF8)]) == 2
+    assert capsys.readouterr().err == (f"error: {NOT_UTF8} is not UTF-8 text: "
+                                       f"byte 0xff at offset 14\n")
 
 
 @pytest.mark.parametrize("preset", ["example3", "braid3", "free:2", "mp:p=4,8,16", "zpos:30"])

@@ -115,6 +115,8 @@ def _assert_matches_word_closure(presentation, cutoff):
     labels, degrees, class_of = _word_closure(presentation, cutoff)
     assert [table.label(e) for e in table.all_elements()] == labels
     assert [table.degree(e) for e in table.all_elements()] == degrees
+    assert [table.class_of_word(table.word(e)) for e in table.all_elements()] == list(
+        table.all_elements())
     for u in table.all_elements():
         for v in table.all_elements():
             expected = None
@@ -199,6 +201,15 @@ def test_degrees_on_mixed_grids_match_fraction_sums(drawn):
     for degree in (cutoff, *(d + Fraction(1, 2 * scale) for d in realized)):
         assert table.elements_of_degree(degree) == ()
     assert (growth, skew) == series_by_fractions(table, towers_by_rescan(table))
+
+
+@settings(deadline=None, max_examples=100)
+@given(presentations_on_mixed_grids())
+def test_class_graph_matches_word_closure_on_mixed_grids(drawn):
+    # word lengths vary most within one degree here, which is where the
+    # shortlex order of g + word(x) differs most from the order of (g, x)
+    presentation, cutoff, _ = drawn
+    _assert_matches_word_closure(presentation, cutoff)
 
 
 _NAME_POOL = ["a", "b", "ab", "ba", "xy", "z", "w2"]
