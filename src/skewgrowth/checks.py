@@ -109,11 +109,10 @@ def _first_collision(row: list[int]):
     if len(set(row)) == len(row):
         return None
     seen: dict = {}
-    for x, result in enumerate(row):
+    for x, result in enumerate(row):  # a row with a repeat returns in here
         if result in seen:
             return seen[result], x
         seen[result] = x
-    return None
 
 
 # ------------------------------------------------- inversion and recursion

@@ -2,10 +2,11 @@
 
 The central object is the :class:`ElementTable`: a frozen enumeration of all
 elements of degree <= cutoff, with degree and product queries.  Its
-algebraic core is the maps that multiply by each member of a generating
-set, on the left and on the right; the atoms, the divisibility poset and the
-cancellativity probe are all derived from them.  Tables are immutable after
-construction and safe to share across threads.
+algebraic core is one row of ids g*x per letter g and a split of each
+element as a letter times a tail; products, the generator maps on both
+sides and the atoms derive from them in the base class, and the
+divisibility poset and the cancellativity probe read the maps.  Tables are
+immutable after construction and safe to share across threads.
 
 Degrees are stored on the table's :class:`~skewgrowth.dirichlet.Grid`: as
 ints n meaning n/D for rational keys, D the lcm of the generators'
@@ -22,15 +23,13 @@ Two model families live here:
   (g, x) are the nodes of a graph, relations applied at the front of a word
   are its edges, and the classes of degree d are its connected components.
   Classes are ordered by their shortlex-least words (length, then
-  declaration order).  No word is stored: each class keeps its least word's
-  first letter and length and its tail, the class of the rest of that word,
-  so a word is read down the chain of tails.  The left-multiplication maps
-  g*x are kept too, and products fold a word through them.  A cap on the
-  nodes per degree turns runaway enumerations into a clean error.
+  declaration order).  No word is stored: a class splits as its least
+  word's first letter and its tail, the class of the rest of that word.  A
+  cap on the nodes per degree turns runaway enumerations into a clean error.
 
 * :class:`MultIntegerModel` is the positive integers under multiplication
-  with multiplicative-integer degree keys; enumeration up to a cutoff just
-  lists 1..cutoff.
+  with multiplicative-integer degree keys: 1..cutoff, one letter per prime,
+  and n split as its least prime factor times the rest.
 
 The normal-form family model is in :mod:`skewgrowth.mp_family`.
 """
@@ -57,15 +56,20 @@ class ElementTable(abc.ABC):
     Element ids are dense integers ordered by (degree, canonical form);
     id 0 is always the unit.  The table is complete and duplicate-free for
     every degree <= cutoff.  ``grid_degrees[e]`` is the degree of e as an
-    int on ``grid``.
+    int on ``grid``.  A table supplies its multiplication and nothing
+    else: ``lmul[g][x]``, the id of g*x for letter g over the id prefix x
+    with deg(x) + deg(g) <= cutoff, and any split of each non-unit x as the
+    letter ``firsts[x]`` times ``tails[x]`` (the unit's entries are unread).
     """
 
-    def __init__(self, grid: Grid, degrees: list[int], by_degree: dict[int, tuple[int, ...]]):
+    def __init__(self, grid: Grid, degrees: list[int], by_degree: dict[int, tuple[int, ...]],
+                 lmul: list[list[int]], firsts: list[int], tails: list[int]):
         self.grid = grid
         self.key_kind = grid.kind
         self.cutoff = grid.cutoff
         self.grid_degrees = degrees
         self._by_degree = by_degree
+        self._lmul, self._firsts, self._tails = lmul, firsts, tails
         self._atoms: tuple[int, ...] | None = None
         self._left_maps: list[list[int]] | None = None
         self._right_maps: list[list[int]] | None = None
@@ -99,11 +103,6 @@ class ElementTable(abc.ABC):
         return range(len(self.grid_degrees))
 
     @abc.abstractmethod
-    def product(self, u: int, v: int) -> int | None:
-        """Element id of u*v, or None when the degree exceeds the cutoff.
-        Out-of-range is an expected value, not a failure."""
-
-    @abc.abstractmethod
     def label(self, eid: int) -> str:
         """Canonical human-readable form; stable across runs and cutoffs."""
 
@@ -112,25 +111,58 @@ class ElementTable(abc.ABC):
         """Inverse of label: the id of the element *text* names, or None
         past the cutoff.  Text that names no element raises."""
 
-    @abc.abstractmethod
+    def word(self, eid: int) -> tuple[int, ...]:
+        """The letters of eid, read down its chain of tails."""
+        firsts, tails = self._firsts, self._tails
+        word = []
+        while eid:
+            word.append(firsts[eid])
+            eid = tails[eid]
+        return tuple(word)
+
+    def _fold(self, word: Sequence[int], x: int) -> int | None:
+        """Id of word*x, multiplying in the letters of word right to left,
+        or None past the cutoff.  Ids are ordered by degree, so _lmul[g]
+        covers exactly the ids below its length."""
+        lmul = self._lmul
+        for g in reversed(word):
+            row = lmul[g]
+            if x >= len(row):
+                return None
+            x = row[x]
+        return x
+
+    def product(self, u: int, v: int) -> int | None:
+        """Element id of u*v, or None when the degree exceeds the cutoff.
+        Out-of-range is an expected value, not a failure."""
+        return self._fold(self.word(u), v)
+
     def generators(self) -> tuple[int, ...]:
-        """Ids of a generating set within the cutoff, ascending.  Every
-        atom is among them."""
+        """Ids of the letters within the cutoff, ascending.  Every atom is
+        among them."""
+        return tuple(sorted({row[0] for row in self._lmul if row}))
 
     # -- generator maps --------------------------------------------------------
 
     def _generator_maps(self, left: bool) -> list[list[int]]:
         """One map per generator g, x -> g*x (left) or x -> x*g, over the
-        ids x with deg(x) + deg(g) <= cutoff.  Ids are ordered by degree, so
-        those ids are a prefix and the first None ends the map."""
+        ids x with deg(x) + deg(g) <= cutoff.  The left map is g's row, and
+        letters naming the same element have the same row.  On the right,
+        x*g is f*(t*g) for x split as f*t: f's row at the entry for t, which
+        has the smaller id, so the map holds it by then.  The first entry
+        past the cutoff ends the map."""
+        if left:
+            rows = {row[0]: row for row in self._lmul if row}
+            return [rows[g] for g in self.generators()]
+        firsts, tails, lmul = self._firsts, self._tails, self._lmul
         maps = []
         for g in self.generators():
-            row = []
-            for x in self.all_elements():
-                y = self.product(g, x) if left else self.product(x, g)
-                if y is None:
+            row = [g]
+            for x in range(1, self.n_elements):
+                first, y = lmul[firsts[x]], row[tails[x]]
+                if y >= len(first):
                     break
-                row.append(y)
+                row.append(first[y])
             maps.append(row)
         return maps
 
@@ -149,12 +181,15 @@ class ElementTable(abc.ABC):
     # -- atoms ---------------------------------------------------------------
 
     def atoms(self) -> tuple[int, ...]:
-        """Elements u != 1 with no proper divisor besides the unit: the
-        non-units that are not y*g for a non-unit y and a generator g.
-        Exact at every degree <= cutoff."""
+        """Elements u != 1 with no proper divisor besides the unit.  Every
+        atom is a generator, and a generator g is not one exactly when it
+        is h*y for a generator h and a non-unit y, whose id is then below
+        g's.  Exact at every degree <= cutoff."""
         if self._atoms is None:
-            non_atoms = {y for row in self.right_maps() for y in row[1:]}
-            self._atoms = tuple(e for e in range(1, self.n_elements) if e not in non_atoms)
+            gens = self.generators()
+            top = max(gens, default=0)
+            non_atoms = {y for row in self.left_maps() for y in row[1:top]}
+            self._atoms = tuple(g for g in gens if g not in non_atoms)
         return self._atoms
 
     def poset(self):
@@ -175,6 +210,14 @@ def _validate_cutoff(key_kind: KeyKind, cutoff):
     if cutoff <= key_zero(key_kind):
         raise MalformedKeyError(f"cutoff must exceed the zero degree, got {cutoff}")
     return cutoff
+
+
+def _check_size(count: int, cutoff):
+    """Refuse a table of *count* elements past the word cap, before any
+    list is built."""
+    if count > DEFAULT_WORD_CAP:
+        raise CutoffTooLargeError(f"{count} elements up to cutoff {cutoff} exceed "
+                                  f"the word cap {DEFAULT_WORD_CAP}")
 
 
 def _natural(text: str, token: str) -> int:
@@ -238,15 +281,10 @@ class RewriteTable(ElementTable):
         self._rules = [(degree, lhs[0], lhs[1:], rhs[0], rhs[1:])
                        for lhs, rhs, degree in sorted(rules)]
 
-        super().__init__(grid, [0], {0: (0,)})  # the levels are added in place
-        # the least word of class x is _firsts[x] followed by the least word
-        # of class _tails[x], and has _lengths[x] letters
-        self._firsts = [0]
-        self._tails = [0]
+        # the levels are added in place; the least word of class x has
+        # _lengths[x] letters
+        super().__init__(grid, [0], {0: (0,)}, [[] for _ in kept], [0], [0])
         self._lengths = [0]
-        # _lmul[g][x] is the id of g*x, for every class x with
-        # deg(x) + deg(g) <= cutoff; lists grow in id order
-        self._lmul: list[list[int]] = [[] for _ in self._gen_names]
         for degree in _degree_closure(self._gen_degrees, grid.top)[1:]:
             self._close_level(degree, word_cap)
 
@@ -335,28 +373,7 @@ class RewriteTable(ElementTable):
             lmul[g] += ids[offset:offset + stop - x]
             offset += stop - x
 
-    def _fold(self, word: Sequence[int], x: int) -> int | None:
-        """Id of word*x, multiplying in the letters of word right to left,
-        or None past the cutoff.  Ids are ordered by degree, so _lmul[g]
-        covers exactly the ids below its length."""
-        lmul = self._lmul
-        for g in reversed(word):
-            row = lmul[g]
-            if x >= len(row):
-                return None
-            x = row[x]
-        return x
-
     # -- queries ---------------------------------------------------------------
-
-    def word(self, eid: int) -> tuple[int, ...]:
-        """The shortlex-least word of class eid, read down its tail chain."""
-        firsts, tails = self._firsts, self._tails
-        word = []
-        while eid:
-            word.append(firsts[eid])
-            eid = tails[eid]
-        return tuple(word)
 
     def class_of_word(self, word: Sequence[int]) -> int | None:
         """Element id of an arbitrary word, or None past the cutoff."""
@@ -384,33 +401,6 @@ class RewriteTable(ElementTable):
         if not all(part in letters for part in parts):
             return None  # a generator heavier than the cutoff
         return self.class_of_word([letters[part] for part in parts])
-
-    def product(self, u: int, v: int) -> int | None:
-        return self._fold(self.word(u), v)
-
-    def generators(self) -> tuple[int, ...]:
-        return tuple(sorted({row[0] for row in self._lmul}))
-
-    def _generator_maps(self, left: bool) -> list[list[int]]:
-        """The class graph already stores g*x for every letter g, and
-        letters naming the same element have the same map.  On the right,
-        x*g is f*(t*g) for x's least word f + word(t), t its tail: the left
-        map of f at the entry for t, which has the smaller id, so the row
-        holds it by then.  The first entry past the cutoff ends the row."""
-        if left:
-            rows = {row[0]: row for row in self._lmul}
-            return [rows[g] for g in self.generators()]
-        firsts, tails, lmul = self._firsts, self._tails, self._lmul
-        maps = []
-        for g in self.generators():
-            row = [g]
-            for x in range(1, self.n_elements):
-                first, y = lmul[firsts[x]], row[tails[x]]
-                if y >= len(first):
-                    break
-                row.append(first[y])
-            maps.append(row)
-        return maps
 
     def label(self, eid: int) -> str:
         if eid == self.unit:
@@ -457,24 +447,23 @@ class MultIntegerModel:
 
 class MultIntTable(ElementTable):
     def __init__(self, cutoff: int):
+        _check_size(cutoff, cutoff)
+        # lpf[n] is the least prime factor of n: each p writes its multiples
+        # from p*p on, the larger first, so the least prime writes last
+        lpf = list(range(cutoff + 1))
+        for p in range(math.isqrt(cutoff), 1, -1):
+            lpf[p * p::p] = [p] * ((cutoff - p * p) // p + 1)
+        primes = [p for p in range(2, cutoff + 1) if lpf[p] == p]
+        letter = {p: i for i, p in enumerate(primes)}
         degrees = list(range(1, cutoff + 1))
-        by_degree = {n: (n - 1,) for n in degrees}
-        super().__init__(Grid(KeyKind.MULTINT, cutoff), degrees, by_degree)
+        super().__init__(Grid(KeyKind.MULTINT, cutoff), degrees,
+                         {n: (n - 1,) for n in degrees},
+                         [[(x + 1) * p - 1 for x in range(cutoff // p)] for p in primes],
+                         [0] + [letter[lpf[n]] for n in degrees[1:]],
+                         [0] + [n // lpf[n] - 1 for n in degrees[1:]])
 
     def element_id(self, n: int) -> int | None:
         return n - 1 if 1 <= n <= self.cutoff else None
-
-    def product(self, u: int, v: int) -> int | None:
-        n = (u + 1) * (v + 1)
-        return n - 1 if n <= self.cutoff else None
-
-    def generators(self) -> tuple[int, ...]:
-        """The primes up to the cutoff, from a sieve of Eratosthenes."""
-        is_prime = bytearray([1]) * (self.cutoff + 1)
-        for n in range(2, math.isqrt(self.cutoff) + 1):
-            if is_prime[n]:
-                is_prime[n * n::n] = bytes(len(is_prime[n * n::n]))
-        return tuple(n - 1 for n in range(2, self.cutoff + 1) if is_prime[n])
 
     def label(self, eid: int) -> str:
         return str(eid + 1)

@@ -15,11 +15,12 @@ with ``n >= 0`` and each ``e_k`` either 0 or 1.  Generator degrees
 make the degree map injective.
 
 The enumerated table (`MpTable`) is addressed by degree: a degree names
-one element, so the product of two ids is the id of the summed degree, and
-a label is read back as the sum of its letters' degrees.  Degrees are kept
-as ints on the grid of step 1/2^K, where every d_k lies, so a product is
-one int sum and one dict lookup.  The normal-form
-reducer that the tests hold the table to lives in ``tests/mp_reference.py``.
+one element, so the row of letter a_k maps x to the id of deg(x) + d_k, an
+element splits as a_0 (or, with no a_0, its lowest flagged letter) times the
+id of the degree less that letter's, and a label is read back as the sum of
+its letters' degrees.  Degrees are kept as ints on the grid of step 1/2^K,
+where every d_k lies.  The normal-form reducer that the tests hold the
+table to lives in ``tests/mp_reference.py``.
 
 Depth truncation is transparent: quotients of depth <= K elements have
 depth <= K, so the truncated family is a full submonoid and every answer
@@ -29,12 +30,13 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .dirichlet import Grid, KeyKind
 from .errors import InvalidGroundError, InvalidParamsError
-from .models import ElementTable, _integer, _natural, _validate_cutoff
+from .models import ElementTable, _check_size, _integer, _natural, _validate_cutoff
 from .presentation import Generator, Presentation, Relation
 
 
@@ -127,31 +129,28 @@ class MpTable(ElementTable):
     def __init__(self, spec: MpSpec, cutoff: Fraction):
         self.spec = spec
         grid = Grid(KeyKind.RATIONAL, cutoff, 2 ** spec.depth)
-        self._gen_degrees = [grid.point(d) for d in spec.degrees]
-        step, *flagged = self._gen_degrees
-        triples: list[tuple[int, int, tuple[int, ...]]] = []
-        for pattern in itertools.product((0, 1), repeat=spec.depth):
-            base = sum(d for d, bit in zip(flagged, pattern) if bit)
-            triples += [(base + n * step, n, pattern)
-                        for n in range((grid.top - base) // step + 1)]
-        triples.sort()  # degrees are all distinct
+        self._gen_degrees = gen_degrees = [grid.point(d) for d in spec.degrees]
+        step, *flagged = gen_degrees
+        patterns = [(sum(d for d, bit in zip(flagged, pattern) if bit), pattern)
+                    for pattern in itertools.product((0, 1), repeat=spec.depth)]
+        _check_size(sum(max(0, (grid.top - base) // step + 1) for base, _ in patterns), cutoff)
+        triples = sorted((base + n * step, n, pattern) for base, pattern in patterns
+                         for n in range((grid.top - base) // step + 1))  # degrees are distinct
         self._forms = [(n, pattern) for _, n, pattern in triples]
         degrees = [d for d, _, _ in triples]
-        self._ids = {d: i for i, d in enumerate(degrees)}
-        super().__init__(grid, degrees, {d: (i,) for d, i in self._ids.items()})
+        self._ids = ids = {d: i for i, d in enumerate(degrees)}
+        # row k: the ids of deg(x) + d_k, up to the first degree past the
+        # cutoff; x splits off a0 when n > 0, else its lowest flagged letter
+        firsts = [0 if n else pattern.index(1) + 1 for n, pattern in self._forms[1:]]
+        super().__init__(grid, degrees, {d: (i,) for d, i in ids.items()},
+                         [[ids[d + gd] for d in degrees[:bisect_right(degrees, grid.top - gd)]]
+                          for gd in gen_degrees],
+                         [0, *firsts],
+                         [0, *(ids[d - gen_degrees[f]] for d, f in zip(degrees[1:], firsts))])
 
     def id_of_degree(self, degree) -> int | None:
         """Id of the one element of this degree, or None past the cutoff."""
         return self._ids.get(self.grid.point(degree))
-
-    def product(self, u: int, v: int) -> int | None:
-        # deg is additive and injective, and every element within the cutoff is listed
-        return self._ids.get(self.grid_degrees[u] + self.grid_degrees[v])
-
-    def generators(self) -> tuple[int, ...]:
-        """The ids of a_0..a_K that lie within the cutoff."""
-        ids = (self._ids.get(d) for d in self._gen_degrees)
-        return tuple(sorted(eid for eid in ids if eid is not None))
 
     def label(self, eid: int) -> str:
         n, eps = self._forms[eid]

@@ -188,11 +188,28 @@ def test_dot_is_refused_where_not_offered(command, capsys):
     ["towers", "--preset", "mp:p=4,8,16", "--ground", "1"],
     ["towers", "--preset", "zpos:30", "--ground", "1"],
     ["growth", "--file", str(NOT_UTF8)],
+    ["growth", "--preset", "zpos:200000000"],
+    pytest.param(["growth", "--preset", "mp:p=4,8,16", "--max-degree", "30000000"],
+                 marks=pytest.mark.filterwarnings("ignore:cutoff 30000000 reaches")),
+    ["growth", "--preset", "zpos"],
+    ["growth", "--preset", "mp"],
+    ["growth", "--preset", "mp:p=pow2"],
+    ["growth", "--preset", "mp:p=4,8:K=3"],
+    ["growth", "--preset", "example3:foo=1"],
+    ["growth", "--preset", "free:2:3"],
+    ["growth", "--preset", "free:x"],
+    ["growth", "--preset", "free:27"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     rc = main(argv)
     capsys.readouterr()
     assert rc == 2
+
+
+def test_cutoff_past_the_word_cap_is_refused_before_enumerating(capsys):
+    assert main(["growth", "--preset", "zpos:200000000"]) == 2
+    assert capsys.readouterr().err == ("error: 200000000 elements up to cutoff 200000000 "
+                                       "exceed the word cap 10000000\n")
 
 
 def test_file_that_is_not_utf8_names_the_file(capsys):
@@ -289,13 +306,14 @@ def test_help_exits_zero(capsys):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "skewgrowth", "growth", "--preset", "free:2",
-         "--max-degree", "3"],
-        capture_output=True, text=True,
-    )
+    # `python -m skewgrowth` prints what the golden of the same command holds
+    golden = Path(__file__).parent / "golden" / "growth_example3_table.txt"
+    header, _, body = golden.read_text(encoding="utf-8").partition("\n")
+    assert header == "# argv: growth --preset example3 --max-degree 6"
+    proc = subprocess.run([sys.executable, "-m", "skewgrowth", *shlex.split(header[8:])],
+                          capture_output=True, text=True)
     assert proc.returncode == 0
-    assert proc.stdout.splitlines()[-1] == "3  8"
+    assert proc.stdout == body
 
 
 @pytest.mark.skipif(shutil.which("skewgrowth") is None,

@@ -72,6 +72,13 @@ def test_render_parse_roundtrip_multint(n):
     assert parse_key(M, render_key(M, n)) == n
 
 
+@pytest.mark.parametrize("kind, text", [(M, "x"), (R, "1/0"), (R, "a/b"), (R, "abc"),
+                                        (R, "1.5")])
+def test_parse_key_rejects_malformed_text(kind, text):
+    with pytest.raises(MalformedKeyError):
+        parse_key(kind, text)
+
+
 # ------------------------------------------------------------------ build
 
 def test_build_merges_and_drops_zeros():

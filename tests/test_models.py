@@ -35,6 +35,13 @@ def test_free_counts(free2_table):
     assert _counts(free2_table) == [2 ** d for d in range(9)]
 
 
+def test_trivial_relation_is_skipped():
+    text = "gen a : 1\ngen b : 1\nrel a b = a b\n"
+    table = RewriteModel(parse_presentation(text)).enumerate_up_to(6)
+    assert table._rules == []
+    assert _counts(table) == [2 ** d for d in range(7)]
+
+
 def test_unit_is_element_zero(example3_table):
     assert example3_table.unit == 0
     assert example3_table.degree(0) == 0
@@ -440,6 +447,14 @@ def test_zpos_products(zpos_table):
     assert t.product(t.element_id(2), t.element_id(3)) == six
     assert t.product(t.element_id(7), t.element_id(5)) is None  # 35 > 30
     assert t.degree(six) == 6 and t.label(six) == "6"
+
+
+def test_zpos_products_match_integer_multiplication():
+    # products fold the same rows the maps come from; arithmetic is the oracle
+    t = builtin("zpos", nmax=200).enumerate_up_to(200)
+    for u, v in itertools.product(t.all_elements(), repeat=2):
+        n = (u + 1) * (v + 1)
+        assert t.product(u, v) == (n - 1 if n <= 200 else None)
 
 
 def test_zpos_left_divides(zpos_table):

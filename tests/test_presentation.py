@@ -55,6 +55,13 @@ def test_bad_keyword():
     assert exc.value.line == 1
 
 
+@pytest.mark.parametrize("text, column", [("gen a 1\n", 1), ("gen 1a : 1\n", 5)])
+def test_bad_generator_line(text, column):
+    with pytest.raises(PresentationParseError) as exc:
+        parse_presentation(text)
+    assert (exc.value.line, exc.value.column) == (1, column)
+
+
 def test_bad_rational():
     with pytest.raises(PresentationParseError):
         parse_presentation("gen a : one\n")
