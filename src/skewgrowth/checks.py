@@ -124,7 +124,9 @@ def _skew(table, forest: TowerForest | None) -> dict[int, int]:
 
 def _product(table, skew: dict[int, int]) -> dict:
     """P*N on the table's grid over every reachable int, sums that cancel
-    to 0 included; *skew* is N on the grid."""
+    to 0 included; *skew* is N on the grid.  On a rational grid this is one
+    packed big-int product, which also marks the reachable ints; on
+    multiplicative keys it is the loop over pairs of terms."""
     return convolve_on_grid(table.grid, table.grid_counts().items(), skew.items())
 
 
@@ -224,8 +226,7 @@ def _lcm_report(table, forest: TowerForest, skew: dict[int, int]) -> CheckReport
     for eid in forest.ground:
         reduced[degrees[eid]] = reduced.get(degrees[eid], 0) - 1
     for child in forest.children[0]:
-        tower = forest.towers[child]
-        subset, tops = tower.stages[0], tower.tops[0]
+        subset, tops = forest.towers[child].stage, forest.towers[child].top
         if len(tops) > 1:
             return _report(table, "lcm-reduction", NOT_APPLICABLE, None,
                            {"subset": [table.label(e) for e in subset],

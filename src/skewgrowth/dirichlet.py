@@ -21,8 +21,12 @@ int.  Sums (products) and order carry over, so the element tables, the tower
 walk, the checks and the kernels all compute on these ints, and keys become
 ``Fraction``s only where a public :class:`Series`, a report or a rendering
 is made.  :func:`convolve` and :func:`series_invert` take ``Series`` and put
-their keys on the coarsest grid that holds them; the loop itself,
-:func:`convolve_on_grid`, is what the checks call on a table's grid.
+their keys on the coarsest grid that holds them; the product itself,
+:func:`convolve_on_grid`, is what the checks call on a table's grid.  On a
+rational grid it is one big-int product of the two factors packed a slot
+per grid int (Kronecker substitution); on multiplicative keys, and on a
+rational grid too sparse to pay for its slots, it is a loop over the
+pairs of terms.
 
 Series values are immutable once built and safe to share between threads.
 """
@@ -30,8 +34,10 @@ from __future__ import annotations
 
 import enum
 import heapq
+import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -225,10 +231,83 @@ class Grid:
 
 
 def convolve_on_grid(grid: Grid, left: Iterable, right: Iterable) -> dict:
-    """The truncated product of two int-keyed term lists on *grid*: every
-    reachable int ``a (+) b <= top`` mapped to its summed coefficient, zeros
-    kept.  Combining is monotone, so each pass over the sorted right terms
-    stops at the first int past the top."""
+    """The truncated product of two int-keyed term lists on *grid*, each
+    with distinct ints: every reachable int ``a (+) b <= top`` mapped to its
+    summed coefficient, zeros kept.
+
+    On a rational grid this is one packed big-int product (Kronecker
+    substitution): each factor becomes one int with a fixed-width slot per
+    grid int, and a second product of the 0/1 support indicators marks the
+    reachable ints.  A sparse grid, whose slots cost more than the term
+    pairs a loop would visit, and every multiplicative grid (a Dirichlet
+    convolution does not pack) take the loop of :func:`_convolve_by_loop`.
+    """
+    top = grid.top
+    left = [(n, c) for n, c in left if n <= top]
+    right = [(n, c) for n, c in right if n <= top]
+    size, pairs = top + 1, len(left) * len(right)
+    # measured from 10 to 20,000 slots: one slot bit of the two big-int
+    # products costs about what one pair of the loop does, and a slot has
+    # at least 8 bits
+    if grid.kind is KeyKind.RATIONAL and 8 * size <= pairs:
+        bound = min(sum(abs(c) for _, c in left) * max(abs(c) for _, c in right),
+                    sum(abs(c) for _, c in right) * max(abs(c) for _, c in left))
+        width = _slot_bytes(bound)
+        if 8 * size * width <= pairs:
+            values = _packed_product(left, right, size, width)
+            reach = _packed_product([(n, 1) for n, _ in left], [(n, 1) for n, _ in right],
+                                    size, _slot_bytes(min(len(left), len(right))))
+            return dict(zip(itertools.compress(range(size), reach),
+                            itertools.compress(values, reach)))
+    return _convolve_by_loop(grid, left, right)
+
+
+# memoryview formats of signed slots, by item size.  Their buffers are read
+# as little-endian bytes, so a big-endian machine packs every width as bytes.
+_SIGNED_SLOTS = ({memoryview(bytes(8)).cast(code).itemsize: code for code in "bhiq"}
+                 if sys.byteorder == "little" else {})
+
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot for signed values of magnitude at most *bound*: the
+    least memoryview item size that holds them, else whole bytes."""
+    size = (bound.bit_length() + 8) // 8  # one bit more, for the sign
+    return min((n for n in _SIGNED_SLOTS if n >= size), default=size)
+
+
+def _packed_product(left: list, right: list, size: int, width: int):
+    """Slots 0..size-1 of the product of two term lists with ints below
+    *size*, packed one int per factor at *width* bytes a slot.  Every
+    product coefficient needs at most 8*width - 1 bits and a sign.  Adding
+    half a slot to each slot makes them all nonnegative, so the slots
+    separate without borrows, and flipping each slot's top bit takes the
+    half back off in two's complement, which the slots are read in."""
+    code = _SIGNED_SLOTS.get(width)
+
+    def pack(terms):  # the positive and the negative magnitudes apart
+        parts = [bytearray(size * width), bytearray(size * width)]
+        if code:
+            slots = [memoryview(part).cast(code) for part in parts]
+            for n, c in terms:
+                slots[c < 0][n] = abs(c)
+        else:
+            for n, c in terms:
+                parts[c < 0][n * width:(n + 1) * width] = abs(c).to_bytes(width, "little")
+        return int.from_bytes(parts[0], "little") - int.from_bytes(parts[1], "little")
+
+    half = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * size, "little")
+    slots = ((pack(left) * pack(right) + half) & ((1 << (8 * width * size)) - 1)) ^ half
+    raw = slots.to_bytes(size * width, "little")
+    if code:
+        return memoryview(raw).cast(code)
+    return [int.from_bytes(raw[i:i + width], "little", signed=True)
+            for i in range(0, len(raw), width)]
+
+
+def _convolve_by_loop(grid: Grid, left: list, right: list) -> dict:
+    """:func:`convolve_on_grid` pair by pair.  Combining is monotone, so
+    each pass over the sorted right terms stops at the first int past the
+    top."""
     combine, top = grid.combine, grid.top
     right = sorted(right)
     acc: dict = {}
@@ -243,8 +322,8 @@ def convolve_on_grid(grid: Grid, left: Iterable, right: Iterable) -> dict:
 
 def convolve(f: Series, g: Series) -> dict:
     """Truncated convolution as a map from every reachable key
-    ``ka (+) kb <= cutoff`` to its summed coefficient, zeros kept: the loop
-    of :func:`convolve_on_grid` on the coarsest grid holding both series'
+    ``ka (+) kb <= cutoff`` to its summed coefficient, zeros kept:
+    :func:`convolve_on_grid` on the coarsest grid holding both series'
     keys, which come back as ``Fraction``s for rational series."""
     _check_compatible(f, g)
     grid = Grid.covering(f.kind, f.cutoff, [*f.terms, *g.terms])

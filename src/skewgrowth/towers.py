@@ -6,10 +6,14 @@ elements from the current top set and the next top set is the set of
 minimal common multiples of that pick.  The tower of height 0 is the bare
 ground; a tower of height n is determined by its stage list ``J_1..J_n``,
 and its parent is the tower with the last stage removed, so the collection
-of towers is a rooted tree.
+of towers is a rooted tree.  A :class:`Tower` is stored that way: a link to
+its parent, its last stage and top, its height and its sign, so the forest
+takes space linear in its towers however tall they grow, and the stage and
+top lists are walked off the chain only where a renderer asks for them.
 
 Each tower contributes ``sign * t^deg(x)`` for every element x of its top
-set, where the sign is ``(-1) ** (sum of stage sizes - height + 1)``; the
+set, where the sign is ``(-1) ** (sum of stage sizes - height + 1)``, that
+is its parent's sign times ``(-1) ** (last stage size - 1)``; the
 skew-growth series is one plus the total over all towers.  Multiplying it
 with the growth series of the monoid gives exactly 1 when the monoid is
 cancellative, which is what :mod:`skewgrowth.checks` verifies.
@@ -24,7 +28,7 @@ skew-growth terms work on the table's grid ints (see
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .dirichlet import Series, key_to_json
@@ -32,31 +36,62 @@ from .divisibility import DivPoset
 from .errors import InvalidGroundError
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class Tower:
-    """One tower: the ground, stage picks, and the top set after each stage.
+    """One tower, linked to its parent: the ground, the last stage pick, the
+    top set that pick gives, the height and the sign.
 
-    ``tops[i]`` is the enumerated part of the minimal common multiples of
-    ``stages[i]``.  Identity is the stage list: two towers over one ground
-    are equal iff their stage lists are equal.
+    Build the root with :meth:`root` and each child with :meth:`child`, so
+    a tower stores its own step only and the forest takes space linear in
+    its size.  ``top`` is the enumerated part of the minimal common
+    multiples of ``stage``; the root's stage is empty and its top is the
+    ground.  ``stages`` and ``tops`` walk the chain from the root.  Identity
+    is the stage list: two towers over one ground are equal iff their stage
+    lists are equal.
     """
 
     ground: tuple[int, ...]
-    stages: tuple[tuple[int, ...], ...] = ()
-    tops: tuple[tuple[int, ...], ...] = ()
+    parent: Tower | None = field(default=None, repr=False)
+    stage: tuple[int, ...] = ()
+    top: tuple[int, ...] = ()
+    height: int = 0
+    sign: int = -1
+
+    @classmethod
+    def root(cls, ground: tuple[int, ...]) -> "Tower":
+        """The tower of height 0: its top is the ground and its sign -1."""
+        return cls(ground, top=ground)
+
+    def child(self, stage: tuple[int, ...], top: tuple[int, ...]) -> "Tower":
+        """The tower one stage up, picking *stage* from this top: a pick of
+        k elements multiplies the sign by (-1) ** (k - 1)."""
+        sign = self.sign if len(stage) % 2 else -self.sign
+        return Tower(self.ground, self, stage, top, self.height + 1, sign)
+
+    def _chain(self) -> list["Tower"]:
+        """The towers from height 1 up to this one."""
+        chain, tower = [], self
+        while tower.parent is not None:
+            chain.append(tower)
+            tower = tower.parent
+        return chain[::-1]
 
     @property
-    def height(self) -> int:
-        return len(self.stages)
+    def stages(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tower.stage for tower in self._chain())
 
     @property
-    def top(self) -> tuple[int, ...]:
-        return self.tops[-1] if self.tops else self.ground
+    def tops(self) -> tuple[tuple[int, ...], ...]:
+        """The top after each stage."""
+        return tuple(tower.top for tower in self._chain())
 
-    @property
-    def sign(self) -> int:
-        exponent = sum(len(stage) for stage in self.stages) - self.height + 1
-        return -1 if exponent % 2 else 1
+    def __eq__(self, other):
+        if not isinstance(other, Tower):
+            return NotImplemented
+        return (self.ground, self.stages) == (other.ground, other.stages)
+
+    def __hash__(self):
+        return hash((self.ground, self.stages))
 
 
 @dataclass(frozen=True)
@@ -96,23 +131,21 @@ def enumerate_towers(table, poset: DivPoset | None = None,
         # the forest is the bare root and the skew series is 1
         ground = table.atoms()
         if not ground:
-            return TowerForest((), (Tower(()),), ((),))
+            return TowerForest((), (Tower.root(()),), ((),))
     ground = _validate_ground(table, poset, ground)
     degrees, combine, limit = table.grid_degrees, table.grid.combine, table.grid.top
     # ids ascend with degree and only the unit has degree zero, so id 1
     # (there is one, as the ground holds a non-unit) has the least positive one
     d_min = degrees[1]
-    towers: list[Tower] = [Tower(ground)]
+    towers: list[Tower] = [Tower.root(ground)]
     children: list[list[int]] = [[]]
     cursor = 0
     while cursor < len(towers):
         tower = towers[cursor]
         candidates = [eid for eid in tower.top if combine(degrees[eid], d_min) <= limit]
         for stage, mask in poset.iter_supported_subsets(candidates, min_size=2):
-            top = poset.minimal_in_mask(mask)
-            child = Tower(ground, tower.stages + (stage,), tower.tops + (tuple(top),))
             children[cursor].append(len(towers))
-            towers.append(child)
+            towers.append(tower.child(stage, tuple(poset.minimal_in_mask(mask))))
             children.append([])
         cursor += 1
     return TowerForest(ground, tuple(towers), tuple(tuple(c) for c in children))

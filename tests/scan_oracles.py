@@ -11,7 +11,8 @@ against invert(P), and the count recursion summed degree by degree.  A pull
 solve over the closure of the support checks ``series_invert``, which
 pushes each solved coefficient forward instead.  The convolution loop on the
 keys as given, ``Fraction`` sums and comparisons for rational keys, checks
-``convolve``, which runs the same loop on keys scaled to ints.  Growth and
+``convolve``, which packs a rational product into one big-int product on
+keys scaled to ints, or runs the same loop on them.  Growth and
 skew series summed on ``Fraction`` degrees read off each element's least
 word check the int grid a presented table keeps its degrees on.  A subset
 walk that tests every later candidate at every node, minimal elements read
@@ -432,10 +433,10 @@ def towers_by_rescan(table, ground=None) -> TowerForest:
     if ground is None:
         ground = table.atoms()
         if not ground:
-            return TowerForest((), (Tower(()),), ((),))
+            return TowerForest((), (Tower.root(()),), ((),))
     ground = _validate_ground(table, poset, ground)
     d_min = min(_positive_degrees(table))
-    towers = [Tower(ground)]
+    towers = [Tower.root(ground)]
     children = [[]]
     for cursor, tower in enumerate(towers):  # grows while it is read
         candidates = [eid for eid in tower.top
@@ -443,7 +444,7 @@ def towers_by_rescan(table, ground=None) -> TowerForest:
         for stage, mask in supported_subsets_by_rescan(poset, candidates, 2):
             top = tuple(minimal_by_divisors(poset, mask_to_ids(mask)))
             children[cursor].append(len(towers))
-            towers.append(Tower(ground, tower.stages + (stage,), tower.tops + (top,)))
+            towers.append(tower.child(stage, top))
             children.append([])
     return TowerForest(ground, tuple(towers), tuple(tuple(c) for c in children))
 

@@ -1,11 +1,13 @@
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from scan_oracles import convolve_by_fractions, invert_by_closure, series_add, series_neg
+from skewgrowth import dirichlet
 from skewgrowth.dirichlet import (
     KeyKind,
     Series,
@@ -98,19 +100,35 @@ def test_str_rendering():
 
 # -------------------------------------------------------------- ring laws
 
-def _rational_series(cutoff=Fraction(8)):
+def _rational_series(cutoff=Fraction(8), coefficients=st.integers(-5, 5), dense=False):
     keys = st.fractions(min_value=0, max_value=cutoff).filter(
         lambda q: q.denominator in (1, 2, 4)
     )
-    return st.dictionaries(keys, st.integers(-5, 5), max_size=6).map(
-        lambda terms: Series.build(R, cutoff, terms)
-    )
+    terms = st.dictionaries(keys, coefficients, max_size=6)
+    if dense:
+        terms |= _dense([Fraction(n, 4) for n in range(int(4 * cutoff) + 1)], coefficients)
+    return terms.map(lambda terms: Series.build(R, cutoff, terms))
 
 
-def _multint_series(cutoff=30):
-    return st.dictionaries(
-        st.integers(1, cutoff), st.integers(-5, 5), max_size=6
-    ).map(lambda terms: Series.build(M, cutoff, terms))
+def _multint_series(cutoff=30, coefficients=st.integers(-5, 5), dense=False):
+    terms = st.dictionaries(st.integers(1, cutoff), coefficients, max_size=6)
+    if dense:
+        terms |= _dense(range(1, cutoff + 1), coefficients)
+    return terms.map(lambda terms: Series.build(M, cutoff, terms))
+
+
+def _dense(keys, coefficients):
+    """A coefficient (drawn from *coefficients*, zeros dropped) at each of
+    the first m of *keys*, for m from half of them to all of them."""
+    keys = list(keys)
+    return st.lists(coefficients, min_size=len(keys) // 2, max_size=len(keys)).map(
+        lambda coeffs: dict(zip(keys, coeffs)))
+
+
+# Coefficients of one series: signs that cancel often, small ints, or ints
+# past 2**64, which need product slots wider than a machine word.
+_COEFFICIENTS = st.sampled_from([st.sampled_from((-1, 1)), st.integers(-5, 5),
+                                 st.integers(-2**70, 2**70)])
 
 
 @given(_rational_series(), _rational_series(), _rational_series())
@@ -130,8 +148,14 @@ def test_multint_ring_laws(f, g, h):
     assert series_mul(f, series_mul(g, h)) == series_mul(series_mul(f, g), h)
 
 
-@given(_multint_series(), _multint_series(), _rational_series(), _rational_series())
-def test_multint_convolution_matches_naive(f, g, f_rational, g_rational):
+@settings(deadline=None)
+@given(_COEFFICIENTS.flatmap(lambda c: st.tuples(
+    _multint_series(coefficients=c, dense=True), _multint_series(coefficients=c, dense=True),
+    _rational_series(coefficients=c, dense=True), _rational_series(coefficients=c, dense=True))))
+def test_multint_convolution_matches_naive(drawn):
+    # sparse factors and dense ones, up to every quarter up to 8, draw both
+    # sides of the rule that packs a rational product or loops over it
+    f, g, f_rational, g_rational = drawn
     for f, g in ((f, g), (f_rational, g_rational)):
         naive = {}
         for ka, ca in f.terms.items():
@@ -158,20 +182,52 @@ def _fractions_up_to(bound, least=0):
 
 def _series_on_mixed_denominators(count):
     """*count* rational series on one cutoff in (0, 20], where the cutoff and
-    every key have denominators in _DENOMINATORS (17/3 and 33/16 among them)."""
+    every key have denominators in _DENOMINATORS (17/3 and 33/16 among them).
+    A series is sparse, up to 8 keys with any of those denominators, or
+    dense, on the least multiples of one denominator, from half of those up
+    to the cutoff to all of them; its coefficients are drawn from one of
+    _COEFFICIENTS."""
+    def sparse(cutoff, coefficients):
+        return st.dictionaries(_fractions_up_to(cutoff), coefficients, max_size=8)
+
+    def dense(cutoff, coefficients):
+        return st.sampled_from(_DENOMINATORS).flatmap(lambda d: _dense(
+            [Fraction(n, d) for n in range(math.floor(cutoff * d) + 1)], coefficients))
+
     def on(cutoff):
-        terms = st.dictionaries(_fractions_up_to(cutoff), st.integers(-5, 5), max_size=8)
+        terms = _COEFFICIENTS.flatmap(lambda c: sparse(cutoff, c) | dense(cutoff, c))
         return st.tuples(*[terms.map(lambda t: Series.build(R, cutoff, t))] * count)
 
     return _fractions_up_to(20, least=1).flatmap(on)
 
 
+@settings(deadline=None)
 @given(_series_on_mixed_denominators(2))
 def test_convolve_matches_fraction_loop(pair):
     f, g = pair
     product = convolve(f, g)
     assert product == convolve_by_fractions(f, g)
     assert all(type(key) is Fraction for key in product)
+
+
+@pytest.mark.parametrize("size, coeff, packs", [
+    (201, 1, True),             # two-byte slots
+    (201, 3**45, True),         # slots wider than 8 bytes
+    (2, 1, False),              # two terms on 201 ints: the loop is cheaper
+    (2, 3**45, False),
+])
+def test_convolve_packs_dense_grids_and_loops_over_sparse_ones(size, coeff, packs):
+    # f * g is -coeff**2 at every even int it reaches and cancels at every
+    # odd one; f * f reaches the slot width's bound, size * coeff**2, at
+    # its greatest int
+    f = Series.build(R, 200, {k: coeff for k in range(size)})
+    g = Series.build(R, 200, {k: (-1) ** (k + 1) * coeff for k in range(size)})
+    with mock.patch.object(dirichlet, "_packed_product", wraps=dirichlet._packed_product) as spy:
+        product, square = convolve(f, g), convolve(f, f)
+    assert spy.call_count == (4 if packs else 0)
+    assert product == convolve_by_fractions(f, g)
+    assert product[Fraction(0)] == -coeff**2 and product[Fraction(1)] == 0
+    assert square == convolve_by_fractions(f, f)
 
 
 def test_kernels_take_raw_int_keys():

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -78,15 +79,46 @@ def test_stage_picks_come_from_the_parent_top(mp_table):
             assert len(stage) >= 2
             assert set(stage) <= set(source)
             source = top
+        assert tower.top == source and tower.height == len(tower.stages)
+        # the sign carried down the chain is the closed form over the stages
+        exponent = sum(len(stage) for stage in tower.stages) - tower.height + 1
+        assert tower.sign == (-1) ** exponent
 
 
 def test_sign_formula():
-    t = Tower(ground=(1, 2))
+    t = Tower.root((1, 2))
     assert t.sign == -1
-    t1 = Tower((1, 2), stages=((1, 2),), tops=(((3,)),))
+    t1 = t.child((1, 2), (3,))
     assert t1.sign == 1
-    t2 = Tower((1, 2, 3), stages=((1, 2, 3),), tops=((4,),))
+    t2 = Tower.root((1, 2, 3)).child((1, 2, 3), (4,))
     assert t2.sign == -1  # three picks, height 1
+
+
+def _held_by_forest(cutoff):
+    """example3's forest at *cutoff*, and the bytes held after its walk,
+    with the table, its atoms and its poset built beforehand."""
+    table = builtin("example3").enumerate_up_to(cutoff)
+    poset, _ = table.poset(), table.atoms()
+    tracemalloc.start()
+    try:
+        forest = enumerate_towers(table, poset)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return forest, held
+
+
+def test_forest_space_is_linear_in_its_towers():
+    # example3 has a tower of every height up to the cutoff - 1, so a tower
+    # copying its whole chain makes twice the towers hold about 4x the bytes
+    small, held_small = _held_by_forest(500)
+    large, held_large = _held_by_forest(1000)
+    assert len(large.towers) == 2 * len(small.towers) == 1000
+    assert held_large < 2.5 * held_small
+    for forest in (small, large):
+        assert forest.towers[0].parent is None
+        for index, kids in enumerate(forest.children):
+            assert all(forest.towers[kid].parent is forest.towers[index] for kid in kids)
 
 
 def test_height_headroom(example3_table, braid3_table, zpos_table, mp_table):
