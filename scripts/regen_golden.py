@@ -26,6 +26,7 @@ CASES = [
     ("skew_free2_table", "skew --preset free:2 --max-degree 4"),
     ("towers_example3_table", "towers --preset example3 --max-degree 4"),
     ("towers_braid3_dot", "towers --preset braid3 --format dot"),
+    ("towers_mp12_dot", "towers --preset mp:p=4,8,16:K=3 --max-degree 12 --format dot"),
     ("towers_zpos10_json", "towers --preset zpos:10 --format json"),
     ("atoms_mp_table", "atoms --preset mp:p=4,8,16:K=3"),
     ("atoms_zpos30_json", "atoms --preset zpos:30 --format json"),

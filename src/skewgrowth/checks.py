@@ -225,8 +225,11 @@ def _lcm_report(table, forest: TowerForest, skew: dict[int, int]) -> CheckReport
     reduced = {table.grid.zero: 1}
     for eid in forest.ground:
         reduced[degrees[eid]] = reduced.get(degrees[eid], 0) - 1
-    for child in forest.children[0]:
-        subset, tops = forest.towers[child].stage, forest.towers[child].top
+    # the root's children are the height-1 towers, which directly follow it
+    for child in forest.towers[1:]:
+        if child.height > 1:
+            break
+        subset, tops = child.stage, child.top
         if len(tops) > 1:
             return _report(table, "lcm-reduction", NOT_APPLICABLE, None,
                            {"subset": [table.label(e) for e in subset],

@@ -1,13 +1,11 @@
-"""Command line front end.
+"""Command line front end: ``skewgrowth COMMAND [options]``.
 
-Subcommands:
-
-    growth        element counts per degree, as a truncated series
-    skew          tower-based skew-growth series
-    towers        the tower forest itself (table, json, or dot)
-    atoms         the indecomposable elements up to the cutoff
-    verify        cancellativity, inversion, recursion, lcm-reduction
-    cancel-check  the cancellativity probe alone
+The commands, each with its help text, are the keys of ``_COMMANDS``:
+growth, skew, towers, atoms, verify and cancel-check.  Their options are
+declared once, on one parser, so ``--help`` is one page and options may
+come before or after the command; ``main`` refuses an option a command does
+not use.  A warning raised during a run is printed as one ``warning:`` line,
+like the ``error:`` lines.
 
 Exit codes: 0 success, 1 a verification check failed, 2 bad usage or input.
 Output is deterministic byte for byte for a fixed command line.
@@ -17,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -32,7 +31,7 @@ from .towers import enumerate_towers, forest_to_dot, forest_to_json, skew_growth
 
 @dataclass
 class RunConfig:
-    """Everything a subcommand needs once arguments are resolved."""
+    """Everything a command needs once arguments are resolved."""
 
     model: object
     table: object
@@ -42,39 +41,39 @@ class RunConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    commands = "\n".join(f"  {name:<14}{text}" for name, (text, *_) in _COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="skewgrowth",
         description="growth and skew-growth series of finitely presented "
                     "cancellative monoids",
+        epilog=f"commands:\n{commands}",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    common = argparse.ArgumentParser(add_help=False)
-    source = common.add_mutually_exclusive_group()
+    parser.add_argument("command", choices=_COMMANDS, metavar="COMMAND",
+                        help="one of the commands listed below")
+    source = parser.add_mutually_exclusive_group()
     source.add_argument("--preset", metavar="NAME[:PARAMS]",
                         help="builtin model, e.g. example3, free:2, zpos:50, "
                              "mp:p=4,8,16:K=3")
     source.add_argument("--file", metavar="PATH",
                         help="presentation file ('gen NAME : DEGREE' lines, "
                              "then 'rel WORD = WORD' lines)")
-    common.add_argument("--max-degree", metavar="Q",
+    parser.add_argument("--max-degree", metavar="Q",
                         help="enumeration cutoff; a rational like 8 or 21/4 "
                              "(for zpos an integer bound)")
-    common.add_argument("--nmax", type=int, metavar="N",
+    parser.add_argument("--nmax", type=int, metavar="N",
                         help="integer cutoff for multiplicative models; "
                              "alias for --max-degree")
-    common.add_argument("--ground", metavar="ELEMS",
+    parser.add_argument("--ground", metavar="ELEMS",
                         help="comma-separated ground elements (default: the atoms)")
-    common.add_argument("--format", dest="fmt", default="table",
+    parser.add_argument("--format", dest="fmt", default="table",
                         choices=("table", "json", "dot"),
                         help="output format (dot applies to towers only)")
-    common.add_argument("--word-cap", type=int, metavar="N",
+    parser.add_argument("--word-cap", type=int, metavar="N",
                         help="for presented models, the most (generator, class) "
                              "pairs enumerated at one degree")
-    common.add_argument("--out", metavar="PATH",
+    parser.add_argument("--out", metavar="PATH",
                         help="write output to PATH instead of stdout")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, *_) in _COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=text)
     return parser
 
 
@@ -84,23 +83,30 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        config = _configure(args)
-        _, formats, takes_ground, handler = _COMMANDS[args.command]
-        if config.fmt not in formats:
-            raise SkewGrowthError(f"format {config.fmt!r} is not available here "
-                                  f"(choose from {', '.join(formats)})")
-        if config.ground is not None and not takes_ground:
-            raise SkewGrowthError(f"--ground does not apply to {args.command}")
-        text, status = handler(config)
-        if config.out:
-            Path(config.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
-        return status
-    except (SkewGrowthError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            config = _configure(args)
+            _, formats, takes_ground, handler = _COMMANDS[args.command]
+            if config.fmt not in formats:
+                raise SkewGrowthError(f"format {config.fmt!r} is not available here "
+                                      f"(choose from {', '.join(formats)})")
+            if config.ground is not None and not takes_ground:
+                raise SkewGrowthError(f"--ground does not apply to {args.command}")
+            text, status = handler(config)
+            if config.out:
+                Path(config.out).write_text(text, encoding="utf-8")
+            else:
+                sys.stdout.write(text)
+            return status
+        except (SkewGrowthError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+
+
+def _print_warning(message, *_):
+    """One 'warning: ...' line per warning, like the 'error: ...' lines."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 # ------------------------------------------------------------- configuration

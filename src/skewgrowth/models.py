@@ -43,6 +43,7 @@ from itertools import repeat
 from typing import Iterable, Sequence
 
 from .dirichlet import Grid, KeyKind, coerce_key, key_zero
+from .divisibility import DivPoset
 from .errors import (CutoffTooLargeError, EmptyAlphabetError, InvalidGroundError,
                      InvalidParamsError, MalformedKeyError, UnknownSymbolError)
 from .presentation import Presentation
@@ -195,8 +196,6 @@ class ElementTable(abc.ABC):
     def poset(self):
         """Memoized left-divisibility poset for this table."""
         if self._poset is None:
-            from .divisibility import DivPoset
-
             self._poset = DivPoset.build(self)
         return self._poset
 

@@ -38,19 +38,17 @@ from .errors import InvalidGroundError
 
 @dataclass(eq=False, slots=True)
 class Tower:
-    """One tower, linked to its parent: the ground, the last stage pick, the
-    top set that pick gives, the height and the sign.
+    """One tower, linked to its parent: the last stage pick, the top set
+    that pick gives, the height and the sign.
 
     Build the root with :meth:`root` and each child with :meth:`child`, so
     a tower stores its own step only and the forest takes space linear in
     its size.  ``top`` is the enumerated part of the minimal common
     multiples of ``stage``; the root's stage is empty and its top is the
-    ground.  ``stages`` and ``tops`` walk the chain from the root.  Identity
-    is the stage list: two towers over one ground are equal iff their stage
-    lists are equal.
+    ground.  ``stages`` and ``tops`` walk the chain from the root.  Towers
+    are tree nodes and compare by identity.
     """
 
-    ground: tuple[int, ...]
     parent: Tower | None = field(default=None, repr=False)
     stage: tuple[int, ...] = ()
     top: tuple[int, ...] = ()
@@ -60,13 +58,13 @@ class Tower:
     @classmethod
     def root(cls, ground: tuple[int, ...]) -> "Tower":
         """The tower of height 0: its top is the ground and its sign -1."""
-        return cls(ground, top=ground)
+        return cls(top=ground)
 
     def child(self, stage: tuple[int, ...], top: tuple[int, ...]) -> "Tower":
         """The tower one stage up, picking *stage* from this top: a pick of
         k elements multiplies the sign by (-1) ** (k - 1)."""
         sign = self.sign if len(stage) % 2 else -self.sign
-        return Tower(self.ground, self, stage, top, self.height + 1, sign)
+        return Tower(self, stage, top, self.height + 1, sign)
 
     def _chain(self) -> list["Tower"]:
         """The towers from height 1 up to this one."""
@@ -85,23 +83,15 @@ class Tower:
         """The top after each stage."""
         return tuple(tower.top for tower in self._chain())
 
-    def __eq__(self, other):
-        if not isinstance(other, Tower):
-            return NotImplemented
-        return (self.ground, self.stages) == (other.ground, other.stages)
-
-    def __hash__(self):
-        return hash((self.ground, self.stages))
-
 
 @dataclass(frozen=True)
 class TowerForest:
     """All towers over one ground, breadth-first, root (height 0) first.
-    ``children[i]`` indexes into ``towers``."""
+    The parent links are the tree: each parent precedes its children, and
+    a parent's children follow one another in the order they were found."""
 
     ground: tuple[int, ...]
     towers: tuple[Tower, ...]
-    children: tuple[tuple[int, ...], ...]
 
     def __iter__(self):
         return iter(self.towers)
@@ -124,31 +114,28 @@ def _validate_ground(table, poset: DivPoset, ground: Sequence[int]) -> tuple[int
 
 def enumerate_towers(table, poset: DivPoset | None = None,
                      ground: Sequence[int] | None = None) -> TowerForest:
-    """Breadth-first tower enumeration over the table's full degree range."""
+    """Breadth-first tower enumeration over the table's full degree range.
+    A *ground* the caller passes is validated; the default, the atoms, is a
+    sorted antichain of non-units by definition."""
     poset = poset or table.poset()
-    if ground is None:
-        # default ground: the atoms; empty only for a trivial table, where
-        # the forest is the bare root and the skew series is 1
+    if ground is not None:
+        ground = _validate_ground(table, poset, ground)
+    else:
+        # empty only for a trivial table, where the forest is the bare root
+        # and the skew series is 1
         ground = table.atoms()
         if not ground:
-            return TowerForest((), (Tower.root(()),), ((),))
-    ground = _validate_ground(table, poset, ground)
+            return TowerForest((), (Tower.root(()),))
     degrees, combine, limit = table.grid_degrees, table.grid.combine, table.grid.top
     # ids ascend with degree and only the unit has degree zero, so id 1
     # (there is one, as the ground holds a non-unit) has the least positive one
     d_min = degrees[1]
     towers: list[Tower] = [Tower.root(ground)]
-    children: list[list[int]] = [[]]
-    cursor = 0
-    while cursor < len(towers):
-        tower = towers[cursor]
+    for tower in towers:  # grows while it is read
         candidates = [eid for eid in tower.top if combine(degrees[eid], d_min) <= limit]
         for stage, mask in poset.iter_supported_subsets(candidates, min_size=2):
-            children[cursor].append(len(towers))
             towers.append(tower.child(stage, tuple(poset.minimal_in_mask(mask))))
-            children.append([])
-        cursor += 1
-    return TowerForest(ground, tuple(towers), tuple(tuple(c) for c in children))
+    return TowerForest(ground, tuple(towers))
 
 
 def skew_on_grid(table, forest: TowerForest) -> dict[int, int]:
@@ -204,11 +191,14 @@ def forest_to_dot(forest: TowerForest, table) -> str:
         return f"h={tower.height} sign={sign} top={{{top}}}"
 
     lines = ["digraph towers {", "  node [shape=box];"]
+    index = {}
     for i, tower in enumerate(forest.towers):
+        index[tower] = i
         escaped = node_label(tower).replace('"', '\\"')
         lines.append(f'  t{i} [label="{escaped}"];')
-    for i, kids in enumerate(forest.children):
-        for j in kids:
-            lines.append(f"  t{i} -> t{j};")
+    # by ascending child: breadth-first order lists each parent's children
+    # together, and the parents in order
+    for j, tower in enumerate(forest.towers[1:], 1):
+        lines.append(f"  t{index[tower.parent]} -> t{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

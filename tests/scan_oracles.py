@@ -433,20 +433,17 @@ def towers_by_rescan(table, ground=None) -> TowerForest:
     if ground is None:
         ground = table.atoms()
         if not ground:
-            return TowerForest((), (Tower.root(()),), ((),))
+            return TowerForest((), (Tower.root(()),))
     ground = _validate_ground(table, poset, ground)
     d_min = min(_positive_degrees(table))
     towers = [Tower.root(ground)]
-    children = [[]]
-    for cursor, tower in enumerate(towers):  # grows while it is read
+    for tower in towers:  # grows while it is read
         candidates = [eid for eid in tower.top
                       if key_add(table.key_kind, table.degree(eid), d_min) <= table.cutoff]
         for stage, mask in supported_subsets_by_rescan(poset, candidates, 2):
             top = tuple(minimal_by_divisors(poset, mask_to_ids(mask)))
-            children[cursor].append(len(towers))
             towers.append(tower.child(stage, top))
-            children.append([])
-    return TowerForest(ground, tuple(towers), tuple(tuple(c) for c in children))
+    return TowerForest(ground, tuple(towers))
 
 
 def lcm_reduction_by_walk(table, ground=None) -> CheckReport:

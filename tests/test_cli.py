@@ -4,12 +4,11 @@ import shlex
 import shutil
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
 
-from skewgrowth.cli import main
+from skewgrowth.cli import _COMMANDS, main
 
 GOLDEN = sorted((Path(__file__).parent / "golden").glob("*.txt"))
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -242,12 +241,13 @@ def test_free_preset_takes_a_single_degree(capsys):
 
 
 def test_mp_depth_warning_is_given_once(capsys):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = main(["verify", "--preset", "mp:p=4,8,16", "--max-degree", "40"])
-    capsys.readouterr()
+    rc = main(["verify", "--preset", "mp:p=4,8,16", "--max-degree", "40"])
+    captured = capsys.readouterr()
     assert rc == 0
-    assert sum("canonical continuation" in str(w.message) for w in caught) == 1
+    assert captured.err == ("warning: cutoff 40 reaches degree 341/16, where the "
+                            "canonical continuation of p adds a generator beyond "
+                            "depth 3; results describe the depth-3 family only\n")
+    assert captured.out.endswith("overall: pass\n")
 
 
 def test_verify_builtins_script_reports_errors(capsys):
@@ -302,7 +302,26 @@ def test_argparse_errors_are_returned_not_raised(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
-    assert "growth" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    # every command is named with its help text
+    for name, (text, *_) in _COMMANDS.items():
+        assert any(line.split() == [name, *text.split()] for line in lines), name
+
+
+def test_command_help_is_the_one_help_page(capsys):
+    assert main(["--help"]) == 0
+    page = capsys.readouterr().out
+    assert main(["verify", "--help"]) == 0
+    assert capsys.readouterr().out == page
+
+
+def test_options_may_come_before_the_command(capsys):
+    golden = Path(__file__).parent / "golden" / "verify_braid3_json.txt"
+    header, _, body = golden.read_text(encoding="utf-8").partition("\n")
+    assert header == "# argv: verify --preset braid3 --format json"
+    rc, out = _run(["--preset", "braid3", "--format", "json", "verify"], capsys)
+    assert rc == 0
+    assert out == body
 
 
 def test_module_entry_point():
