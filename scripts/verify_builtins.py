@@ -20,6 +20,7 @@ DEFAULTS = [
     ("example3", lambda: builtin("example3")),
     ("braid3", lambda: builtin("braid3")),
     ("zpos:60", lambda: builtin("zpos", nmax=60)),
+    ("zpos:1500", lambda: builtin("zpos", nmax=1500)),
     ("mp:4,8,16", lambda: builtin("mp", p=[4, 8, 16])),
 ]
 

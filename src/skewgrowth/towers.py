@@ -22,6 +22,7 @@ Truncation: a stage can only produce useful top elements if every picked
 element keeps at least one minimal positive degree of headroom below the
 cutoff, so candidate picks are filtered accordingly; every dropped tower
 has its whole top set above the cutoff and cannot affect reported degrees.
+A tower whose top keeps fewer than two such candidates has no children.
 Enumeration is breadth-first and fully deterministic.  The filter and the
 skew-growth terms work on the table's grid ints (see
 :class:`skewgrowth.dirichlet.Grid`); keys are made when the series is.
@@ -133,6 +134,8 @@ def enumerate_towers(table, poset: DivPoset | None = None,
     towers: list[Tower] = [Tower.root(ground)]
     for tower in towers:  # grows while it is read
         candidates = [eid for eid in tower.top if combine(degrees[eid], d_min) <= limit]
+        if len(candidates) < 2:
+            continue
         for stage, mask in poset.iter_supported_subsets(candidates, min_size=2):
             towers.append(tower.child(stage, tuple(poset.minimal_in_mask(mask))))
     return TowerForest(ground, tuple(towers))

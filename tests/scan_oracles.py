@@ -426,6 +426,14 @@ def min_common_multiples_by_divisors(poset, index_set):
     return minimal_by_divisors(poset, common_multiples(poset, index_set))
 
 
+def headroom_candidates(table, tower: Tower) -> list[int]:
+    """The elements of *tower*'s top that keep one least positive degree
+    of headroom below the cutoff: the picks its stages may draw from."""
+    d_min = min(_positive_degrees(table))
+    return [eid for eid in tower.top
+            if key_add(table.key_kind, table.degree(eid), d_min) <= table.cutoff]
+
+
 def towers_by_rescan(table, ground=None) -> TowerForest:
     """Breadth-first towers over *ground* (default the atoms), each stage
     found by the rescanning walk and each top by divisor masks."""
@@ -435,11 +443,9 @@ def towers_by_rescan(table, ground=None) -> TowerForest:
         if not ground:
             return TowerForest((), (Tower.root(()),))
     ground = _validate_ground(table, poset, ground)
-    d_min = min(_positive_degrees(table))
     towers = [Tower.root(ground)]
     for tower in towers:  # grows while it is read
-        candidates = [eid for eid in tower.top
-                      if key_add(table.key_kind, table.degree(eid), d_min) <= table.cutoff]
+        candidates = headroom_candidates(table, tower)
         for stage, mask in supported_subsets_by_rescan(poset, candidates, 2):
             top = tuple(minimal_by_divisors(poset, mask_to_ids(mask)))
             towers.append(tower.child(stage, top))

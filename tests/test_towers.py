@@ -1,14 +1,17 @@
 import gc
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from scan_oracles import height_headroom_holds
+from scan_oracles import headroom_candidates, height_headroom_holds
 
-from skewgrowth.dirichlet import KeyKind, Series, series_invert, growth_series
+from skewgrowth.dirichlet import KeyKind, Series, parse_key, series_invert, growth_series
+from skewgrowth.divisibility import DivPoset
 from skewgrowth.errors import InvalidGroundError
 from skewgrowth.models import RewriteModel
 from skewgrowth.presentation import parse_presentation
+from skewgrowth.presets import parse_preset
 from skewgrowth.towers import (
     Tower,
     enumerate_towers,
@@ -83,6 +86,36 @@ def test_stage_picks_come_from_the_parent_top(mp_table):
         # the sign carried down the chain is the closed form over the stages
         exponent = sum(len(stage) for stage in tower.stages) - tower.height + 1
         assert tower.sign == (-1) ** exponent
+
+
+@pytest.mark.parametrize("preset, cutoff, sweeps", [
+    ("zpos:1500", "1500", 1),
+    ("zpos:60", "60", 0),
+    pytest.param("mp:p=4,8,16", "40", 0,
+                 marks=pytest.mark.filterwarnings("ignore:cutoff 40 reaches")),
+    ("example3", "20", 0),
+    ("example3", "200", 0),
+    ("braid3", "13", 0),
+    ("free:2", "12", 0),
+])
+def test_only_wide_nodes_sweep(preset, cutoff, sweeps):
+    # zpos:1500's root has 132 primes with headroom, 8,646 pairs against
+    # 1,499 elements to sweep; every other node walks, or has fewer than
+    # two candidates and is skipped before either
+    model = parse_preset(preset)
+    table = model.enumerate_up_to(parse_key(model.key_kind, cutoff))
+
+    def spy(name):
+        return mock.patch.object(DivPoset, name, autospec=True,
+                                 side_effect=getattr(DivPoset, name))
+
+    with spy("_walk_supported_subsets") as walk, spy("_sweep_supported_subsets") as sweep:
+        forest = enumerate_towers(table)
+    picks = [headroom_candidates(table, tower) for tower in forest]
+    assert sweep.call_count == sweeps
+    if sweeps:
+        assert sweep.call_args.args[1] == picks[0]
+    assert walk.call_count + sweep.call_count == sum(len(p) > 1 for p in picks)
 
 
 def test_sign_formula():

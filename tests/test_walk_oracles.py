@@ -1,11 +1,13 @@
-"""The survivor-pool subset walk, the minimal-element peel and the
-lcm-reduction read off the forest against the rescanning oracles."""
+"""The survivor-pool subset walk and the candidate-indexed sweep, the
+minimal-element peel and the lcm-reduction read off the forest against the
+rescanning oracles."""
 import itertools
 
 import pytest
 from hypothesis import given, settings
 
 from scan_oracles import (
+    headroom_candidates,
     lcm_reduction_by_walk,
     min_common_multiples,
     min_common_multiples_by_divisors,
@@ -16,8 +18,17 @@ from scan_oracles import (
 from skewgrowth import builtin
 from skewgrowth.checks import check_lcm_reduction, run_all_checks
 from skewgrowth.models import RewriteModel
-from skewgrowth.towers import enumerate_towers, forest_to_json
+from skewgrowth.towers import Tower, enumerate_towers, forest_to_json
 from test_models import small_presentations
+
+
+def _assert_both_subset_paths_match(poset, candidates):
+    for size in (1, 2):
+        expected = list(supported_subsets_by_rescan(poset, candidates, size))
+        assert list(poset._walk_supported_subsets(candidates, size)) == expected
+        if candidates:  # the sweep starts at the least candidate
+            assert list(poset._sweep_supported_subsets(candidates, size)) == expected
+        assert list(poset.iter_supported_subsets(candidates, size)) == expected
 
 
 def _assert_matches_oracles(table, ground=None):
@@ -27,9 +38,9 @@ def _assert_matches_oracles(table, ground=None):
     expected = lcm_reduction_by_walk(table, ground).to_json()
     assert check_lcm_reduction(table, forest=forest).to_json() == expected
     assert run_all_checks(table, ground=ground)[3].to_json() == expected
-    for size in (1, 2):
-        assert list(poset.iter_supported_subsets(forest.ground, size)) == \
-            list(supported_subsets_by_rescan(poset, forest.ground, size))
+    _assert_both_subset_paths_match(poset, forest.ground)
+    for tower in forest:
+        _assert_both_subset_paths_match(poset, headroom_candidates(table, tower))
     for pair in itertools.combinations(forest.ground, 2):
         assert min_common_multiples(poset, pair) == min_common_multiples_by_divisors(poset, pair)
     for tower in forest:
@@ -69,3 +80,12 @@ def test_zpos3000_forest_and_lcm_report_match_oracles():
     assert forest_to_json(forest, table) == forest_to_json(towers_by_rescan(table), table)
     assert check_lcm_reduction(table, forest=forest).to_json() == \
         lcm_reduction_by_walk(table).to_json()
+
+
+@pytest.mark.parametrize("nmax", [30, 100, 300, 1000, 1500, 3000])
+def test_both_subset_paths_match_the_rescan_at_zpos_roots(nmax):
+    # the primes with headroom; from zpos:1000 on the root is wide enough
+    # that the public entry sweeps
+    table = builtin("zpos", nmax=nmax).enumerate_up_to(nmax)
+    root = Tower.root(table.atoms())
+    _assert_both_subset_paths_match(table.poset(), headroom_candidates(table, root))
