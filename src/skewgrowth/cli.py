@@ -69,9 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", dest="fmt", default="table",
                         choices=("table", "json", "dot"),
                         help="output format (dot applies to towers only)")
-    parser.add_argument("--word-cap", type=int, metavar="N",
-                        help="for presented models, the most (generator, class) "
-                             "pairs enumerated at one degree")
     parser.add_argument("--out", metavar="PATH",
                         help="write output to PATH instead of stdout")
     return parser
@@ -102,6 +99,9 @@ def main(argv=None) -> int:
         except (SkewGrowthError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        except MemoryError:  # its text is usually empty
+            print("error: out of memory", file=sys.stderr)
+            return 2
 
 
 def _print_warning(message, *_):
@@ -113,12 +113,6 @@ def _print_warning(message, *_):
 
 def _configure(args) -> RunConfig:
     model = _build_model(args)
-    if args.word_cap is not None:
-        if args.word_cap < 1:
-            raise SkewGrowthError(f"--word-cap must be >= 1, got {args.word_cap}")
-        if not hasattr(model, "word_cap"):
-            raise SkewGrowthError(f"--word-cap applies to presented models, not {model.name}")
-        model.word_cap = args.word_cap
     table = model.enumerate_up_to(_resolve_cutoff(args, model))
     ground = None
     if args.ground is not None:

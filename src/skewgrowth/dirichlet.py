@@ -239,8 +239,9 @@ def convolve_on_grid(grid: Grid, left: Iterable, right: Iterable) -> dict:
     substitution): each factor becomes one int with a fixed-width slot per
     grid int, and a second product of the 0/1 support indicators marks the
     reachable ints.  A sparse grid, whose slots cost more than the term
-    pairs a loop would visit, and every multiplicative grid (a Dirichlet
-    convolution does not pack) take the loop of :func:`_convolve_by_loop`.
+    pairs a loop would visit, coefficients too wide for a memoryview slot,
+    and every multiplicative grid (a Dirichlet convolution does not pack)
+    take the loop of :func:`_convolve_by_loop`.
     """
     top = grid.top
     left = [(n, c) for n, c in left if n <= top]
@@ -253,7 +254,7 @@ def convolve_on_grid(grid: Grid, left: Iterable, right: Iterable) -> dict:
         bound = min(sum(abs(c) for _, c in left) * max(abs(c) for _, c in right),
                     sum(abs(c) for _, c in right) * max(abs(c) for _, c in left))
         width = _slot_bytes(bound)
-        if 8 * size * width <= pairs:
+        if width and 8 * size * width <= pairs:
             values = _packed_product(left, right, size, width)
             reach = _packed_product([(n, 1) for n, _ in left], [(n, 1) for n, _ in right],
                                     size, _slot_bytes(min(len(left), len(right))))
@@ -263,16 +264,16 @@ def convolve_on_grid(grid: Grid, left: Iterable, right: Iterable) -> dict:
 
 
 # memoryview formats of signed slots, by item size.  Their buffers are read
-# as little-endian bytes, so a big-endian machine packs every width as bytes.
+# as little-endian bytes, so a big-endian machine takes the loop.
 _SIGNED_SLOTS = ({memoryview(bytes(8)).cast(code).itemsize: code for code in "bhiq"}
                  if sys.byteorder == "little" else {})
 
 
-def _slot_bytes(bound: int) -> int:
+def _slot_bytes(bound: int) -> int | None:
     """Bytes per slot for signed values of magnitude at most *bound*: the
-    least memoryview item size that holds them, else whole bytes."""
+    least memoryview item size that holds them, or None if none does."""
     size = (bound.bit_length() + 8) // 8  # one bit more, for the sign
-    return min((n for n in _SIGNED_SLOTS if n >= size), default=size)
+    return min((n for n in _SIGNED_SLOTS if n >= size), default=None)
 
 
 def _packed_product(left: list, right: list, size: int, width: int):
@@ -282,26 +283,18 @@ def _packed_product(left: list, right: list, size: int, width: int):
     half a slot to each slot makes them all nonnegative, so the slots
     separate without borrows, and flipping each slot's top bit takes the
     half back off in two's complement, which the slots are read in."""
-    code = _SIGNED_SLOTS.get(width)
+    code = _SIGNED_SLOTS[width]
 
     def pack(terms):  # the positive and the negative magnitudes apart
         parts = [bytearray(size * width), bytearray(size * width)]
-        if code:
-            slots = [memoryview(part).cast(code) for part in parts]
-            for n, c in terms:
-                slots[c < 0][n] = abs(c)
-        else:
-            for n, c in terms:
-                parts[c < 0][n * width:(n + 1) * width] = abs(c).to_bytes(width, "little")
+        slots = [memoryview(part).cast(code) for part in parts]
+        for n, c in terms:
+            slots[c < 0][n] = abs(c)
         return int.from_bytes(parts[0], "little") - int.from_bytes(parts[1], "little")
 
     half = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * size, "little")
     slots = ((pack(left) * pack(right) + half) & ((1 << (8 * width * size)) - 1)) ^ half
-    raw = slots.to_bytes(size * width, "little")
-    if code:
-        return memoryview(raw).cast(code)
-    return [int.from_bytes(raw[i:i + width], "little", signed=True)
-            for i in range(0, len(raw), width)]
+    return memoryview(slots.to_bytes(size * width, "little")).cast(code)
 
 
 def _convolve_by_loop(grid: Grid, left: list, right: list) -> dict:

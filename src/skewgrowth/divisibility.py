@@ -27,6 +27,10 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .errors import CutoffTooLargeError
+
+POSET_BIT_CAP = 2 ** 35  # the most mask bits, n(n+1)/2 for n elements: 4 GiB
+
 
 @dataclass
 class DivPoset:
@@ -38,8 +42,11 @@ class DivPoset:
         """In decreasing id order each u collects the multiples of every
         u*g; they are complete when read, because u*g has a larger id than
         u.  Rows are prefixes sorted by length, so the first row too short
-        for u ends its loop."""
+        for u ends its loop.  A table past the poset cap is refused first."""
         n = table.n_elements
+        if n * (n + 1) // 2 > POSET_BIT_CAP:
+            raise CutoffTooLargeError(f"{n * (n + 1) // 2} divisibility mask bits for {n} "
+                                      f"elements exceed the poset cap {POSET_BIT_CAP}")
         rows = sorted(table.right_maps(), key=len, reverse=True)
         multiples = [0] * n
         for u in range(n - 1, -1, -1):

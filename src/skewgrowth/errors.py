@@ -62,7 +62,7 @@ class EnumerationError(SkewGrowthError, RuntimeError):
 
 
 class CutoffTooLargeError(EnumerationError):
-    """The (generator, class) pairs at some degree exceed the configured cap."""
+    """A table, or the poset built from it, would pass a size cap."""
 
 
 class EmptyAlphabetError(EnumerationError):

@@ -24,8 +24,7 @@ Two model families live here:
   are its edges, and the classes of degree d are its connected components.
   Classes are ordered by their shortlex-least words (length, then
   declaration order).  No word is stored: a class splits as its least
-  word's first letter and its tail, the class of the rest of that word.  A
-  cap on the nodes per degree turns runaway enumerations into a clean error.
+  word's first letter and its tail, the class of the rest of that word.
 
 * :class:`MultIntegerModel` is the positive integers under multiplication
   with multiplicative-integer degree keys: 1..cutoff, one letter per prime,
@@ -48,7 +47,8 @@ from .errors import (CutoffTooLargeError, EmptyAlphabetError, InvalidGroundError
                      InvalidParamsError, MalformedKeyError, UnknownSymbolError)
 from .presentation import Presentation
 
-DEFAULT_WORD_CAP = 10_000_000
+# the most elements a table, or (generator, class) pairs a degree, may hold
+WORD_CAP = 10_000_000
 
 
 class ElementTable(abc.ABC):
@@ -211,12 +211,10 @@ def _validate_cutoff(key_kind: KeyKind, cutoff):
     return cutoff
 
 
-def _check_size(count: int, cutoff):
-    """Refuse a table of *count* elements past the word cap, before any
-    list is built."""
-    if count > DEFAULT_WORD_CAP:
-        raise CutoffTooLargeError(f"{count} elements up to cutoff {cutoff} exceed "
-                                  f"the word cap {DEFAULT_WORD_CAP}")
+def _check_size(count: int, what: str):
+    """Refuse *count* of *what* past the word cap, before they are built."""
+    if count > WORD_CAP:
+        raise CutoffTooLargeError(f"{count} {what} exceed the word cap {WORD_CAP}")
 
 
 def _natural(text: str, token: str) -> int:
@@ -238,21 +236,19 @@ def _integer(name: str, value) -> int:
 class RewriteModel:
     """A monoid given by a positive homogeneous presentation."""
 
-    def __init__(self, presentation: Presentation, word_cap: int = DEFAULT_WORD_CAP,
-                 name: str | None = None):
+    def __init__(self, presentation: Presentation, name: str | None = None):
         self.presentation = presentation
-        self.word_cap = int(word_cap)
         self.default_cutoff = Fraction(8)
         self.name = name or "presented"
         self.key_kind = KeyKind.RATIONAL
 
     def enumerate_up_to(self, cutoff) -> "RewriteTable":
         cutoff = _validate_cutoff(KeyKind.RATIONAL, cutoff)
-        return RewriteTable(self.presentation, cutoff, self.word_cap)
+        return RewriteTable(self.presentation, cutoff)
 
 
 class RewriteTable(ElementTable):
-    def __init__(self, presentation: Presentation, cutoff: Fraction, word_cap: int):
+    def __init__(self, presentation: Presentation, cutoff: Fraction):
         if not presentation.generators:
             raise EmptyAlphabetError("presentation declares no generators")
         self.presentation = presentation
@@ -284,10 +280,12 @@ class RewriteTable(ElementTable):
         # _lengths[x] letters
         super().__init__(grid, [0], {0: (0,)}, [[] for _ in kept], [0], [0])
         self._lengths = [0]
+        if kept:  # the powers of the lightest letter alone are this many elements
+            _check_size(grid.top // min(self._gen_degrees) + 1, f"elements up to cutoff {cutoff}")
         for degree in _degree_closure(self._gen_degrees, grid.top)[1:]:
-            self._close_level(degree, word_cap)
+            self._close_level(degree)
 
-    def _close_level(self, degree: int, word_cap: int):
+    def _close_level(self, degree: int):
         """Enumerate the classes of one degree from the lower ones.
 
         Every word of this degree is g*w with w of class x at degree
@@ -309,11 +307,7 @@ class RewriteTable(ElementTable):
         degrees, by_degree = self.grid_degrees, self._by_degree
         lowers = [by_degree.get(degree - gd, ()) for gd in self._gen_degrees]
         size = sum(map(len, lowers))  # counted before any pair is built
-        if size > word_cap:
-            raise CutoffTooLargeError(
-                f"{size} (generator, class) pairs at degree {self.grid.key(degree)} "
-                f"exceed the word cap {word_cap}"
-            )
+        _check_size(size, f"(generator, class) pairs at degree {self.grid.key(degree)}")
         # runs (len(x), g, x, stop) of one g and one length: a lower level's
         # ids are contiguous and its lengths ascend with them.  Node (g, x)
         # sits at position shift[g, len(x)] + x.
@@ -446,7 +440,7 @@ class MultIntegerModel:
 
 class MultIntTable(ElementTable):
     def __init__(self, cutoff: int):
-        _check_size(cutoff, cutoff)
+        _check_size(cutoff, f"elements up to cutoff {cutoff}")
         # lpf[n] is the least prime factor of n: each p writes its multiples
         # from p*p on, the larger first, so the least prime writes last
         lpf = list(range(cutoff + 1))

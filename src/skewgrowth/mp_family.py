@@ -28,7 +28,6 @@ below the cutoff agrees with the untruncated family.
 """
 from __future__ import annotations
 
-import itertools
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -131,9 +130,20 @@ class MpTable(ElementTable):
         grid = Grid(KeyKind.RATIONAL, cutoff, 2 ** spec.depth)
         self._gen_degrees = gen_degrees = [grid.point(d) for d in spec.degrees]
         step, *flagged = gen_degrees
-        patterns = [(sum(d for d, bit in zip(flagged, pattern) if bit), pattern)
-                    for pattern in itertools.product((0, 1), repeat=spec.depth)]
-        _check_size(sum(max(0, (grid.top - base) // step + 1) for base, _ in patterns), cutoff)
+        # the flag patterns of flagged degree sum b <= top, depth first: a
+        # letter past the top ends its branch.  Each holds (top - b) // step + 1
+        # elements, counted against the word cap as the patterns are found.
+        patterns, count, stack = [], 0, [(0, ())]
+        what = f"elements up to cutoff {cutoff}"
+        while stack:
+            base, pattern = stack.pop()
+            if len(pattern) < spec.depth:
+                stack += [(b, pattern + (bit,)) for bit in (0, 1)
+                          if (b := base + bit * flagged[len(pattern)]) <= grid.top]
+            else:
+                count += (grid.top - base) // step + 1
+                _check_size(count, what)
+                patterns.append((base, pattern))
         triples = sorted((base + n * step, n, pattern) for base, pattern in patterns
                          for n in range((grid.top - base) // step + 1))  # degrees are distinct
         self._forms = [(n, pattern) for _, n, pattern in triples]

@@ -1,14 +1,17 @@
 import importlib.util
 import json
+import re
 import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from skewgrowth.cli import _COMMANDS, main
+from skewgrowth import divisibility, models
+from skewgrowth.cli import _COMMANDS, build_parser, main
 
 GOLDEN = sorted((Path(__file__).parent / "golden").glob("*.txt"))
 SCRIPTS = Path(__file__).parent.parent / "scripts"
@@ -163,7 +166,7 @@ def test_dot_is_refused_where_not_offered(command, capsys):
     ["skew", "--preset", "example3", "--ground", "zz"],
     ["skew", "--preset", "example3", "--ground", ""],
     ["towers", "--preset", "example3", "--ground", "a,aa"],
-    ["growth", "--preset", "example3", "--word-cap", "0"],
+    ["growth", "--preset", "example3", "--word-cap", "0"],  # the option is gone
     ["verify", "--preset", "braid3", "--max-degree", "0"],
     ["verify", "--preset", "zpos:30", "--nmax", "1"],
     ["growth", "--preset", "free:2.5"],
@@ -181,8 +184,6 @@ def test_dot_is_refused_where_not_offered(command, capsys):
     ["growth", "--preset", "zpos:30", "--ground", "4,6,9"],
     ["atoms", "--preset", "zpos:30", "--ground", "4,6,9"],
     ["cancel-check", "--preset", "example3", "--ground", "aa,ab"],
-    ["atoms", "--preset", "zpos:30", "--word-cap", "1"],
-    ["growth", "--preset", "mp:p=4,8,16", "--word-cap", "5"],
     ["towers", "--preset", "example3", "--ground", "1"],
     ["towers", "--preset", "mp:p=4,8,16", "--ground", "1"],
     ["towers", "--preset", "zpos:30", "--ground", "1"],
@@ -285,12 +286,55 @@ def test_regen_golden_check_lists_a_stale_golden_and_writes_nothing(capsys, monk
                                        "0 of 1 goldens current\n")
     assert path.read_bytes() == before
 
-def test_word_cap_budget_exhaustion(capsys):
-    rc = main(["growth", "--preset", "free:2", "--max-degree", "10",
-               "--word-cap", "100"])
+def test_word_cap_budget_exhaustion(capsys, monkeypatch):
+    monkeypatch.setattr(models, "WORD_CAP", 100)
+    rc = main(["growth", "--preset", "free:2", "--max-degree", "10"])
     err = capsys.readouterr().err
     assert rc == 2
-    assert "word budget" in err or "word cap" in err
+    assert err == "error: 128 (generator, class) pairs at degree 7 exceed the word cap 100\n"
+
+
+def test_degree_closure_past_the_word_cap_is_refused_before_it_is_built(capsys):
+    # free:1 at 60,000,000 would hold that many elements, one per degree
+    tracemalloc.start()
+    try:
+        rc = main(["growth", "--preset", "free:1", "--max-degree", "60000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: 60000001 elements up to cutoff 60000000 "
+                                       "exceed the word cap 10000000\n")
+    assert peak < 2 ** 22
+
+
+def test_poset_past_its_cap_is_refused_before_any_mask_is_built(capsys, monkeypatch):
+    monkeypatch.setattr(divisibility, "POSET_BIT_CAP", 100)
+    calls = []
+    right_maps = models.ElementTable.right_maps
+    monkeypatch.setattr(models.ElementTable, "right_maps",
+                        lambda table: calls.append(table) or right_maps(table))
+    assert main(["verify", "--preset", "braid3", "--max-degree", "8"]) == 2
+    assert capsys.readouterr().err == ("error: 24531 divisibility mask bits for 221 elements "
+                                       "exceed the poset cap 100\n")
+    assert calls == []  # the masks are read off the right maps
+
+
+def test_out_of_memory_is_a_usage_error_not_a_failed_check(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("skewgrowth.cli.run_all_checks", exhausted)
+    assert main(["verify", "--preset", "example3"]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
+def test_readme_names_exactly_the_parsers_long_options():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.partition("## Command line")[2].partition("\n## ")[0]
+    parsed = {flag for action in build_parser()._actions for flag in action.option_strings
+              if flag.startswith("--")}
+    assert set(re.findall(r"--[a-z][a-z-]*", section)) == parsed
 
 
 def test_argparse_errors_are_returned_not_raised(capsys):

@@ -212,7 +212,7 @@ def test_convolve_matches_fraction_loop(pair):
 
 @pytest.mark.parametrize("size, coeff, packs", [
     (201, 1, True),             # two-byte slots
-    (201, 3**45, True),         # slots wider than 8 bytes
+    (201, 3**45, False),        # slots wider than 8 bytes: the loop
     (2, 1, False),              # two terms on 201 ints: the loop is cheaper
     (2, 3**45, False),
 ])

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from scan_oracles import (atoms_by_scan, cancellative_by_scan, divides, masks_by_scan,
                           series_by_fractions, towers_by_rescan, word_degrees)
+from skewgrowth import models
 from skewgrowth.checks import check_cancellative
 from skewgrowth.dirichlet import growth_series
 from skewgrowth.errors import (CutoffTooLargeError, EmptyAlphabetError, InvalidParamsError,
@@ -328,19 +329,19 @@ def test_empty_presentation_rejected():
         RewriteModel(Presentation(())).enumerate_up_to(Fraction(2))
 
 
-def test_word_cap_guard():
-    model = RewriteModel(
-        parse_presentation("gen a : 1\ngen b : 1\n"), word_cap=10
-    )
+def test_word_cap_guard(monkeypatch):
+    monkeypatch.setattr(models, "WORD_CAP", 10)
+    model = RewriteModel(parse_presentation("gen a : 1\ngen b : 1\n"))
     with pytest.raises(CutoffTooLargeError):
         model.enumerate_up_to(Fraction(8))
 
 
-def test_word_cap_trips_before_the_pairs_are_built():
+def test_word_cap_trips_before_the_pairs_are_built(monkeypatch):
     # free:26 fills the cap 26**3 at degree 3; degree 4 would hold 26**4 pairs
+    monkeypatch.setattr(models, "WORD_CAP", 26 ** 3)
+
     def peak_bytes(cutoff):
         model = parse_preset("free:26")
-        model.word_cap = 26 ** 3
         tracemalloc.start()
         try:
             model.enumerate_up_to(Fraction(cutoff))

@@ -21,6 +21,8 @@ from mp_reference import (
 )
 from scan_oracles import min_common_multiples
 
+from skewgrowth import models
+from skewgrowth.cli import main
 from skewgrowth.dirichlet import KeyKind, Series, growth_series, series_invert, series_mul
 from skewgrowth.errors import InvalidGroundError, InvalidParamsError
 from skewgrowth.models import RewriteModel
@@ -248,6 +250,24 @@ def test_depth_cap_warning_on_canonical_p():
         warnings.simplefilter("error")
         model.enumerate_up_to(F(10))
         builtin("mp", p=[4, 6]).enumerate_up_to(F(40))  # off-pattern: never warns
+
+
+def _growth_lines(preset, capsys):
+    assert main(["growth", "--preset", preset, "--max-degree", "8"]) == 0
+    return capsys.readouterr().out.splitlines()[1:]  # past the header naming the model
+
+
+def test_letters_past_the_cutoff_add_no_growth_line(capsys):
+    # at cutoff 8 only a1 and a2 of p=pow2 fit, so 28 more levels add no element
+    assert _growth_lines("mp:p=pow2:K=40", capsys) == _growth_lines("mp:p=pow2:K=12", capsys)
+
+
+def test_word_cap_trips_while_the_flag_patterns_are_found(capsys, monkeypatch):
+    # every letter of p=2,0,..,0 fits, so its 2**30 flag patterns all would
+    monkeypatch.setattr(models, "WORD_CAP", 1000)
+    assert main(["growth", "--preset", "mp:p=2" + ",0" * 29, "--max-degree", "8"]) == 2
+    assert capsys.readouterr().err == ("error: 1002 elements up to cutoff 8 "
+                                       "exceed the word cap 1000\n")
 
 
 # ------------------------------------------------ degree addressing, oracle
