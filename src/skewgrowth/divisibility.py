@@ -2,12 +2,14 @@
 
 ``u`` left-divides ``v`` when some ``x`` solves ``u * x == v``; on the
 elements of a conical degree-graded monoid this is a partial order.  The
-poset records it bitwise: for every element, the set of its multiples as an
-integer bitmask indexed by element id, built from the table's right
-generator maps ``x -> x * g``, since ``u`` divides ``v`` exactly when ``v``
-is reached from ``u`` by a chain of such steps.  Every query reads the
-multiple masks; the divisor masks are built from the same maps on first
-read.
+poset records it bitwise: the multiples of an element as an integer bitmask
+indexed by element id.  The towers read few of the n masks (3 of braid3@20's
+75,001), so each is built when first asked for, from the table's letter
+rows, until the masks asked for would have cost more than all n: then one
+reverse pass over the right generator maps builds every mask and serves
+every later read.  :meth:`DivPoset.multiples` gives the rule and its
+measured constant.  The divisor masks are built from the right maps on
+first read.
 
 The supported subsets of a tower node's candidates are walked, ANDing
 multiple masks, at a narrow node, and read off one sweep over the elements
@@ -24,49 +26,110 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+import weakref
+from bisect import bisect_right
 from typing import Iterable, Sequence
 
 from .errors import CutoffTooLargeError
 
-POSET_BIT_CAP = 2 ** 35  # the most mask bits, n(n+1)/2 for n elements: 4 GiB
+# the most mask bits held, 4 GiB: the reverse pass, whose n masks take up to
+# n bits each, runs only when n*n is within it, and a mask built on its own
+# is refused when the bits built so far plus n would pass it
+POSET_BIT_CAP = 2 ** 35
 
 
-@dataclass
 class DivPoset:
-    multiple_masks: list[int]  # multiple_masks[u] has bit v set iff u | v
-    _rows: list[list[int]] = field(repr=False, compare=False)  # right maps, longest first
+    """The left-divisibility order of one table, read through
+    :meth:`multiples`.  The table holds its poset, so the poset holds the
+    table by a weak reference, and reads need the table alive."""
 
-    @classmethod
-    def build(cls, table) -> "DivPoset":
+    def __init__(self, table):
+        self.n_elements = table.n_elements
+        self._table = weakref.ref(table)
+        self._memo: dict[int, int] | list[int] = {}  # masks built, or all n
+        self._spent = 0  # the word operations charged to masks built one by one
+        self._bits = 0  # the bits those masks hold
+
+    def multiples(self, u: int) -> int:
+        """The mask of u's multiples: bit v is set iff u | v.
+
+        Built on first read as the image of x -> u*x over the ids x with
+        deg(u) (+) deg(x) <= top, a prefix since ids ascend with degree:
+        the letter rows of u's word map it, right to left, and the ids are
+        set in a b"0"/b"1" buffer over u..n-1 that is read as a base-2 int.
+
+        Buy or rent: each build is charged, before it runs, in the 64-bit
+        word ORs of the reverse pass below, which takes about n*n // 64.  A
+        map step costs about 8 of them and a buffer byte about one: on
+        example3@16000, zpos:20000, braid3@17 and free:2@14 a step took 40
+        to 100 ns, a word 3 to 7.5 ns and a byte 2 to 5 ns.  Once the
+        charges, 8 * end * (len(word) + 1) + n - u a mask, would pass
+        n*n // 64, the reverse pass runs instead if its n*n bits are within
+        the poset cap, and serves this read and every later one, which then
+        index a list.  Past the cap the masks stay one by one, and one is
+        refused when the bits built so far plus n would pass the cap.
+        """
+        try:
+            return self._memo[u]
+        except KeyError:
+            pass
+        table, n = self._table(), self.n_elements
+        word, degrees, grid = table.word(u), table.grid_degrees, table.grid
+        end = bisect_right(degrees, grid.top, key=functools.partial(grid.combine, degrees[u]))
+        self._spent += 8 * end * (len(word) + 1) + n - u
+        if self._spent > n * n // 64 and n * n <= POSET_BIT_CAP:
+            return self._reverse_pass()[u]
+        if self._bits + n > POSET_BIT_CAP:
+            raise CutoffTooLargeError(f"{self._bits + n} divisibility mask bits for {n} "
+                                      f"elements exceed the poset cap {POSET_BIT_CAP}")
+        image = range(end)
+        for g in reversed(word):
+            image = map(table._lmul[g].__getitem__, image)
+        buf = bytearray(b"0") * (n - u)
+        last = n - 1
+        for v in image:
+            buf[last - v] = 49  # weight 2 ** (v - u) in base 2
+        mask = self._memo[u] = int(buf, 2) << u
+        self._bits += mask.bit_length()
+        return mask
+
+    def _reverse_pass(self) -> list[int]:
         """In decreasing id order each u collects the multiples of every
         u*g; they are complete when read, because u*g has a larger id than
         u.  Rows are prefixes sorted by length, so the first row too short
-        for u ends its loop.  A table past the poset cap is refused first."""
-        n = table.n_elements
-        if n * (n + 1) // 2 > POSET_BIT_CAP:
-            raise CutoffTooLargeError(f"{n * (n + 1) // 2} divisibility mask bits for {n} "
-                                      f"elements exceed the poset cap {POSET_BIT_CAP}")
-        rows = sorted(table.right_maps(), key=len, reverse=True)
-        multiples = [0] * n
-        for u in range(n - 1, -1, -1):
+        for u ends its loop.  The list replaces the memo, which a method
+        bound before still reads, and its ``__getitem__`` the method."""
+        multiples, rows = [0] * self.n_elements, self._rows
+        for u in range(self.n_elements - 1, -1, -1):
             mask = 1 << u
             for row in rows:
                 if u >= len(row):
                     break
                 mask |= multiples[row[u]]
             multiples[u] = mask
-        return cls(multiples, rows)
+        self._memo = multiples
+        self.multiples = multiples.__getitem__
+        return multiples
+
+    @functools.cached_property
+    def _rows(self) -> list[list[int]]:
+        """The table's right maps, longest first."""
+        return sorted(self._table().right_maps(), key=len, reverse=True)
+
+    @property
+    def multiple_masks(self) -> list[int]:
+        """Every element's mask of multiples, by id."""
+        return [self.multiples(u) for u in range(self.n_elements)]
 
     @functools.cached_property
     def divisor_masks(self) -> list[int]:
         """divisor_masks[v] has bit u set iff u | v.  In increasing id order
         each x hands its divisors on to every x*g."""
-        n = len(self.multiple_masks)
+        n, rows = self.n_elements, self._rows
         divisors = [1 << v for v in range(n)]
         for x in range(n):
             mask = divisors[x]
-            for row in self._rows:
+            for row in rows:
                 if x >= len(row):
                     break
                 divisors[row[x]] |= mask
@@ -76,12 +139,15 @@ class DivPoset:
         """The minimal elements of a mask, ascending.  A strict divisor has a
         smaller degree and so a smaller id, so the lowest set bit is minimal;
         record it, clear all of its multiples and repeat.  One AND per
-        minimal element."""
+        minimal element but the last: a lone bit left is minimal, and its
+        mask is not read."""
         out = []
-        while mask:
+        while mask & (mask - 1):
             low = (mask & -mask).bit_length() - 1
             out.append(low)
-            mask &= ~self.multiple_masks[low]
+            mask &= ~self.multiples(low)
+        if mask:
+            out.append(mask.bit_length() - 1)
         return out
 
     def minimal_elements(self, subset: Iterable[int]) -> list[int]:
@@ -110,7 +176,7 @@ class DivPoset:
         and mp@40 walks.
         """
         k = len(candidates)
-        if k > 1 and k * (k - 1) // 2 > 4 * (len(self.multiple_masks) - min(candidates)):
+        if k > 1 and k * (k - 1) // 2 > 4 * (self.n_elements - min(candidates)):
             return self._sweep_supported_subsets(candidates, min_size)
         return self._walk_supported_subsets(candidates, min_size)
 
@@ -133,7 +199,7 @@ class DivPoset:
                     yield from rec(chosen, below)
                 chosen.pop()
 
-        yield from rec([], [(eid, self.multiple_masks[eid]) for eid in candidates])
+        yield from rec([], [(eid, self.multiples(eid)) for eid in candidates])
 
     def _sweep_supported_subsets(self, candidates: Sequence[int], min_size: int):
         """One pass in increasing id order from the least candidate gives
@@ -147,7 +213,7 @@ class DivPoset:
         subset's mask is the AND of its candidates' multiple masks.
         """
         start = min(candidates)
-        bits = [0] * (len(self.multiple_masks) - start)
+        bits = [0] * (self.n_elements - start)
         for i, eid in enumerate(candidates):
             bits[eid - start] |= 1 << i
         for x, mask in enumerate(bits, start):  # later entries fill as it runs
@@ -173,7 +239,6 @@ class DivPoset:
                     sub ^= low
                 picks.append(pick)
         picks.sort()
-        masks = self.multiple_masks
         for pick in picks:
             stage = tuple(candidates[i] for i in pick)
-            yield stage, functools.reduce(operator.and_, [masks[eid] for eid in stage])
+            yield stage, functools.reduce(operator.and_, map(self.multiples, stage))

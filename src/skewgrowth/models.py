@@ -196,7 +196,7 @@ class ElementTable(abc.ABC):
     def poset(self):
         """Memoized left-divisibility poset for this table."""
         if self._poset is None:
-            self._poset = DivPoset.build(self)
+            self._poset = DivPoset(self)
         return self._poset
 
 
@@ -284,6 +284,7 @@ class RewriteTable(ElementTable):
             _check_size(grid.top // min(self._gen_degrees) + 1, f"elements up to cutoff {cutoff}")
         for degree in _degree_closure(self._gen_degrees, grid.top)[1:]:
             self._close_level(degree)
+        _check_size(self.n_elements, f"elements up to cutoff {cutoff}")
 
     def _close_level(self, degree: int):
         """Enumerate the classes of one degree from the lower ones.
@@ -307,7 +308,11 @@ class RewriteTable(ElementTable):
         degrees, by_degree = self.grid_degrees, self._by_degree
         lowers = [by_degree.get(degree - gd, ()) for gd in self._gen_degrees]
         size = sum(map(len, lowers))  # counted before any pair is built
-        _check_size(size, f"(generator, class) pairs at degree {self.grid.key(degree)}")
+        at = f"degree {self.grid.key(degree)}"
+        _check_size(size, f"(generator, class) pairs at {at}")
+        # the lower levels, so a level that passes the cap is refused at
+        # the next one, or after the last
+        _check_size(len(degrees), f"elements below {at}")
         # runs (len(x), g, x, stop) of one g and one length: a lower level's
         # ids are contiguous and its lengths ascend with them.  Node (g, x)
         # sits at position shift[g, len(x)] + x.

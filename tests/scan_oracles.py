@@ -57,12 +57,12 @@ def mask_to_ids(mask: int) -> list[int]:
 
 
 def divides(poset, u: int, v: int) -> bool:
-    return bool(poset.multiple_masks[u] >> v & 1)
+    return bool(poset.multiples(u) >> v & 1)
 
 
 def _common_mask(poset, index_set) -> int:
     """The common right multiples of a non-empty index set, as a mask."""
-    return functools.reduce(operator.and_, (poset.multiple_masks[e] for e in index_set))
+    return functools.reduce(operator.and_, map(poset.multiples, index_set))
 
 
 def common_multiples(poset, index_set) -> list[int]:
@@ -400,7 +400,7 @@ def supported_subsets_by_rescan(poset, candidates, min_size):
     def rec(start, chosen, mask):
         for i in range(start, len(candidates)):
             eid = candidates[i]
-            next_mask = mask & poset.multiple_masks[eid] if chosen else poset.multiple_masks[eid]
+            next_mask = mask & poset.multiples(eid) if chosen else poset.multiples(eid)
             if not next_mask:
                 continue
             chosen.append(eid)

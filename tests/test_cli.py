@@ -308,6 +308,14 @@ def test_degree_closure_past_the_word_cap_is_refused_before_it_is_built(capsys):
     assert peak < 2 ** 22
 
 
+def test_presented_table_past_the_word_cap_in_all_is_refused(capsys, monkeypatch):
+    # free:2 at 6 holds 127 elements, and no degree more than 64 pairs
+    monkeypatch.setattr(models, "WORD_CAP", 100)
+    assert main(["growth", "--preset", "free:2", "--max-degree", "6"]) == 2
+    assert capsys.readouterr().err == ("error: 127 elements up to cutoff 6 "
+                                       "exceed the word cap 100\n")
+
+
 def test_poset_past_its_cap_is_refused_before_any_mask_is_built(capsys, monkeypatch):
     monkeypatch.setattr(divisibility, "POSET_BIT_CAP", 100)
     calls = []
@@ -315,9 +323,11 @@ def test_poset_past_its_cap_is_refused_before_any_mask_is_built(capsys, monkeypa
     monkeypatch.setattr(models.ElementTable, "right_maps",
                         lambda table: calls.append(table) or right_maps(table))
     assert main(["verify", "--preset", "braid3", "--max-degree", "8"]) == 2
-    assert capsys.readouterr().err == ("error: 24531 divisibility mask bits for 221 elements "
+    # braid3@8's 221**2 bits are past the cap, so the masks are built one
+    # by one, and the first would hold up to 221 bits
+    assert capsys.readouterr().err == ("error: 221 divisibility mask bits for 221 elements "
                                        "exceed the poset cap 100\n")
-    assert calls == []  # the masks are read off the right maps
+    assert calls == []  # only the reverse pass reads the right maps
 
 
 def test_out_of_memory_is_a_usage_error_not_a_failed_check(capsys, monkeypatch):

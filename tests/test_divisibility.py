@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +11,14 @@ from scan_oracles import (
     min_common_multiples,
 )
 
-from skewgrowth import builtin
+from skewgrowth import builtin, divisibility
 from skewgrowth.checks import run_all_checks
+from skewgrowth.dirichlet import parse_key
+from skewgrowth.divisibility import DivPoset
 from skewgrowth.models import RewriteModel
 from skewgrowth.presentation import parse_presentation
+from skewgrowth.presets import parse_preset
+from skewgrowth.towers import skew_growth
 
 
 def _labels(table, ids):
@@ -131,3 +136,46 @@ def test_verify_leaves_the_divisor_masks_unbuilt():
     table = builtin("braid3").enumerate_up_to(Fraction(8))
     run_all_checks(table)
     assert "divisor_masks" not in vars(table.poset())
+
+
+def _spy_reverse_pass():
+    return mock.patch.object(DivPoset, "_reverse_pass", autospec=True,
+                             side_effect=DivPoset._reverse_pass)
+
+
+@pytest.mark.parametrize("preset, cutoff, reverse_pass", [
+    ("free:2", "12", False),
+    ("braid3", "13", False),
+    ("example3", "20", True),
+    pytest.param("mp:p=4,8,16", "40", True,
+                 marks=pytest.mark.filterwarnings("ignore:cutoff 40 reaches")),
+    ("zpos:1500", "1500", True),
+])
+def test_verify_runs_the_reverse_pass_once_the_masks_would_cost_more(preset, cutoff,
+                                                                     reverse_pass):
+    # free:2@12 and braid3@13 read 2 and 3 of their 8,191 and 2,567 masks
+    model = parse_preset(preset)
+    table = model.enumerate_up_to(parse_key(model.key_kind, cutoff))
+    with _spy_reverse_pass() as spy:
+        run_all_checks(table)
+    assert spy.call_count == reverse_pass
+    if not reverse_pass:
+        assert len(table.poset()._memo) <= 3
+
+
+def test_poset_cap_between_the_bits_built_and_n_squared_keeps_masks_on_demand(monkeypatch):
+    # zpos:1500 runs the reverse pass under the default cap; one bit short
+    # of its n*n bits, the masks the towers read are built one by one
+    model = builtin("zpos", nmax=1500)
+    default = model.enumerate_up_to(1500)
+    expected = [report.to_json() for report in run_all_checks(default)]
+    table = model.enumerate_up_to(1500)
+    cap = table.n_elements ** 2 - 1
+    monkeypatch.setattr(divisibility, "POSET_BIT_CAP", cap)
+    with _spy_reverse_pass() as spy:
+        reports = run_all_checks(table)
+    assert spy.call_count == 0
+    assert [report.to_json() for report in reports] == expected
+    assert all(report.ok for report in reports)
+    assert skew_growth(table) == skew_growth(default)
+    assert table.poset()._bits < cap

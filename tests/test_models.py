@@ -2,15 +2,17 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from scan_oracles import (atoms_by_scan, cancellative_by_scan, divides, masks_by_scan,
                           series_by_fractions, towers_by_rescan, word_degrees)
-from skewgrowth import models
+from skewgrowth import divisibility, models
 from skewgrowth.checks import check_cancellative
 from skewgrowth.dirichlet import growth_series
+from skewgrowth.divisibility import DivPoset
 from skewgrowth.errors import (CutoffTooLargeError, EmptyAlphabetError, InvalidParamsError,
                                UnknownSymbolError)
 from skewgrowth.models import MultIntegerModel, RewriteModel
@@ -336,9 +338,19 @@ def test_word_cap_guard(monkeypatch):
         model.enumerate_up_to(Fraction(8))
 
 
+def test_word_cap_counts_the_elements_of_the_lower_levels(monkeypatch):
+    # example3 has 2 elements and 4 pairs at each degree, so only the
+    # running count passes a cap of 10, at degree 5
+    monkeypatch.setattr(models, "WORD_CAP", 10)
+    with pytest.raises(CutoffTooLargeError) as caught:
+        parse_preset("example3").enumerate_up_to(Fraction(8))
+    assert str(caught.value) == "11 elements below degree 6 exceed the word cap 10"
+
+
 def test_word_cap_trips_before_the_pairs_are_built(monkeypatch):
-    # free:26 fills the cap 26**3 at degree 3; degree 4 would hold 26**4 pairs
-    monkeypatch.setattr(models, "WORD_CAP", 26 ** 3)
+    # free:26's 18,279 elements up to degree 3 fill the cap; degree 4 would
+    # hold 26**4 pairs
+    monkeypatch.setattr(models, "WORD_CAP", 1 + 26 + 26 ** 2 + 26 ** 3)
 
     def peak_bytes(cutoff):
         model = parse_preset("free:26")
@@ -347,11 +359,12 @@ def test_word_cap_trips_before_the_pairs_are_built(monkeypatch):
             model.enumerate_up_to(Fraction(cutoff))
         except CutoffTooLargeError as exc:
             assert str(exc) == ("456976 (generator, class) pairs at degree 4 "
-                                "exceed the word cap 17576")
+                                "exceed the word cap 18279")
         else:
             assert cutoff == 3
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
         return peak
 
     assert peak_bytes(4) < 2 * peak_bytes(3)
@@ -410,10 +423,23 @@ def test_left_divides_and_quotient(example3_table):
 
 # ------------------------------------------------- generator maps vs. scans
 
+def _masks_on_demand(table) -> list[int]:
+    """Every element's multiples as built on demand, each by a fresh poset
+    under a cap one bit short of the reverse pass's n*n bits, which keeps
+    that pass from running."""
+    n = table.n_elements
+    with mock.patch.object(divisibility, "POSET_BIT_CAP", n * n - 1), \
+            mock.patch.object(DivPoset, "_reverse_pass", side_effect=AssertionError):
+        return [DivPoset(table).multiples(u) for u in range(n)]
+
+
 def _assert_core_matches_scans(table):
     assert table.atoms() == atoms_by_scan(table)
+    divisors, multiples = masks_by_scan(table)
+    if table.n_elements > 1:  # a lone unit fits no cap between n and n*n
+        assert _masks_on_demand(table) == multiples
     poset = table.poset()
-    assert (poset.divisor_masks, poset.multiple_masks) == masks_by_scan(table)
+    assert (poset.divisor_masks, poset.multiple_masks) == (divisors, multiples)
     assert check_cancellative(table).to_json() == cancellative_by_scan(table).to_json()
 
 

@@ -129,9 +129,11 @@ def test_sign_formula():
 
 def _held_by_forest(cutoff):
     """example3's forest at *cutoff*, and the bytes held after its walk,
-    with the table, its atoms and its poset built beforehand."""
+    with the table, its atoms and every multiple mask built beforehand, so
+    that the poset's memo is not counted as the forest's."""
     table = builtin("example3").enumerate_up_to(cutoff)
     poset, _ = table.poset(), table.atoms()
+    _ = poset.multiple_masks
     gc.collect()  # a full collection empties the free lists earlier runs filled
     tracemalloc.start()
     try:
