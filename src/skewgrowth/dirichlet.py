@@ -239,9 +239,10 @@ def convolve_on_grid(grid: Grid, left: Iterable, right: Iterable) -> dict:
     substitution): each factor becomes one int with a fixed-width slot per
     grid int, and a second product of the 0/1 support indicators marks the
     reachable ints.  A sparse grid, whose slots cost more than the term
-    pairs a loop would visit, coefficients too wide for a memoryview slot,
-    and every multiplicative grid (a Dirichlet convolution does not pack)
-    take the loop of :func:`_convolve_by_loop`.
+    pairs a loop would visit, a grid so small that the packing's fixed cost
+    outweighs the pairs, coefficients too wide for a memoryview slot, and
+    every multiplicative grid (a Dirichlet convolution does not pack) take
+    the loop of :func:`_convolve_by_loop`.
     """
     top = grid.top
     left = [(n, c) for n, c in left if n <= top]
@@ -249,12 +250,12 @@ def convolve_on_grid(grid: Grid, left: Iterable, right: Iterable) -> dict:
     size, pairs = top + 1, len(left) * len(right)
     # measured from 10 to 20,000 slots: one slot bit of the two big-int
     # products costs about what one pair of the loop does, and a slot has
-    # at least 8 bits
-    if grid.kind is KeyKind.RATIONAL and 8 * size <= pairs:
+    # at least 8 bits; packing also has a fixed cost
+    if grid.kind is KeyKind.RATIONAL and 8 * size + _PACKING_PAIRS <= pairs:
         bound = min(sum(abs(c) for _, c in left) * max(abs(c) for _, c in right),
                     sum(abs(c) for _, c in right) * max(abs(c) for _, c in left))
         width = _slot_bytes(bound)
-        if width and 8 * size * width <= pairs:
+        if width and 8 * size * width + _PACKING_PAIRS <= pairs:
             values = _packed_product(left, right, size, width)
             reach = _packed_product([(n, 1) for n, _ in left], [(n, 1) for n, _ in right],
                                     size, _slot_bytes(min(len(left), len(right))))
@@ -262,6 +263,11 @@ def convolve_on_grid(grid: Grid, left: Iterable, right: Iterable) -> dict:
                             itertools.compress(values, reach)))
     return _convolve_by_loop(grid, left, right)
 
+
+# the packed product's fixed cost in pairs of the loop: about 24 us however
+# few the slots, against 60 ns a pair (dense grids of 8 to 100 slots on a
+# 2-core x86-64 VM; the two break even near 21 to 26 slots)
+_PACKING_PAIRS = 400
 
 # memoryview formats of signed slots, by item size.  Their buffers are read
 # as little-endian bytes, so a big-endian machine takes the loop.

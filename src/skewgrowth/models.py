@@ -261,8 +261,7 @@ class RewriteTable(ElementTable):
         self._letters = {n: i for i, n in enumerate(self._gen_names)}
 
         # relations whose sides fit under the cutoff, as index tuples with
-        # both orientations collapsed to one unordered pair, and their degree;
-        # each side is kept as its first letter and the rest
+        # both orientations collapsed to one unordered pair, and their degree
         rules: set[tuple[tuple[int, ...], tuple[int, ...], int]] = set()
         for rel in presentation.relations:
             if any(n not in self._letters for n in rel.lhs + rel.rhs):
@@ -273,13 +272,17 @@ class RewriteTable(ElementTable):
                 continue
             degree = sum(self._gen_degrees[i] for i in lhs)
             rules.add((min(lhs, rhs), max(lhs, rhs), degree))
-        self._rules = [(degree, lhs[0], lhs[1:], rhs[0], rhs[1:])
-                       for lhs, rhs, degree in sorted(rules)]
 
         # the levels are added in place; the least word of class x has
         # _lengths[x] letters
         super().__init__(grid, [0], {0: (0,)}, [[] for _ in kept], [0], [0])
         self._lengths = [0]
+        # each side is kept as its first letter and the letter rows of the
+        # rest, in the order a fold applies them; the rows grow in place
+        lmul = self._lmul
+        self._rules = [(degree, lhs[0], tuple(lmul[i] for i in reversed(lhs[1:])),
+                        rhs[0], tuple(lmul[i] for i in reversed(rhs[1:])))
+                       for lhs, rhs, degree in sorted(rules)]
         if kept:  # the powers of the lightest letter alone are this many elements
             _check_size(grid.top // min(self._gen_degrees) + 1, f"elements up to cutoff {cutoff}")
         for degree in _degree_closure(self._gen_degrees, grid.top)[1:]:
@@ -299,77 +302,97 @@ class RewriteTable(ElementTable):
         The least word of node (g, x) is g + word(x).  The classes of one
         degree have ascending ids in shortlex order, so those words are in
         shortlex order exactly when the int triples (len(x), g, x) are.  The
-        nodes are laid out in that order and every union keeps the smaller
-        position as root, so each root is its component's least node: one
-        pass in node order numbers the roots, and a root's g and x are its
-        class's first letter and tail.
+        nodes are laid out in that order, in runs of one g and one len(x).
+        A level where no relation's y exists has no edge, so each node is a
+        class, numbered in node order run by run.  Otherwise union-find
+        joins the nodes; every union keeps the smaller position as root, so
+        each root is its component's least node: one pass in node order
+        numbers the roots, and a root's g and x are its class's first letter
+        and tail.  u*y has a degree below this one, so folding a rule side
+        through the letter rows never passes the cutoff and needs no test.
         """
         lengths, lmul = self._lengths, self._lmul
         degrees, by_degree = self.grid_degrees, self._by_degree
-        lowers = [by_degree.get(degree - gd, ()) for gd in self._gen_degrees]
-        size = sum(map(len, lowers))  # counted before any pair is built
-        at = f"degree {self.grid.key(degree)}"
-        _check_size(size, f"(generator, class) pairs at {at}")
-        # the lower levels, so a level that passes the cap is refused at
-        # the next one, or after the last
-        _check_size(len(degrees), f"elements below {at}")
-        # runs (len(x), g, x, stop) of one g and one length: a lower level's
-        # ids are contiguous and its lengths ascend with them.  Node (g, x)
-        # sits at position shift[g, len(x)] + x.
+        first = len(degrees)
+        # runs (len(x), g, x, stop): a lower level's ids are contiguous and
+        # its lengths ascend with them.  The pairs are counted before any
+        # node is built.
         runs = []
-        for g, lower in enumerate(lowers):
-            x, end = (lower[0], lower[-1] + 1) if lower else (0, 0)
-            while x < end:
-                stop = bisect_right(lengths, lengths[x], x, end)
-                runs.append((lengths[x], g, x, stop))
-                x = stop
-        runs.sort()
-        shift = {}
-        node_g: list[int] = []
-        node_x: list[int] = []
-        for length, g, x, stop in runs:
-            shift[g, length] = len(node_x) - x
-            node_g.extend(repeat(g, stop - x))
-            node_x.extend(range(x, stop))
-
-        parent = list(range(size))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        fold = self._fold
-        for rule_degree, g, u, h, v in self._rules:
-            for y in by_degree.get(degree - rule_degree, ()):
-                x, z = fold(u, y), fold(v, y)
-                a = find(shift[g, lengths[x]] + x)
-                b = find(shift[h, lengths[z]] + z)
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-
-        # parent[p] < p for every non-root p, so its id is known by then
-        first = eid = len(degrees)
-        ids: list[int] = []
-        roots: list[int] = []
-        for p, q in enumerate(parent):
-            if p == q:
-                roots.append(p)
-                ids.append(eid)
-                eid += 1
-            else:
-                ids.append(ids[q])
-        tails = list(map(node_x.__getitem__, roots))
-        self._firsts += map(node_g.__getitem__, roots)
-        self._tails += tails
-        lengths += [lengths[x] + 1 for x in tails]
-        degrees += repeat(degree, len(roots))
+        size = 0
+        for g, gen_degree in enumerate(self._gen_degrees):
+            lower = by_degree.get(degree - gen_degree)
+            if lower:
+                x, end = lower[0], lower[-1] + 1
+                size += end - x
+                if lengths[x] == lengths[end - 1]:
+                    runs.append((lengths[x], g, x, end))
+                    continue
+                while x < end:
+                    stop = bisect_right(lengths, lengths[x], x, end)
+                    runs.append((lengths[x], g, x, stop))
+                    x = stop
+        if size > WORD_CAP or first > WORD_CAP:
+            at = f"degree {self.grid.key(degree)}"
+            _check_size(size, f"(generator, class) pairs at {at}")
+            # the lower levels, so a level that passes the cap is refused at
+            # the next one, or after the last
+            _check_size(first, f"elements below {at}")
+        if len(runs) > 1:
+            runs.sort()
+        edges = [(rule, ys) for rule in self._rules if (ys := by_degree.get(degree - rule[0]))]
+        firsts, tails = self._firsts, self._tails
+        eid = first
+        if not edges:
+            for length, g, x, stop in runs:
+                count = stop - x
+                lmul[g] += range(eid, eid + count)
+                firsts += repeat(g, count)
+                tails += range(x, stop)
+                lengths += repeat(length + 1, count)
+                eid += count
+        else:
+            # node (g, x) sits at position shift[g, len(x)] + x
+            shift = {}
+            position = 0
+            for length, g, x, stop in runs:
+                shift[g, length] = position - x
+                position += stop - x
+            parent = list(range(size))
+            for (_, g, u, h, v), ys in edges:
+                for y in ys:
+                    x = z = y
+                    for row in u:
+                        x = row[x]
+                    for row in v:
+                        z = row[z]
+                    a = shift[g, lengths[x]] + x
+                    while (up := parent[a]) != a:  # path halving
+                        parent[a] = a = parent[up]
+                    b = shift[h, lengths[z]] + z
+                    while (up := parent[b]) != b:
+                        parent[b] = b = parent[up]
+                    if a != b:
+                        parent[max(a, b)] = min(a, b)
+            # one pass in node order; parent[p] < p for every non-root p, so
+            # its id is known by then
+            ids: list[int] = []
+            p = 0
+            for length, g, x, stop in runs:
+                start = p
+                for tail in range(x, stop):
+                    q = parent[p]
+                    if p == q:
+                        ids.append(eid)
+                        eid += 1
+                        firsts.append(g)
+                        tails.append(tail)
+                        lengths.append(length + 1)
+                    else:
+                        ids.append(ids[q])
+                    p += 1
+                lmul[g] += ids[start:p]
+        degrees += repeat(degree, eid - first)
         by_degree[degree] = tuple(range(first, eid))
-        offset = 0  # a run's nodes sit side by side, and x ascends in g's runs
-        for _, g, x, stop in runs:
-            lmul[g] += ids[offset:offset + stop - x]
-            offset += stop - x
 
     # -- queries ---------------------------------------------------------------
 

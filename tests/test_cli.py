@@ -260,6 +260,22 @@ def test_verify_builtins_script_reports_errors(capsys):
     assert capsys.readouterr().err.startswith("error: unknown builtin 'nosuch'")
 
 
+def test_bench_rows_script_records_a_passing_and_a_refused_row(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_rows", SCRIPTS / "bench_rows.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "rows.json"
+    assert script.main(["--out", str(out), "mp-twin@8", "free:1@60000000"]) == 0
+    twin, refused = json.loads(out.read_text())["rows"]
+    assert twin["argv"] == ["verify", "--file", "mp-twin.txt", "--max-degree", "8"]
+    assert [run["exit"] for run in twin["runs"]] == [0] * script.RUNS
+    assert list(twin["stage_s"]) == list(script.STAGES)
+    message = "60000001 elements up to cutoff 60000000 exceed the word cap 10000000"
+    assert refused["runs"][0]["exit"] == 2
+    assert refused["runs"][0]["error"] == f"error: {message}"
+    assert refused["stage_error"] == f"enumerate: {message}"
+    assert refused["runs"][0]["peak_rss_mib"] > 0
+
 
 def _load_regen_golden():
     spec = importlib.util.spec_from_file_location(

@@ -210,18 +210,23 @@ def test_convolve_matches_fraction_loop(pair):
     assert all(type(key) is Fraction for key in product)
 
 
-@pytest.mark.parametrize("size, coeff, packs", [
-    (201, 1, True),             # two-byte slots
-    (201, 3**45, False),        # slots wider than 8 bytes: the loop
-    (2, 1, False),              # two terms on 201 ints: the loop is cheaper
-    (2, 3**45, False),
-])
-def test_convolve_packs_dense_grids_and_loops_over_sparse_ones(size, coeff, packs):
+_PACKING_ROWS = [  # size, coeff, packs, cutoff
+    (201, 1, True, 200),        # two-byte slots
+    (201, 3**45, False, 200),   # slots wider than 8 bytes: the loop
+    (2, 1, False, 200),         # two terms on 201 ints: the loop is cheaper
+    (2, 3**45, False, 200),
+    (21, 1, False, 20),         # all 21 ints of a tiny grid: packing costs more than the loop
+]
+
+
+@pytest.mark.parametrize("size, coeff, packs, cutoff", _PACKING_ROWS,
+                         ids=[f"{size}-{coeff}-{packs}" for size, coeff, packs, _ in _PACKING_ROWS])
+def test_convolve_packs_dense_grids_and_loops_over_sparse_ones(size, coeff, packs, cutoff):
     # f * g is -coeff**2 at every even int it reaches and cancels at every
     # odd one; f * f reaches the slot width's bound, size * coeff**2, at
     # its greatest int
-    f = Series.build(R, 200, {k: coeff for k in range(size)})
-    g = Series.build(R, 200, {k: (-1) ** (k + 1) * coeff for k in range(size)})
+    f = Series.build(R, cutoff, {k: coeff for k in range(size)})
+    g = Series.build(R, cutoff, {k: (-1) ** (k + 1) * coeff for k in range(size)})
     with mock.patch.object(dirichlet, "_packed_product", wraps=dirichlet._packed_product) as spy:
         product, square = convolve(f, g), convolve(f, f)
     assert spy.call_count == (4 if packs else 0)

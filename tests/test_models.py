@@ -11,11 +11,12 @@ from scan_oracles import (atoms_by_scan, cancellative_by_scan, divides, masks_by
                           series_by_fractions, towers_by_rescan, word_degrees)
 from skewgrowth import divisibility, models
 from skewgrowth.checks import check_cancellative
-from skewgrowth.dirichlet import growth_series
+from skewgrowth.dirichlet import Grid, growth_series
 from skewgrowth.divisibility import DivPoset
 from skewgrowth.errors import (CutoffTooLargeError, EmptyAlphabetError, InvalidParamsError,
                                UnknownSymbolError)
 from skewgrowth.models import MultIntegerModel, RewriteModel
+from skewgrowth.mp_family import MpSpec, family_presentation
 from skewgrowth.presentation import Generator, Presentation, Relation, parse_presentation
 from skewgrowth.presets import builtin, parse_preset
 from skewgrowth.towers import skew_growth
@@ -368,6 +369,15 @@ def test_word_cap_trips_before_the_pairs_are_built(monkeypatch):
         return peak
 
     assert peak_bytes(4) < 2 * peak_bytes(3)
+
+
+def test_levels_name_their_degree_only_when_a_cap_trips():
+    # the mp presentation twin at 22 closes 106 levels of one class each
+    model = RewriteModel(family_presentation(MpSpec((4, 8, 16))))
+    with mock.patch.object(Grid, "key", autospec=True, side_effect=Grid.key) as spy:
+        table = model.enumerate_up_to(Fraction(22))
+    assert table.n_elements == 107
+    assert spy.call_count == 0
 
 
 def test_determinism_across_fresh_models():

@@ -223,8 +223,14 @@ def test_growth_is_the_truncated_product_formula(mp_table):
     assert growth_series(mp_table) == expected
 
 
-def test_cross_model_agreement(mp_table):
-    rewrite = RewriteModel(family_presentation(SPEC)).enumerate_up_to(F(8))
+@pytest.mark.parametrize("cutoff", [
+    8,
+    # one class at each of the presentation's 107 degrees
+    pytest.param(22, marks=pytest.mark.filterwarnings("ignore:cutoff 22 reaches")),
+])
+def test_cross_model_agreement(cutoff):
+    mp_table = builtin("mp", p=[4, 8, 16]).enumerate_up_to(F(cutoff))
+    rewrite = RewriteModel(family_presentation(SPEC)).enumerate_up_to(F(cutoff))
     mine = [mp_table.degree(e) for e in mp_table.all_elements()]
     theirs = [rewrite.degree(e) for e in rewrite.all_elements()]
     assert mine == theirs
