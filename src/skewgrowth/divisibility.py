@@ -25,7 +25,6 @@ have smaller degree and therefore be enumerated.
 from __future__ import annotations
 
 import functools
-import operator
 import weakref
 from bisect import bisect_right
 from typing import Iterable, Sequence
@@ -159,21 +158,28 @@ class DivPoset:
         return self.minimal_in_mask(mask)
 
     def iter_supported_subsets(self, candidates: Sequence[int], min_size: int):
-        """Yield subsets (as tuples, in lexicographic candidate order) of at
-        least ``min_size`` elements whose common-multiple set is non-empty
-        within the cutoff, with each subset's common-multiple mask.
+        """Yield the subsets (as tuples, in lexicographic order) of at
+        least ``min_size`` candidates whose common-multiple set is non-empty
+        within the cutoff, each with its common-multiple mask.  The
+        candidates are ascending, as every tower top is.  Each path is one
+        generator frame, not one per subset, and a caller that drops each
+        mask, of up to n bits, never holds a wide node's thousands at once.
 
         Two ways find them.  The walk ANDs candidates' multiple masks, at
         least one C-level AND per pair, k(k-1)/2 for k candidates; the sweep
         takes about one Python step per element above the least candidate,
         n - min(candidates), whatever k is.  A node sweeps when its pairs
         are more than 4 times the elements swept, and walks otherwise.  The
-        4 is measured on the zpos roots (the primes with headroom): from
-        zpos:100 to :700 (pairs 1.1 to 3.5 times the elements) the walk was
-        faster, at zpos:1000 (4.5 times) the two took 2.4 ms each, and at
-        zpos:1500 and :3000 the sweep took 3.8 and 8.5 ms against the walk's
-        4.9 and 21.6 ms.  Every node of example3@200, braid3@13, free:2@12
-        and mp@40 walks.
+        4 is measured on the zpos roots (the primes with headroom), with
+        every mask prebuilt and with masks built on demand: up to zpos:600
+        (pairs 3.2 times the elements) the walk was faster, at zpos:650
+        (3.3 times) the two tied, and from zpos:700 (3.5 times) the sweep
+        was faster, by 3 to 10% up to zpos:850 (3.9 times); at zpos:1500
+        the sweep took 1.5 ms against the walk's 2.4 ms (2.1 against 3.1 on
+        demand), and at zpos:3000 3.4 against 10.5 ms (5.2 against 12.1).
+        The constant stays 4 though the crossover is near 3.3: between the
+        two the paths differ by under 10%.  Every node of example3@200,
+        braid3@13, free:2@12 and mp@40 walks.
         """
         k = len(candidates)
         if k > 1 and k * (k - 1) // 2 > 4 * (self.n_elements - min(candidates)):
@@ -188,18 +194,35 @@ class DivPoset:
         supported subset costs one AND per entry after it in the pool it was
         drawn from, that is per later candidate its parent subset still
         meets, rather than per later candidate.
-        """
-        def rec(chosen: list[int], pool: list[tuple[int, int]]):
-            for i, (eid, mask) in enumerate(pool):
-                chosen.append(eid)
-                if len(chosen) >= min_size:
-                    yield tuple(chosen), mask
-                below = [(e, both) for e, m in pool[i + 1:] if (both := m & mask)]
-                if below:
-                    yield from rec(chosen, below)
-                chosen.pop()
 
-        yield from rec([], [(eid, self.multiples(eid)) for eid in candidates])
+        One loop runs the pools depth first, each held in reverse so that
+        ``pop`` draws the next candidate and leaves the later ones; a subset
+        with survivors descends into them, its own pool waiting on the
+        stack, so the subsets come out in lexicographic order.  A pool's
+        last entry tests nothing, and a single later entry is tested alone.
+        """
+        if not candidates:
+            return
+        stack = []
+        stage, pool = (), [(eid, self.multiples(eid)) for eid in reversed(candidates)]
+        while True:
+            eid, mask = pool.pop()
+            chosen = stage + (eid,)
+            if len(chosen) >= min_size:
+                yield chosen, mask
+            if len(pool) > 1:
+                below = [(e, both) for e, m in pool if (both := m & mask)]
+                if below:
+                    stack.append((stage, pool))
+                    stage, pool = chosen, below
+            elif pool:
+                later, m = pool[0]
+                if (both := m & mask) and len(chosen) >= min_size - 1:
+                    yield chosen + (later,), both
+            elif stack:
+                stage, pool = stack.pop()
+            else:
+                return
 
     def _sweep_supported_subsets(self, candidates: Sequence[int], min_size: int):
         """One pass in increasing id order from the least candidate gives
@@ -207,10 +230,13 @@ class DivPoset:
         it: each x hands its bits on to every x*g, as :attr:`divisor_masks`
         hands on divisors.  A subset is supported exactly when it lies
         inside some D[w], so the supported subsets are the submasks of the
-        distinct D values.  Those with the most bits go first, and a value
-        already in the supported set is skipped, as all its submasks are
-        too.  Sorting the position lists gives the walk's order; each
-        subset's mask is the AND of its candidates' multiple masks.
+        distinct D values.  Values with fewer than ``min_size`` bits are
+        dropped, those with the most bits go first, only submasks of at
+        least ``min_size`` bits are kept, and a value already kept is
+        skipped, as those of its submasks are too.  Each subset is decoded
+        once into its stage, and sorting the stages gives the walk's order,
+        the candidates being ascending; a stage's mask, the AND of its
+        candidates' multiple masks, is made as it is yielded.
         """
         start = min(candidates)
         bits = [0] * (self.n_elements - start)
@@ -223,22 +249,26 @@ class DivPoset:
                         break
                     bits[row[x] - start] |= mask
         supported = set()
-        for value in sorted(set(bits), key=int.bit_count, reverse=True):
+        values = [value for value in set(bits) if value.bit_count() >= min_size]
+        for value in sorted(values, key=int.bit_count, reverse=True):
             if value not in supported:
                 sub = value
                 while sub:
-                    supported.add(sub)
+                    if sub.bit_count() >= min_size:
+                        supported.add(sub)
                     sub = (sub - 1) & value
-        picks = []
+        stages = []
         for sub in supported:
-            if sub.bit_count() >= min_size:
-                pick = []
-                while sub:
-                    low = sub & -sub
-                    pick.append(low.bit_length() - 1)
-                    sub ^= low
-                picks.append(pick)
-        picks.sort()
-        for pick in picks:
-            stage = tuple(candidates[i] for i in pick)
-            yield stage, functools.reduce(operator.and_, map(self.multiples, stage))
+            stage = []
+            while sub:
+                low = sub & -sub
+                stage.append(candidates[low.bit_length() - 1])
+                sub ^= low
+            stages.append(tuple(stage))
+        stages.sort()
+        multiples = self.multiples
+        for stage in stages:
+            mask = -1
+            for eid in stage:
+                mask &= multiples(eid)
+            yield stage, mask

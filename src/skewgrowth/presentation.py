@@ -82,9 +82,10 @@ class Presentation:
             if gen.name in seen:
                 raise DuplicateGeneratorError(f"generator {gen.name!r} declared twice")
             seen.add(gen.name)
+        degrees = {gen.name: gen.degree for gen in self.generators}
         for rel in self.relations:
-            lhs_deg = self.word_degree(rel.lhs)
-            rhs_deg = self.word_degree(rel.rhs)
+            lhs_deg = _word_degree(degrees, rel.lhs)
+            rhs_deg = _word_degree(degrees, rel.rhs)
             if lhs_deg != rhs_deg:
                 raise NonHomogeneousRelationError(
                     f"relation {' '.join(rel.lhs)} = {' '.join(rel.rhs)} is not homogeneous: "
@@ -104,13 +105,17 @@ class Presentation:
         raise UnknownSymbolError(f"unknown generator {name!r}")
 
     def word_degree(self, word) -> Fraction:
-        degrees = {g.name: g.degree for g in self.generators}
-        total = Fraction(0)
-        for name in word:
-            if name not in degrees:
-                raise UnknownSymbolError(f"unknown generator {name!r} in relation")
-            total += degrees[name]
-        return total
+        return _word_degree({g.name: g.degree for g in self.generators}, word)
+
+
+def _word_degree(degrees: dict[str, Fraction], word) -> Fraction:
+    """The degree of *word* under the name -> degree map *degrees*."""
+    total = Fraction(0)
+    for name in word:
+        if name not in degrees:
+            raise UnknownSymbolError(f"unknown generator {name!r} in relation")
+        total += degrees[name]
+    return total
 
 
 def parse_presentation(text: str) -> Presentation:

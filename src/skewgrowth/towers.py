@@ -132,12 +132,13 @@ def enumerate_towers(table, poset: DivPoset | None = None,
     # (there is one, as the ground holds a non-unit) has the least positive one
     d_min = degrees[1]
     towers: list[Tower] = [Tower.root(ground)]
+    minimal_in_mask = poset.minimal_in_mask
     for tower in towers:  # grows while it is read
         candidates = [eid for eid in tower.top if combine(degrees[eid], d_min) <= limit]
         if len(candidates) < 2:
             continue
-        for stage, mask in poset.iter_supported_subsets(candidates, min_size=2):
-            towers.append(tower.child(stage, tuple(poset.minimal_in_mask(mask))))
+        towers += [tower.child(stage, tuple(minimal_in_mask(mask)))
+                   for stage, mask in poset.iter_supported_subsets(candidates, 2)]
     return TowerForest(ground, tuple(towers))
 
 

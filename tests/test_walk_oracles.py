@@ -23,7 +23,7 @@ from test_models import small_presentations
 
 
 def _assert_both_subset_paths_match(poset, candidates):
-    for size in (1, 2):
+    for size in (1, 2, 3):
         expected = list(supported_subsets_by_rescan(poset, candidates, size))
         assert list(poset._walk_supported_subsets(candidates, size)) == expected
         if candidates:  # the sweep starts at the least candidate
@@ -84,8 +84,9 @@ def test_zpos3000_forest_and_lcm_report_match_oracles():
 
 @pytest.mark.parametrize("nmax", [30, 100, 300, 1000, 1500, 3000])
 def test_both_subset_paths_match_the_rescan_at_zpos_roots(nmax):
-    # the primes with headroom; from zpos:1000 on the root is wide enough
-    # that the public entry sweeps
+    # the primes with headroom; from zpos:300 on the root has supported
+    # subsets of 4 primes (2*3*5*7 = 210), and from zpos:1000 on it is wide
+    # enough that the public entry sweeps
     table = builtin("zpos", nmax=nmax).enumerate_up_to(nmax)
     root = Tower.root(table.atoms())
     _assert_both_subset_paths_match(table.poset(), headroom_candidates(table, root))
