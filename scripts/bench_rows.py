@@ -8,18 +8,21 @@ as one JSON file.
 Each row runs `verify --format json` in a fresh interpreter, RUNS times,
 and records every run's wall time, its peak RSS (``ru_maxrss`` from
 ``os.wait4``), its exit status and its `error:` line, if it printed one.
-One more fresh interpreter then calls each layer once, in pipeline order,
-and records the time of each stage: enumerate, right maps, atoms, towers,
-skew, cancellativity and convolve.  These are first calls, cold caches
-included.  A stage that raises ends the row's stages and is recorded with
-its error.  The source measured is the `src/` of the
-checkout this script sits in.
+One more fresh interpreter then calls each layer in pipeline order and
+times each stage: enumerate, right maps, atoms, towers, skew,
+cancellativity and convolve.  It runs that sequence STAGE_RUNS times, each
+on a freshly built model and table, and records every sample and each
+stage's median; the first sample includes the cold first calls.  A stage
+that raises ends the row's stages and is recorded with its error.  The
+source measured is the `src/` of the checkout this script sits in.
 """
 import argparse
+import gc
 import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -49,6 +52,7 @@ ROWS = [
     ("free:1", "60000000"),  # past the word cap: exit 2
 ]
 RUNS = 2
+STAGE_RUNS = 3
 STAGES = ("enumerate", "right_maps", "atoms", "towers", "skew", "cancellativity", "convolve")
 
 
@@ -61,7 +65,22 @@ def _model(preset: str):
 
 
 def stage_times(preset: str, cutoff: str) -> dict:
-    """Each layer's time in pipeline order, in this process."""
+    """Each layer's time in pipeline order, in this process: the median of
+    STAGE_RUNS samples per stage, and the samples."""
+    samples = []
+    for _ in range(STAGE_RUNS):
+        gc.collect()  # the last sample's table, outside the timed steps
+        times, outcome = _stage_sample(preset, cutoff)
+        samples.append(times)
+        if "stage_error" in outcome:
+            break
+    medians = {name: statistics.median(s[name] for s in samples) for name in samples[0]}
+    return {"stage_s": medians, "stage_samples": samples, **outcome}
+
+
+def _stage_sample(preset: str, cutoff: str) -> tuple[dict, dict]:
+    """One pass over the stages on a freshly built model and table: the
+    time of each stage, and the element count or the error that ended it."""
     import warnings
 
     from skewgrowth import SkewGrowthError, check_cancellative, enumerate_towers
@@ -87,7 +106,7 @@ def stage_times(preset: str, cutoff: str) -> dict:
         try:
             result = steps[name]()
         except (SkewGrowthError, MemoryError) as exc:
-            return {"stage_s": times, "stage_error": f"{name}: {exc}"}
+            return times, {"stage_error": f"{name}: {exc}"}
         times[name] = round(time.perf_counter() - start, 6)
         if name == "enumerate":
             table = result
@@ -95,7 +114,7 @@ def stage_times(preset: str, cutoff: str) -> dict:
             forest = result
         elif name == "skew":
             skew = result
-    return {"stage_s": times, "elements": table.n_elements}
+    return times, {"elements": table.n_elements}
 
 
 def _child_env() -> dict:

@@ -201,13 +201,16 @@ def check_lcm_reduction(table, poset: DivPoset | None = None,
     The subsets are read off the forest, not walked again.  A singleton's
     only minimal common multiple is itself.  The subsets of two or more
     elements with a common multiple in range, and their minimal common
-    multiples, are the first stages and tops of the root's children, in
-    the same order.  The tower walk drops a ground element g whose degree
-    plus the least positive degree d_min passes the cutoff, but such a g is
-    in no supported subset: a common multiple of g and another element of
-    the antichain is a strict multiple g*x, and x is a non-unit of degree
-    at most that of g*x, hence enumerated, so deg(g*x) >= deg(g) (+) d_min
-    is past the cutoff.
+    multiples, are the stages and tops of the root's children, in the same
+    order.  They are read from the towers after the root with no stop at
+    height 2: a height-2 tower's parent is a root child with two or more
+    tops, which breadth-first order lists first, and that child already
+    makes the report not applicable.  The tower walk drops a ground element
+    g whose degree plus the least positive degree d_min passes the cutoff,
+    but such a g is in no supported subset: a common multiple of g and
+    another element of the antichain is a strict multiple g*x, and x is a
+    non-unit of degree at most that of g*x, hence enumerated, so deg(g*x)
+    >= deg(g) (+) d_min is past the cutoff.
 
     Read off the forest, the comparison checks the code, not the monoid:
     when every child of the root has a single top, no tower rises above
@@ -227,8 +230,6 @@ def _lcm_report(table, forest: TowerForest, skew: dict[int, int]) -> CheckReport
         reduced[degrees[eid]] = reduced.get(degrees[eid], 0) - 1
     # the root's children are the height-1 towers, which directly follow it
     for child in forest.towers[1:]:
-        if child.height > 1:
-            break
         subset, tops = child.stage, child.top
         if len(tops) > 1:
             return _report(table, "lcm-reduction", NOT_APPLICABLE, None,

@@ -26,7 +26,8 @@ from .errors import InvalidGroundError, PresentationParseError, SkewGrowthError
 from .models import RewriteModel
 from .presentation import parse_presentation
 from .presets import parse_preset
-from .towers import enumerate_towers, forest_to_dot, forest_to_json, skew_growth
+from .towers import (enumerate_towers, forest_to_dot, forest_to_json, forest_to_lines,
+                     skew_growth)
 
 
 @dataclass
@@ -61,9 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-degree", metavar="Q",
                         help="enumeration cutoff; a rational like 8 or 21/4 "
                              "(for zpos an integer bound)")
-    parser.add_argument("--nmax", type=int, metavar="N",
-                        help="integer cutoff for multiplicative models; "
-                             "alias for --max-degree")
     parser.add_argument("--ground", metavar="ELEMS",
                         help="comma-separated ground elements (default: the atoms)")
     parser.add_argument("--format", dest="fmt", default="table",
@@ -143,13 +141,6 @@ def _build_model(args):
 
 
 def _resolve_cutoff(args, model):
-    if args.max_degree is not None and args.nmax is not None:
-        raise SkewGrowthError("give only one of --max-degree and --nmax")
-    if args.nmax is not None:
-        if model.key_kind is not KeyKind.MULTINT:
-            raise SkewGrowthError("--nmax applies to multiplicative models; "
-                                  "use --max-degree")
-        return args.nmax
     if args.max_degree is None:
         return model.default_cutoff
     text = args.max_degree.strip()
@@ -198,10 +189,6 @@ def _report_lines(report) -> list[str]:
     return lines
 
 
-def _label_set(table, eids) -> str:
-    return "{" + ",".join(table.label(e) for e in eids) + "}"
-
-
 def _forest(config: RunConfig):
     return enumerate_towers(config.table, ground=config.ground)
 
@@ -225,15 +212,7 @@ def _cmd_towers(config: RunConfig) -> tuple[str, int]:
         return _json(config, forest_to_json(forest, table)), 0
     if config.fmt == "dot":
         return forest_to_dot(forest, table), 0
-    lines = [f"ground: {_label_set(table, forest.ground)}"]
-    for index, tower in enumerate(forest.towers):
-        stages = " ".join(_label_set(table, stage) for stage in tower.stages)
-        stages = f" stages: {stages}" if stages else ""
-        lines.append(
-            f"[{index}] height={tower.height} sign={tower.sign:+d}"
-            f"{stages} top: {_label_set(table, tower.top)}"
-        )
-    return _text(config, "towers", lines), 0
+    return _text(config, "towers", forest_to_lines(forest, table)), 0
 
 
 def _cmd_atoms(config: RunConfig) -> tuple[str, int]:

@@ -8,8 +8,8 @@ ground; a tower of height n is determined by its stage list ``J_1..J_n``,
 and its parent is the tower with the last stage removed, so the collection
 of towers is a rooted tree.  A :class:`Tower` is stored that way: a link to
 its parent, its last stage and top, its height and its sign, so the forest
-takes space linear in its towers however tall they grow, and the stage and
-top lists are walked off the chain only where a renderer asks for them.
+takes space linear in its towers however tall they grow.  The renderers
+print it the same way: each tower's parent index and its last stage.
 
 Each tower contributes ``sign * t^deg(x)`` for every element x of its top
 set, where the sign is ``(-1) ** (sum of stage sizes - height + 1)``, that
@@ -46,8 +46,7 @@ class Tower:
     a tower stores its own step only and the forest takes space linear in
     its size.  ``top`` is the enumerated part of the minimal common
     multiples of ``stage``; the root's stage is empty and its top is the
-    ground.  ``stages`` and ``tops`` walk the chain from the root.  Towers
-    are tree nodes and compare by identity.
+    ground.  Towers are tree nodes and compare by identity.
     """
 
     parent: Tower | None = field(default=None, repr=False)
@@ -66,23 +65,6 @@ class Tower:
         k elements multiplies the sign by (-1) ** (k - 1)."""
         sign = self.sign if len(stage) % 2 else -self.sign
         return Tower(self, stage, top, self.height + 1, sign)
-
-    def _chain(self) -> list["Tower"]:
-        """The towers from height 1 up to this one."""
-        chain, tower = [], self
-        while tower.parent is not None:
-            chain.append(tower)
-            tower = tower.parent
-        return chain[::-1]
-
-    @property
-    def stages(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tower.stage for tower in self._chain())
-
-    @property
-    def tops(self) -> tuple[tuple[int, ...], ...]:
-        """The top after each stage."""
-        return tuple(tower.top for tower in self._chain())
 
 
 @dataclass(frozen=True)
@@ -171,19 +153,46 @@ def skew_growth(table, forest: TowerForest | None = None) -> Series:
 
 # ---------------------------------------------------------------- exports
 
+def _parent_indices(forest: TowerForest) -> list[int | None]:
+    """Each tower's parent's position in the forest, None for the root."""
+    index: dict[Tower, int] = {}
+    parents = []
+    for i, tower in enumerate(forest.towers):
+        index[tower] = i
+        parents.append(None if tower.parent is None else index[tower.parent])
+    return parents
+
+
+def _label_set(table, eids) -> str:
+    return "{" + ",".join(table.label(e) for e in eids) + "}"
+
+
+def forest_to_lines(forest: TowerForest, table) -> list[str]:
+    """The table lines: the ground, then per tower its parent's index and
+    its last stage, which the root has none of."""
+    lines = [f"ground: {_label_set(table, forest.ground)}"]
+    for i, (tower, parent) in enumerate(zip(forest.towers, _parent_indices(forest))):
+        step = ("" if parent is None
+                else f" parent=[{parent}] stage: {_label_set(table, tower.stage)}")
+        lines.append(f"[{i}] height={tower.height} sign={tower.sign:+d}{step} "
+                     f"top: {_label_set(table, tower.top)}")
+    return lines
+
+
 def forest_to_json(forest: TowerForest, table) -> dict:
     kind = table.key_kind
     return {
         "ground": [table.label(eid) for eid in forest.ground],
         "towers": [
             {
-                "stages": [[table.label(e) for e in stage] for stage in tower.stages],
+                "parent": parent,
+                "stage": [table.label(e) for e in tower.stage],
                 "top": [table.label(e) for e in tower.top],
                 "top_degrees": [key_to_json(kind, table.degree(e)) for e in tower.top],
                 "sign": tower.sign,
                 "height": tower.height,
             }
-            for tower in forest.towers
+            for tower, parent in zip(forest.towers, _parent_indices(forest))
         ],
     }
 
@@ -195,14 +204,12 @@ def forest_to_dot(forest: TowerForest, table) -> str:
         return f"h={tower.height} sign={sign} top={{{top}}}"
 
     lines = ["digraph towers {", "  node [shape=box];"]
-    index = {}
     for i, tower in enumerate(forest.towers):
-        index[tower] = i
         escaped = node_label(tower).replace('"', '\\"')
         lines.append(f'  t{i} [label="{escaped}"];')
     # by ascending child: breadth-first order lists each parent's children
     # together, and the parents in order
-    for j, tower in enumerate(forest.towers[1:], 1):
-        lines.append(f"  t{index[tower.parent]} -> t{j};")
+    for j, parent in enumerate(_parent_indices(forest)[1:], 1):
+        lines.append(f"  t{parent} -> t{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

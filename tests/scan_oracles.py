@@ -23,9 +23,10 @@ walk, the minimal-element peel and the lcm-reduction read off the forest.
 Beside them sit helpers only the tests need: the poset queries ``divides``,
 ``common_multiples`` and ``min_common_multiples`` on the multiple masks,
 ``mask_to_ids``, ``series_add`` and ``series_neg`` for the ring laws,
-``key_add`` and ``first_difference`` on keys as they are, and the
+``key_add`` and ``first_difference`` on keys as they are, the
 per-height degree floor ``height_headroom_holds``, which like the oracles
-reads the least positive degree off the table's public degrees.
+reads the least positive degree off the table's public degrees, and
+``tower_chain``, a tower's stage and top lists walked off its parent links.
 """
 import functools
 import operator
@@ -112,6 +113,17 @@ def height_headroom_holds(table, tower: Tower) -> bool:
     read off the table's public degrees."""
     floor = key_repeat(table.key_kind, min(_positive_degrees(table)), tower.height + 1)
     return all(table.degree(eid) >= floor for eid in tower.top)
+
+
+def tower_chain(tower: Tower) -> tuple[tuple, tuple]:
+    """The stages of *tower* and the top after each, from height 1 up,
+    walked off the parent links."""
+    chain = []
+    while tower.parent is not None:
+        chain.append(tower)
+        tower = tower.parent
+    chain.reverse()
+    return tuple(t.stage for t in chain), tuple(t.top for t in chain)
 
 
 def _key_sub(kind, a, b):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 from mp_reference import element_of_id, mp_min_common_multiples
-from scan_oracles import height_headroom_holds, min_common_multiples
+from scan_oracles import height_headroom_holds, min_common_multiples, tower_chain
 
 from skewgrowth.checks import (
     FAIL,
@@ -291,7 +291,8 @@ def test_criterion_9_truncation_exactness(capsys):
         # every small tower reappears at the larger cutoff with the same
         # stage picks, and its top is the visible part of the larger top
         def stage_labels(table, tower):
-            return tuple(tuple(table.label(e) for e in s) for s in tower.stages)
+            stages, _ = tower_chain(tower)
+            return tuple(tuple(table.label(e) for e in s) for s in stages)
 
         forest_small = enumerate_towers(small)
         forest_large = enumerate_towers(large)

@@ -156,6 +156,7 @@ def test_dot_is_refused_where_not_offered(command, capsys):
 @pytest.mark.parametrize("argv", [
     ["growth", "--preset", "nosuch"],
     ["growth", "--preset", "example3", "--max-degree", "nonsense"],
+    # the --nmax alias is gone, like --word-cap below
     ["growth", "--preset", "example3", "--max-degree", "4", "--nmax", "4"],
     ["growth", "--preset", "example3", "--nmax", "4"],
     ["growth", "--preset", "zpos:10", "--max-degree", "7/2"],
@@ -168,7 +169,7 @@ def test_dot_is_refused_where_not_offered(command, capsys):
     ["towers", "--preset", "example3", "--ground", "a,aa"],
     ["growth", "--preset", "example3", "--word-cap", "0"],  # the option is gone
     ["verify", "--preset", "braid3", "--max-degree", "0"],
-    ["verify", "--preset", "zpos:30", "--nmax", "1"],
+    ["verify", "--preset", "zpos:30", "--max-degree", "1"],
     ["growth", "--preset", "free:2.5"],
     ["growth", "--preset", "zpos:7/2"],
     ["towers", "--preset", "mp:p=4,8,16", "--ground", "a0^x"],

@@ -4,7 +4,8 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from scan_oracles import headroom_candidates, height_headroom_holds
+from hypothesis import given, settings
+from scan_oracles import headroom_candidates, height_headroom_holds, tower_chain
 
 from skewgrowth.dirichlet import KeyKind, Series, parse_key, series_invert, growth_series
 from skewgrowth.divisibility import DivPoset
@@ -21,6 +22,7 @@ from skewgrowth.towers import (
 )
 
 from skewgrowth import builtin
+from test_models import small_presentations
 
 
 def _labels(table, ids):
@@ -40,7 +42,8 @@ def test_braid3_forest(braid3_table):
     assert len(forest.towers) == 2
     child = forest.towers[1]
     assert child.height == 1 and child.sign == 1
-    assert _labels(braid3_table, child.stages[0]) == ["a", "b"]
+    stages, _ = tower_chain(child)
+    assert _labels(braid3_table, stages[0]) == ["a", "b"]
     assert _labels(braid3_table, child.top) == ["aba"]
     assert child.parent is forest.towers[0]
 
@@ -66,7 +69,7 @@ def test_zpos_forest_at_ten():
     forest = enumerate_towers(table)
     assert _labels(table, forest.ground) == ["2", "3", "5", "7"]
     stages = [
-        _labels(table, t.stages[0]) for t in forest.towers if t.height == 1
+        _labels(table, tower_chain(t)[0][0]) for t in forest.towers if t.height == 1
     ]
     assert stages == [["2", "3"], ["2", "5"]]
     tops = [_labels(table, t.top) for t in forest.towers if t.height == 1]
@@ -78,13 +81,14 @@ def test_stage_picks_come_from_the_parent_top(mp_table):
     forest = enumerate_towers(mp_table)
     for index, tower in enumerate(forest.towers):
         source = forest.ground
-        for stage, top in zip(tower.stages, tower.tops):
+        stages, tops = tower_chain(tower)
+        for stage, top in zip(stages, tops):
             assert len(stage) >= 2
             assert set(stage) <= set(source)
             source = top
-        assert tower.top == source and tower.height == len(tower.stages)
+        assert tower.top == source and tower.height == len(stages)
         # the sign carried down the chain is the closed form over the stages
-        exponent = sum(len(stage) for stage in tower.stages) - tower.height + 1
+        exponent = sum(len(stage) for stage in stages) - tower.height + 1
         assert tower.sign == (-1) ** exponent
 
 
@@ -226,9 +230,11 @@ def test_forest_json_schema(braid3_table):
     payload = forest_to_json(enumerate_towers(braid3_table), braid3_table)
     assert payload["ground"] == ["a", "b"]
     assert payload["towers"][0] == {
-        "stages": [], "top": ["a", "b"], "top_degrees": ["1", "1"],
+        "parent": None, "stage": [], "top": ["a", "b"], "top_degrees": ["1", "1"],
         "sign": -1, "height": 0,
     }
+    assert payload["towers"][1]["parent"] == 0
+    assert payload["towers"][1]["stage"] == ["a", "b"]
     assert payload["towers"][1]["top"] == ["aba"]
     assert payload["towers"][1]["top_degrees"] == ["3"]
 
@@ -237,6 +243,40 @@ def test_forest_json_multint_degrees_are_ints():
     table = builtin("zpos", nmax=10).enumerate_up_to(10)
     payload = forest_to_json(enumerate_towers(table), table)
     assert payload["towers"][1]["top_degrees"] == [6]
+
+
+def _assert_json_parents_rebuild_the_chains(table, ground=None):
+    # follow the "parent" indices to rebuild each tower's stage and top
+    # chain, in labels, and compare it with the chain walked off the links
+    forest = enumerate_towers(table, ground=ground)
+    entries = forest_to_json(forest, table)["towers"]
+    assert len(entries) == len(forest.towers)
+    assert entries[0]["parent"] is None and entries[0]["stage"] == []
+    rebuilt = [((), ())]
+    for i, entry in enumerate(entries[1:], 1):
+        assert entry["parent"] is not None and entry["parent"] < i
+        stages, tops = rebuilt[entry["parent"]]
+        rebuilt.append((stages + (tuple(entry["stage"]),), tops + (tuple(entry["top"]),)))
+    for tower, entry, (stages, tops) in zip(forest, entries, rebuilt):
+        walked_stages, walked_tops = tower_chain(tower)
+        assert stages == tuple(tuple(_labels(table, s)) for s in walked_stages)
+        assert tops == tuple(tuple(_labels(table, t)) for t in walked_tops)
+        assert entry["height"] == len(stages)
+
+
+def test_json_parents_rebuild_the_chains(example3_table, braid3_table, free2_table,
+                                         zpos_table, mp_table):
+    for table in (example3_table, braid3_table, free2_table, zpos_table, mp_table):
+        _assert_json_parents_rebuild_the_chains(table)
+    ground = tuple(zpos_table.element_id(v) for v in (4, 6, 9, 10, 15, 25))
+    _assert_json_parents_rebuild_the_chains(zpos_table, ground)
+
+
+@settings(deadline=None, max_examples=50)
+@given(small_presentations())
+def test_json_parents_rebuild_the_chains_on_random_presentations(drawn):
+    presentation, cutoff = drawn
+    _assert_json_parents_rebuild_the_chains(RewriteModel(presentation).enumerate_up_to(cutoff))
 
 
 def test_forest_dot(braid3_table):
