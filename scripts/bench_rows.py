@@ -11,8 +11,9 @@ and records every run's wall time, its peak RSS (``ru_maxrss`` from
 One more fresh interpreter then calls each layer in pipeline order and
 times each stage: enumerate, right maps, atoms, towers, skew,
 cancellativity and convolve.  It runs that sequence STAGE_RUNS times, each
-on a freshly built model and table, and records every sample and each
-stage's median; the first sample includes the cold first calls.  A stage
+on a freshly built model and table, and records every sample, each stage's
+median and, next to it, its lower and upper quartiles (inclusive method);
+the first sample includes the cold first calls.  A stage
 that raises ends the row's stages and is recorded with its error.  The
 source measured is the `src/` of the checkout this script sits in.
 """
@@ -52,7 +53,7 @@ ROWS = [
     ("free:1", "60000000"),  # past the word cap: exit 2
 ]
 RUNS = 2
-STAGE_RUNS = 3
+STAGE_RUNS = 5
 STAGES = ("enumerate", "right_maps", "atoms", "towers", "skew", "cancellativity", "convolve")
 
 
@@ -65,8 +66,8 @@ def _model(preset: str):
 
 
 def stage_times(preset: str, cutoff: str) -> dict:
-    """Each layer's time in pipeline order, in this process: the median of
-    STAGE_RUNS samples per stage, and the samples."""
+    """Each layer's time in pipeline order, in this process: the median and
+    the quartiles of STAGE_RUNS samples per stage, and the samples."""
     samples = []
     for _ in range(STAGE_RUNS):
         gc.collect()  # the last sample's table, outside the timed steps
@@ -74,8 +75,19 @@ def stage_times(preset: str, cutoff: str) -> dict:
         samples.append(times)
         if "stage_error" in outcome:
             break
-    medians = {name: statistics.median(s[name] for s in samples) for name in samples[0]}
-    return {"stage_s": medians, "stage_samples": samples, **outcome}
+    times = {name: [s[name] for s in samples if name in s] for name in samples[0]}
+    medians = {name: statistics.median(t) for name, t in times.items()}
+    quartiles = {name: _quartiles(t) for name, t in times.items()}
+    return {"stage_s": medians, "stage_quartiles_s": quartiles, "stage_samples": samples,
+            **outcome}
+
+
+def _quartiles(values: list[float]) -> list[float]:
+    """The lower and upper quartiles; one sample is both."""
+    if len(values) < 2:
+        return [values[0], values[0]]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [round(q1, 6), round(q3, 6)]
 
 
 def _stage_sample(preset: str, cutoff: str) -> tuple[dict, dict]:

@@ -17,12 +17,12 @@ import json
 import sys
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .checks import check_cancellative, run_all_checks
-from .dirichlet import KeyKind, Series, growth_series, key_to_json, render_key, series_to_json
-from .errors import InvalidGroundError, PresentationParseError, SkewGrowthError
+from .dirichlet import Series, growth_series, key_to_json, parse_key, render_key, series_to_json
+from .errors import (InvalidGroundError, MalformedKeyError, PresentationParseError,
+                     SkewGrowthError)
 from .models import RewriteModel
 from .presentation import parse_presentation
 from .presets import parse_preset
@@ -143,18 +143,10 @@ def _build_model(args):
 def _resolve_cutoff(args, model):
     if args.max_degree is None:
         return model.default_cutoff
-    text = args.max_degree.strip()
-    if model.key_kind is KeyKind.MULTINT:
-        try:
-            return int(text)
-        except ValueError:
-            raise SkewGrowthError(
-                f"--max-degree for this model must be an integer, got {text!r}"
-            ) from None
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise SkewGrowthError(f"cannot parse --max-degree {text!r}") from None
+        return parse_key(model.key_kind, args.max_degree)
+    except MalformedKeyError as exc:
+        raise SkewGrowthError(f"--max-degree: {exc}") from None
 
 
 def _resolve_element(table, token: str) -> int:

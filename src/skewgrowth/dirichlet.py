@@ -64,12 +64,11 @@ def key_zero(kind: KeyKind):
 
 
 def coerce_key(kind: KeyKind, value):
-    """Validate *value* as a key of *kind* and return it in canonical form."""
+    """Validate *value* as a key of *kind* and return it in canonical form.
+    Text is refused: :func:`parse_key` reads it."""
     if kind is KeyKind.RATIONAL:
-        if isinstance(value, float):
-            raise MalformedKeyError("floating point is forbidden in degree keys")
-        if isinstance(value, bool):
-            raise MalformedKeyError(f"rational keys must not be bool, got {value!r}")
+        if isinstance(value, (bool, float, str)):
+            raise MalformedKeyError(f"rational keys must be int or Fraction, got {value!r}")
         try:
             key = Fraction(value)
         except (TypeError, ValueError) as exc:
@@ -98,23 +97,34 @@ def key_to_json(kind: KeyKind, key):
     return render_key(kind, key) if kind is KeyKind.RATIONAL else key
 
 
+def is_digits(text: str) -> bool:
+    """True for a non-empty run of ASCII digits, the digits of every number read as text."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_key(kind: KeyKind, text: str):
-    text = text.strip()
+    """Read a key written as :func:`render_key` writes it: a run of ASCII
+    digits, for a rational key optionally followed by '/' and a non-zero
+    run of ASCII digits.  Any other text, '2.5', '+3', '1e1', '1_0' or
+    digits outside ASCII, is a MalformedKeyError that names it."""
+    num, slash, den = text.strip().partition("/")
+    if is_digits(num) and (not slash or kind is KeyKind.RATIONAL and is_digits(den)
+                           and den.strip("0")):
+        try:
+            value = Fraction(int(num), int(den)) if slash else int(num)
+        except ValueError:  # past the interpreter's limit on digits read
+            raise MalformedKeyError(f"a key of more than {sys.get_int_max_str_digits()} "
+                                    f"digits") from None
+        return coerce_key(kind, value)
     if kind is KeyKind.MULTINT:
-        try:
-            return coerce_key(kind, int(text))
-        except ValueError as exc:
-            raise MalformedKeyError(f"bad multiplicative key {text!r}") from exc
-    if "/" in text:
-        num, _, den = text.partition("/")
-        try:
-            return coerce_key(kind, Fraction(int(num), int(den)))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedKeyError(f"bad rational key {text!r}") from exc
-    try:
-        return coerce_key(kind, Fraction(int(text)))
-    except ValueError as exc:
-        raise MalformedKeyError(f"bad rational key {text!r}") from exc
+        raise MalformedKeyError(f"bad multiplicative key {text!r}: write a run of ASCII digits")
+    hint = ""
+    whole, _, tenths = text.strip().partition(".")
+    if is_digits(whole) and is_digits(tenths):  # a decimal, the likeliest slip
+        value = Fraction(int(whole + tenths), 10 ** len(tenths))
+        hint = f"; for {whole}.{tenths} write {render_key(kind, value)}"
+    raise MalformedKeyError(f"bad rational key {text!r}: write a run of ASCII digits, or two "
+                            f"around '/' with a non-zero denominator{hint}")
 
 
 # ---------------------------------------------------------------- series values

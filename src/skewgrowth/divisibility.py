@@ -122,17 +122,23 @@ class DivPoset:
 
     @functools.cached_property
     def divisor_masks(self) -> list[int]:
-        """divisor_masks[v] has bit u set iff u | v.  In increasing id order
-        each x hands its divisors on to every x*g."""
-        n, rows = self.n_elements, self._rows
-        divisors = [1 << v for v in range(n)]
-        for x in range(n):
-            mask = divisors[x]
-            for row in rows:
-                if x >= len(row):
-                    break
-                divisors[row[x]] |= mask
-        return divisors
+        """divisor_masks[v] has bit u set iff u | v: each x's own bit,
+        pushed forward."""
+        return self._push_forward([1 << v for v in range(self.n_elements)], 0)
+
+    def _push_forward(self, marks: list[int], start: int) -> list[int]:
+        """In increasing id order from *start*, each x ORs its marks,
+        ``marks[x - start]``, into those of every x*g, which has a larger id
+        and so reads them later.  Rows are prefixes sorted by length, so the
+        first row too short for x ends its loop."""
+        rows = self._rows
+        for x, mask in enumerate(marks, start):  # later entries fill as it runs
+            if mask:
+                for row in rows:
+                    if x >= len(row):
+                        break
+                    marks[row[x] - start] |= mask
+        return marks
 
     def minimal_in_mask(self, mask: int) -> list[int]:
         """The minimal elements of a mask, ascending.  A strict divisor has a
@@ -157,13 +163,13 @@ class DivPoset:
             mask |= 1 << eid
         return self.minimal_in_mask(mask)
 
-    def iter_supported_subsets(self, candidates: Sequence[int], min_size: int):
+    def iter_supported_subsets(self, candidates: Sequence[int]):
         """Yield the subsets (as tuples, in lexicographic order) of at
-        least ``min_size`` candidates whose common-multiple set is non-empty
-        within the cutoff, each with its common-multiple mask.  The
-        candidates are ascending, as every tower top is.  Each path is one
-        generator frame, not one per subset, and a caller that drops each
-        mask, of up to n bits, never holds a wide node's thousands at once.
+        least two candidates whose common-multiple set is non-empty within
+        the cutoff, each with its common-multiple mask.  The candidates are
+        ascending, as every tower top is.  Each path is one generator
+        frame, not one per subset, and a caller that drops each mask, of up
+        to n bits, never holds a wide node's thousands at once.
 
         Two ways find them.  The walk ANDs candidates' multiple masks, at
         least one C-level AND per pair, k(k-1)/2 for k candidates; the sweep
@@ -183,10 +189,10 @@ class DivPoset:
         """
         k = len(candidates)
         if k > 1 and k * (k - 1) // 2 > 4 * (self.n_elements - min(candidates)):
-            return self._sweep_supported_subsets(candidates, min_size)
-        return self._walk_supported_subsets(candidates, min_size)
+            return self._sweep_supported_subsets(candidates)
+        return self._walk_supported_subsets(candidates)
 
-    def _walk_supported_subsets(self, candidates: Sequence[int], min_size: int):
+    def _walk_supported_subsets(self, candidates: Sequence[int]):
         """Each subset hands its extensions a survivor pool: the later
         candidates whose common-multiple mask still meets its own, each
         paired with the ANDed mask.  A candidate that misses a subset's mask
@@ -208,7 +214,7 @@ class DivPoset:
         while True:
             eid, mask = pool.pop()
             chosen = stage + (eid,)
-            if len(chosen) >= min_size:
+            if stage:
                 yield chosen, mask
             if len(pool) > 1:
                 below = [(e, both) for e, m in pool if (both := m & mask)]
@@ -217,44 +223,36 @@ class DivPoset:
                     stage, pool = chosen, below
             elif pool:
                 later, m = pool[0]
-                if (both := m & mask) and len(chosen) >= min_size - 1:
+                if both := m & mask:
                     yield chosen + (later,), both
             elif stack:
                 stage, pool = stack.pop()
             else:
                 return
 
-    def _sweep_supported_subsets(self, candidates: Sequence[int], min_size: int):
-        """One pass in increasing id order from the least candidate gives
-        every element w the bits D[w] of the candidate positions that divide
-        it: each x hands its bits on to every x*g, as :attr:`divisor_masks`
-        hands on divisors.  A subset is supported exactly when it lies
-        inside some D[w], so the supported subsets are the submasks of the
-        distinct D values.  Values with fewer than ``min_size`` bits are
-        dropped, those with the most bits go first, only submasks of at
-        least ``min_size`` bits are kept, and a value already kept is
-        skipped, as those of its submasks are too.  Each subset is decoded
-        once into its stage, and sorting the stages gives the walk's order,
-        the candidates being ascending; a stage's mask, the AND of its
-        candidates' multiple masks, is made as it is yielded.
+    def _sweep_supported_subsets(self, candidates: Sequence[int]):
+        """One forward push from the least candidate gives every element w
+        the bits D[w] of the candidate positions that divide it.  A subset
+        is supported exactly when it lies inside some D[w], so the supported
+        subsets are the submasks of the distinct D values.  Values with
+        fewer than two bits are dropped, those with the most bits go first,
+        only submasks of at least two bits are kept, and a value already
+        kept is skipped, as those of its submasks are too.  Each subset is
+        decoded once into its stage, and sorting the stages gives the walk's
+        order, the candidates being ascending; a stage's mask, the AND of
+        its candidates' multiple masks, is made as it is yielded.
         """
         start = min(candidates)
         bits = [0] * (self.n_elements - start)
         for i, eid in enumerate(candidates):
             bits[eid - start] |= 1 << i
-        for x, mask in enumerate(bits, start):  # later entries fill as it runs
-            if mask:
-                for row in self._rows:
-                    if x >= len(row):
-                        break
-                    bits[row[x] - start] |= mask
         supported = set()
-        values = [value for value in set(bits) if value.bit_count() >= min_size]
+        values = [value for value in set(self._push_forward(bits, start)) if value & (value - 1)]
         for value in sorted(values, key=int.bit_count, reverse=True):
             if value not in supported:
                 sub = value
                 while sub:
-                    if sub.bit_count() >= min_size:
+                    if sub & (sub - 1):
                         supported.add(sub)
                     sub = (sub - 1) & value
         stages = []

@@ -36,12 +36,13 @@ from __future__ import annotations
 
 import abc
 import math
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Sequence
 
-from .dirichlet import Grid, KeyKind, coerce_key, key_zero
+from .dirichlet import Grid, KeyKind, coerce_key, is_digits, key_zero
 from .divisibility import DivPoset
 from .errors import (CutoffTooLargeError, EmptyAlphabetError, InvalidGroundError,
                      InvalidParamsError, MalformedKeyError, UnknownSymbolError)
@@ -218,10 +219,14 @@ def _check_size(count: int, what: str):
 
 
 def _natural(text: str, token: str) -> int:
-    """*text* as an int; only a non-empty run of ASCII digits is accepted."""
-    if not (text.isascii() and text.isdigit()):
+    """*text* as an int; only a run of ASCII digits is accepted, as in keys."""
+    if not is_digits(text):
         raise InvalidGroundError(f"cannot parse ground token {token!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's limit on digits read
+        raise InvalidGroundError(f"a ground token of more than "
+                                 f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _integer(name: str, value) -> int:
@@ -456,13 +461,11 @@ class MultIntegerModel:
         nmax = _integer("nmax", nmax)
         if nmax < 1:
             raise InvalidParamsError(f"nmax must be >= 1, got {nmax}")
-        self.nmax = nmax
         self.default_cutoff = nmax
         self.name = f"zpos:{nmax}"
         self.key_kind = KeyKind.MULTINT
 
-    def enumerate_up_to(self, cutoff=None) -> "MultIntTable":
-        cutoff = self.nmax if cutoff is None else cutoff
+    def enumerate_up_to(self, cutoff) -> "MultIntTable":
         return MultIntTable(_validate_cutoff(KeyKind.MULTINT, cutoff))
 
 

@@ -90,10 +90,10 @@ def family_presentation(spec: MpSpec) -> Presentation:
 class MpModel:
     """Family member as a monoid model over its intrinsic normal forms."""
 
-    def __init__(self, spec: MpSpec, name: str | None = None):
+    def __init__(self, spec: MpSpec):
         self.spec = spec
         self.default_cutoff = Fraction(8)
-        self.name = name or f"mp:p={','.join(map(str, spec.p))}"
+        self.name = f"mp:p={','.join(map(str, spec.p))}"
         self.key_kind = KeyKind.RATIONAL
 
     def enumerate_up_to(self, cutoff) -> "MpTable":

@@ -21,8 +21,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .dirichlet import KeyKind, parse_key
 from .errors import (
     DuplicateGeneratorError,
+    MalformedKeyError,
     NonHomogeneousRelationError,
     NonPositiveDegreeError,
     PresentationError,
@@ -31,7 +33,6 @@ from .errors import (
 )
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_RATIONAL_RE = re.compile(r"(\d+)(?:/(\d+))?")
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,8 @@ class Generator:
     def __post_init__(self):
         if not _NAME_RE.fullmatch(self.name):
             raise PresentationError(f"invalid generator name {self.name!r}")
-        if isinstance(self.degree, float):
-            raise NonPositiveDegreeError("generator degrees must be exact rationals, not floats")
+        if isinstance(self.degree, (bool, float, str)):
+            raise NonPositiveDegreeError(f"degrees must be exact rationals, got {self.degree!r}")
         object.__setattr__(self, "degree", Fraction(self.degree))
         if self.degree <= 0:
             raise NonPositiveDegreeError(
@@ -163,14 +164,10 @@ def _parse_gen(tokens, lineno, declared) -> tuple[str, Fraction]:
     if name in declared:
         raise DuplicateGeneratorError(f"generator {name!r} declared twice", lineno, name_col)
     text, num_col = tokens[3]
-    match = _RATIONAL_RE.fullmatch(text)
-    if not match:
-        raise PresentationParseError(f"invalid rational {text!r}", lineno, num_col)
-    num = int(match.group(1))
-    den = int(match.group(2)) if match.group(2) else 1
-    if den == 0:
-        raise PresentationParseError(f"zero denominator in {text!r}", lineno, num_col)
-    degree = Fraction(num, den)
+    try:
+        degree = parse_key(KeyKind.RATIONAL, text)
+    except MalformedKeyError as exc:
+        raise PresentationParseError(f"degree: {exc}", lineno, num_col) from None
     if degree <= 0:
         raise NonPositiveDegreeError(
             f"line {lineno}: generator {name!r} has degree {degree}; degrees must be > 0"

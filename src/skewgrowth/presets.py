@@ -13,7 +13,8 @@ from __future__ import annotations
 import string
 from fractions import Fraction
 
-from .errors import InvalidParamsError, UnknownBuiltinError
+from .dirichlet import KeyKind, parse_key
+from .errors import InvalidParamsError, MalformedKeyError, UnknownBuiltinError
 from .models import MultIntegerModel, RewriteModel, _integer
 from .mp_family import MpModel, MpSpec
 from .presentation import Generator, Presentation, parse_presentation
@@ -34,10 +35,8 @@ def _free(params: dict):
     else:
         if not isinstance(degrees, (list, tuple)):
             degrees = [degrees]  # 'degrees=2' parses to a scalar
-        try:
-            degrees = [Fraction(d) for d in degrees]
-        except (TypeError, ValueError):  # 'degrees=pow2' parses to a string
-            raise InvalidParamsError(f"free degrees must be numbers, got {degrees}") from None
+        if not all(isinstance(d, (int, Fraction)) and not isinstance(d, bool) for d in degrees):
+            raise InvalidParamsError(f"free degrees must be numbers, got {degrees}")
         if len(degrees) != count:
             raise InvalidParamsError("free degrees must match count")
     generators = tuple(
@@ -153,12 +152,7 @@ def _parse_value(raw: str):
 
 
 def _parse_scalar(raw: str):
-    raw = raw.strip()
     try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        raise InvalidParamsError(f"cannot parse preset value {raw!r}") from None
+        return parse_key(KeyKind.RATIONAL, raw)
+    except MalformedKeyError as exc:
+        raise InvalidParamsError(f"preset value: {exc}") from None

@@ -120,7 +120,7 @@ def enumerate_towers(table, poset: DivPoset | None = None,
         if len(candidates) < 2:
             continue
         towers += [tower.child(stage, tuple(minimal_in_mask(mask)))
-                   for stage, mask in poset.iter_supported_subsets(candidates, 2)]
+                   for stage, mask in poset.iter_supported_subsets(candidates)]
     return TowerForest(ground, tuple(towers))
 
 

@@ -200,6 +200,7 @@ def test_dot_is_refused_where_not_offered(command, capsys):
     ["growth", "--preset", "free:2:3"],
     ["growth", "--preset", "free:x"],
     ["growth", "--preset", "free:27"],
+    ["towers", "--preset", "mp:p=4,8,16", "--ground", "b1"],  # mp names are a0, a1, ...
 ])
 def test_usage_errors_exit_two(argv, capsys):
     rc = main(argv)

@@ -51,6 +51,10 @@ def test_coerce_rejects_bad_values():
         coerce_key(M, True)
     with pytest.raises(MalformedKeyError):
         coerce_key(R, False)
+    with pytest.raises(MalformedKeyError):  # text is a key only through parse_key
+        coerce_key(R, "1/2")
+    with pytest.raises(MalformedKeyError):
+        Series.build(R, 8, {object(): 1})
 
 
 def test_rational_series_refuse_bool_keys():
@@ -96,6 +100,7 @@ def test_build_rejects_keys_past_cutoff():
 def test_str_rendering():
     f = Series.build(R, 8, {0: 1, Fraction(5, 2): -3})
     assert str(f) == "1*t^0 - 3*t^5/2"
+    assert str(Series.build(R, 8, {1: 0})) == "0"
 
 
 # -------------------------------------------------------------- ring laws

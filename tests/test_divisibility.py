@@ -71,7 +71,8 @@ def test_singleton_and_empty_index_sets(zpos_table):
     ten = zpos_table.element_id(10)
     assert min_common_multiples(poset, [ten]) == [ten]
     # the walk never forms the empty set, whose multiples would be everything
-    assert list(poset.iter_supported_subsets([], min_size=0)) == []
+    assert list(poset.iter_supported_subsets([])) == []
+    assert list(poset.iter_supported_subsets([ten])) == []
 
 
 def test_minimal_elements_form_an_antichain(example3_table):
@@ -88,17 +89,17 @@ def test_iter_supported_subsets_matches_direct_computation(example3_table):
     poset = example3_table.poset()
     atoms = example3_table.atoms()
     seen = {}
-    for subset, mask in poset.iter_supported_subsets(atoms, min_size=1):
+    for subset, mask in poset.iter_supported_subsets(atoms):
         seen[subset] = mask_to_ids(mask)
     a, b = atoms
-    assert set(seen) == {(a,), (b,), (a, b)}
+    assert set(seen) == {(a, b)}
     assert seen[(a, b)] == common_multiples(poset, [a, b])
 
 
 def test_iter_supported_subsets_prunes_empty(free2_table):
     poset = free2_table.poset()
     atoms = free2_table.atoms()
-    pairs = [s for s, _ in poset.iter_supported_subsets(atoms, min_size=2)]
+    pairs = [s for s, _ in poset.iter_supported_subsets(atoms)]
     assert pairs == []  # a free monoid has no common multiples of distinct atoms
 
 

@@ -516,3 +516,13 @@ def test_zpos_refuses_non_integral_nmax(nmax):
 def test_presets_reject_non_integral_params(preset):
     with pytest.raises(InvalidParamsError):
         parse_preset(preset)
+
+
+@pytest.mark.parametrize("degree", [True, 0.5])
+def test_free_refuses_degrees_that_are_not_exact_numbers(degree):
+    with pytest.raises(InvalidParamsError):
+        builtin("free", count=2, degrees=[degree, 1])
+
+
+def test_empty_preset_segments_are_skipped():
+    assert parse_preset("example3::").name == "example3"

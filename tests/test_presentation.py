@@ -76,6 +76,22 @@ def test_nonpositive_degree():
         Generator("a", Fraction(-1))
     with pytest.raises(NonPositiveDegreeError):
         Generator("a", 0.5)
+    with pytest.raises(NonPositiveDegreeError):  # not degree 1
+        Generator("a", True)
+    with pytest.raises(NonPositiveDegreeError):  # text is read only by the parser
+        Generator("a", "3")
+
+
+def test_constructed_presentations_are_validated():
+    a, b = Generator("a", 1), Generator("b", 2)
+    with pytest.raises(PresentationError):
+        Generator("1a", 1)
+    with pytest.raises(DuplicateGeneratorError):
+        Presentation((a, Generator("a", 2)))
+    with pytest.raises(NonHomogeneousRelationError):
+        Presentation((a, b), (Relation(("a",), ("b",)),))
+    with pytest.raises(UnknownSymbolError):
+        Presentation((a, b)).degree_of("c")
 
 
 def test_inhomogeneous_relation_carries_degrees():

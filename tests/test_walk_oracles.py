@@ -23,12 +23,11 @@ from test_models import small_presentations
 
 
 def _assert_both_subset_paths_match(poset, candidates):
-    for size in (1, 2, 3):
-        expected = list(supported_subsets_by_rescan(poset, candidates, size))
-        assert list(poset._walk_supported_subsets(candidates, size)) == expected
-        if candidates:  # the sweep starts at the least candidate
-            assert list(poset._sweep_supported_subsets(candidates, size)) == expected
-        assert list(poset.iter_supported_subsets(candidates, size)) == expected
+    expected = list(supported_subsets_by_rescan(poset, candidates, 2))
+    assert list(poset._walk_supported_subsets(candidates)) == expected
+    if candidates:  # the sweep starts at the least candidate
+        assert list(poset._sweep_supported_subsets(candidates)) == expected
+    assert list(poset.iter_supported_subsets(candidates)) == expected
 
 
 def _assert_matches_oracles(table, ground=None):
