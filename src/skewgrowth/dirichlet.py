@@ -416,9 +416,16 @@ def series_from_json(obj: Mapping) -> Series:
         return parse_key(kind, key) if isinstance(key, str) else coerce_key(kind, key)
 
     def read_coeff(coeff):  # Series.build rejects any non-int left over
+        if not isinstance(coeff, str):
+            return coeff
+        text = coeff.strip()  # parse_key's grammar, after an optional '-'
+        if not is_digits(text.removeprefix("-")):
+            raise MalformedKeyError(f"bad coefficient {coeff!r}: write a run of ASCII digits, "
+                                    f"optionally after '-'")
         try:
-            return int(coeff) if isinstance(coeff, str) else coeff
-        except ValueError as exc:
-            raise MalformedKeyError(f"bad coefficient {coeff!r}") from exc
+            return int(text)
+        except ValueError:  # past the interpreter's limit on digits read
+            raise MalformedKeyError(f"a coefficient of more than {sys.get_int_max_str_digits()} "
+                                    f"digits") from None
 
     return Series.build(kind, read(cutoff), [(read(key), read_coeff(coeff)) for key, coeff in terms])

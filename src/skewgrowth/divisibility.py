@@ -169,26 +169,28 @@ class DivPoset:
         the cutoff, each with its common-multiple mask.  The candidates are
         ascending, as every tower top is.  Each path is one generator
         frame, not one per subset, and a caller that drops each mask, of up
-        to n bits, never holds a wide node's thousands at once.
+        to n bits, never holds a wide node's thousands at once.  The towers
+        answer a node of two candidates with one AND and call this from
+        three on.
 
         Two ways find them.  The walk ANDs candidates' multiple masks, at
         least one C-level AND per pair, k(k-1)/2 for k candidates; the sweep
         takes about one Python step per element above the least candidate,
-        n - min(candidates), whatever k is.  A node sweeps when its pairs
-        are more than 4 times the elements swept, and walks otherwise.  The
-        4 is measured on the zpos roots (the primes with headroom), with
-        every mask prebuilt and with masks built on demand: up to zpos:600
-        (pairs 3.2 times the elements) the walk was faster, at zpos:650
-        (3.3 times) the two tied, and from zpos:700 (3.5 times) the sweep
-        was faster, by 3 to 10% up to zpos:850 (3.9 times); at zpos:1500
-        the sweep took 1.5 ms against the walk's 2.4 ms (2.1 against 3.1 on
-        demand), and at zpos:3000 3.4 against 10.5 ms (5.2 against 12.1).
-        The constant stays 4 though the crossover is near 3.3: between the
-        two the paths differ by under 10%.  Every node of example3@200,
-        braid3@13, free:2@12 and mp@40 walks.
+        whatever k is.  A node sweeps when its pairs are more than 3 times
+        the elements swept, and walks otherwise.  The 3 is measured on the
+        zpos roots (the primes with headroom), best of 15 in process, with
+        every mask prebuilt and with masks built on demand.  Prebuilt, up to
+        zpos:500 (pairs 2.8 times the elements) the walk was faster by 7 to
+        16%, at zpos:550 (3.0 times) the two tied, and from zpos:600 (3.2
+        times) the sweep was faster, by 2 to 12% up to zpos:800 (3.8 times);
+        on demand the two were within 5% of each other from zpos:500 to
+        zpos:750.  At zpos:1500 the sweep took 1.9 ms against the walk's 3.4
+        ms (3.0 against 4.4 on demand), and at zpos:3000 4.7 against 15.8 ms
+        (12.3 against 23.2).  Every node of three or more candidates of
+        example3@200, braid3@13, free:2@12 and mp@40 walks.
         """
         k = len(candidates)
-        if k > 1 and k * (k - 1) // 2 > 4 * (self.n_elements - min(candidates)):
+        if k > 1 and k * (k - 1) // 2 > 3 * (self.n_elements - candidates[0]):
             return self._sweep_supported_subsets(candidates)
         return self._walk_supported_subsets(candidates)
 
@@ -234,38 +236,37 @@ class DivPoset:
         """One forward push from the least candidate gives every element w
         the bits D[w] of the candidate positions that divide it.  A subset
         is supported exactly when it lies inside some D[w], so the supported
-        subsets are the submasks of the distinct D values.  Values with
-        fewer than two bits are dropped, those with the most bits go first,
-        only submasks of at least two bits are kept, and a value already
-        kept is skipped, as those of its submasks are too.  Each subset is
-        decoded once into its stage, and sorting the stages gives the walk's
+        subsets are the distinct D values of two or more bits, each decoded
+        once into its stage, closed downward: a stack of the stages found
+        adds each subset one candidate shorter, of two candidates or more,
+        the first time it is met.  Sorting the stages gives the walk's
         order, the candidates being ascending; a stage's mask, the AND of
         its candidates' multiple masks, is made as it is yielded.
         """
-        start = min(candidates)
+        start = candidates[0]
         bits = [0] * (self.n_elements - start)
         for i, eid in enumerate(candidates):
             bits[eid - start] |= 1 << i
-        supported = set()
-        values = [value for value in set(self._push_forward(bits, start)) if value & (value - 1)]
-        for value in sorted(values, key=int.bit_count, reverse=True):
-            if value not in supported:
-                sub = value
-                while sub:
-                    if sub & (sub - 1):
-                        supported.add(sub)
-                    sub = (sub - 1) & value
-        stages = []
-        for sub in supported:
-            stage = []
-            while sub:
-                low = sub & -sub
-                stage.append(candidates[low.bit_length() - 1])
-                sub ^= low
-            stages.append(tuple(stage))
-        stages.sort()
+        stages = set()
+        for value in set(self._push_forward(bits, start)):
+            if value & (value - 1):
+                stage = []
+                while value:
+                    low = value & -value
+                    stage.append(candidates[low.bit_length() - 1])
+                    value ^= low
+                stages.add(tuple(stage))
+        stack = [stage for stage in stages if len(stage) > 2]
+        while stack:
+            stage = stack.pop()
+            for i in range(len(stage)):
+                sub = stage[:i] + stage[i + 1:]
+                if sub not in stages:
+                    stages.add(sub)
+                    if len(sub) > 2:
+                        stack.append(sub)
         multiples = self.multiples
-        for stage in stages:
+        for stage in sorted(stages):
             mask = -1
             for eid in stage:
                 mask &= multiples(eid)

@@ -486,6 +486,10 @@ class MultIntTable(ElementTable):
                          [0] + [letter[lpf[n]] for n in degrees[1:]],
                          [0] + [n // lpf[n] - 1 for n in degrees[1:]])
 
+    def right_maps(self) -> list[list[int]]:
+        """The left maps: multiplication commutes, x*g = g*x."""
+        return self.left_maps()
+
     def element_id(self, n: int) -> int | None:
         return n - 1 if 1 <= n <= self.cutoff else None
 

@@ -158,6 +158,10 @@ class MpTable(ElementTable):
                          [0, *firsts],
                          [0, *(ids[d - gen_degrees[f]] for d, f in zip(degrees[1:], firsts))])
 
+    def right_maps(self) -> list[list[int]]:
+        """The left maps: an element is its degree, so x*g = g*x."""
+        return self.left_maps()
+
     def id_of_degree(self, degree) -> int | None:
         """Id of the one element of this degree, or None past the cutoff."""
         return self._ids.get(self.grid.point(degree))

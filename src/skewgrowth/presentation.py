@@ -44,7 +44,7 @@ class Generator:
         if not _NAME_RE.fullmatch(self.name):
             raise PresentationError(f"invalid generator name {self.name!r}")
         if isinstance(self.degree, (bool, float, str)):
-            raise NonPositiveDegreeError(f"degrees must be exact rationals, got {self.degree!r}")
+            raise PresentationError(f"degrees must be exact rationals, got {self.degree!r}")
         object.__setattr__(self, "degree", Fraction(self.degree))
         if self.degree <= 0:
             raise NonPositiveDegreeError(

@@ -20,16 +20,21 @@ cancellative, which is what :mod:`skewgrowth.checks` verifies.
 
 Truncation: a stage can only produce useful top elements if every picked
 element keeps at least one minimal positive degree of headroom below the
-cutoff, so candidate picks are filtered accordingly; every dropped tower
-has its whole top set above the cutoff and cannot affect reported degrees.
-A tower whose top keeps fewer than two such candidates has no children.
-Enumeration is breadth-first and fully deterministic.  The filter and the
+cutoff, so the candidates of a top are the prefix of it below the first id
+without that headroom; every dropped tower has its whole top set above the
+cutoff and cannot affect reported degrees.  A tower whose top keeps fewer
+than two candidates has no children, and one that keeps two has at most
+one, on the pair, when their multiple masks meet: one AND, where three or
+more candidates go to :meth:`~skewgrowth.divisibility.DivPoset.iter_supported_subsets`.
+Enumeration is breadth-first and fully deterministic.  The cut and the
 skew-growth terms work on the table's grid ints (see
 :class:`skewgrowth.dirichlet.Grid`); keys are made when the series is.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 from .dirichlet import Series, key_to_json
@@ -109,18 +114,25 @@ def enumerate_towers(table, poset: DivPoset | None = None,
         ground = table.atoms()
         if not ground:
             return TowerForest((), (Tower.root(()),))
-    degrees, combine, limit = table.grid_degrees, table.grid.combine, table.grid.top
+    degrees, grid = table.grid_degrees, table.grid
     # ids ascend with degree and only the unit has degree zero, so id 1
-    # (there is one, as the ground holds a non-unit) has the least positive one
-    d_min = degrees[1]
+    # (there is one, as the ground holds a non-unit) has the least positive
+    # one; the ids below cut keep that much headroom, so the candidates of
+    # a top, which is ascending, are its elements below cut
+    cut = bisect_right(degrees, grid.top, key=partial(grid.combine, degrees[1]))
     towers: list[Tower] = [Tower.root(ground)]
     minimal_in_mask = poset.minimal_in_mask
     for tower in towers:  # grows while it is read
-        candidates = [eid for eid in tower.top if combine(degrees[eid], d_min) <= limit]
-        if len(candidates) < 2:
-            continue
-        towers += [tower.child(stage, tuple(minimal_in_mask(mask)))
-                   for stage, mask in poset.iter_supported_subsets(candidates)]
+        top = tower.top
+        candidates = top[:bisect_left(top, cut)]
+        k = len(candidates)
+        if k == 2:  # the pair itself is the one possible stage
+            # read through the poset: its reverse pass swaps in a faster method
+            if mask := poset.multiples(candidates[0]) & poset.multiples(candidates[1]):
+                towers.append(tower.child(candidates, tuple(minimal_in_mask(mask))))
+        elif k > 2:
+            towers += [tower.child(stage, tuple(minimal_in_mask(mask)))
+                       for stage, mask in poset.iter_supported_subsets(candidates)]
     return TowerForest(ground, tuple(towers))
 
 

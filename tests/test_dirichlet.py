@@ -336,13 +336,23 @@ def test_json_roundtrip_multint(f):
     assert series_from_json(json.loads(json.dumps(series_to_json(f)))) == f
 
 
-@pytest.mark.parametrize("coeff", [2.5, "2.5"])
+# past a float, parse_key's refusals, with '-' the one sign read: a digit
+# separator, Arabic-Indic three, '+', a doubled, detached or bare '-'
+@pytest.mark.parametrize("coeff", [2.5, "2.5", "1_0", "٣", "+3", " +3 ", "--3", "- 3", "-"])
 def test_json_rejects_non_integral_coefficients(coeff):
     with pytest.raises(MalformedKeyError):
         series_from_json({"key_kind": "rational", "cutoff": "8", "terms": [["1", coeff]]})
     with pytest.raises(MalformedKeyError):
         Series.build(R, 8, {1: coeff})
 
+
+def test_json_coefficients_read_signed_digits():
+    obj = {"key_kind": "multint", "cutoff": "8", "terms": [["1", " -3 "], ["2", "12"]]}
+    assert series_from_json(obj).terms == {1: -3, 2: 12}
+    with pytest.raises(MalformedKeyError):  # more digits than int() reads by default
+        series_from_json({"key_kind": "multint", "cutoff": "8", "terms": [["1", "9" * 5000]]})
+    f = Series.build(R, 8, {0: 1, Fraction(1, 2): -(10 ** 40), 8: 7})
+    assert series_from_json(json.loads(json.dumps(series_to_json(f)))) == f
 
 
 @pytest.mark.parametrize("obj", [

@@ -457,6 +457,10 @@ def test_generator_core_matches_scans_on_builtins(example3_table, braid3_table,
                                                  free2_table, zpos_table, mp_table):
     for table in (example3_table, braid3_table, free2_table, zpos_table, mp_table):
         _assert_core_matches_scans(table)
+    # the mp table's right maps are its left maps: two more specs, one with
+    # a zero entry, hold that to the scans off the default one
+    for preset in ("mp:p=2,0,7", "mp:p=pow2:K=4"):
+        _assert_core_matches_scans(parse_preset(preset).enumerate_up_to(Fraction(10)))
     for text in (
         "gen a : 1\ngen b : 1\ngen c : 1\nrel a b = a c\n",
         "gen a : 1\ngen b : 1\ngen c : 1\nrel b a = c a\n",

@@ -74,12 +74,15 @@ def test_nonpositive_degree():
         parse_presentation("gen a : 0\n")
     with pytest.raises(NonPositiveDegreeError):
         Generator("a", Fraction(-1))
-    with pytest.raises(NonPositiveDegreeError):
-        Generator("a", 0.5)
-    with pytest.raises(NonPositiveDegreeError):  # not degree 1
-        Generator("a", True)
-    with pytest.raises(NonPositiveDegreeError):  # text is read only by the parser
-        Generator("a", "3")
+
+
+# a float, a bool (not degree 1) and text (read only by the parser) are of
+# the wrong type, whatever their sign
+@pytest.mark.parametrize("degree", [0.5, True, "3"])
+def test_degree_of_the_wrong_type(degree):
+    with pytest.raises(PresentationError) as info:
+        Generator("a", degree)
+    assert not isinstance(info.value, NonPositiveDegreeError)
 
 
 def test_constructed_presentations_are_validated():

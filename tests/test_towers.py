@@ -104,8 +104,9 @@ def test_stage_picks_come_from_the_parent_top(mp_table):
 ])
 def test_only_wide_nodes_sweep(preset, cutoff, sweeps):
     # zpos:1500's root has 132 primes with headroom, 8,646 pairs against
-    # 1,499 elements to sweep; every other node walks, or has fewer than
-    # two candidates and is skipped before either
+    # 1,499 elements to sweep; every other node of three or more candidates
+    # walks, while a pair node is one AND in the towers and a node of fewer
+    # than two candidates is skipped, neither reaching the public entry
     model = parse_preset(preset)
     table = model.enumerate_up_to(parse_key(model.key_kind, cutoff))
 
@@ -113,13 +114,17 @@ def test_only_wide_nodes_sweep(preset, cutoff, sweeps):
         return mock.patch.object(DivPoset, name, autospec=True,
                                  side_effect=getattr(DivPoset, name))
 
-    with spy("_walk_supported_subsets") as walk, spy("_sweep_supported_subsets") as sweep:
+    with spy("iter_supported_subsets") as entry, spy("_walk_supported_subsets") as walk, \
+            spy("_sweep_supported_subsets") as sweep:
         forest = enumerate_towers(table)
     picks = [headroom_candidates(table, tower) for tower in forest]
     assert sweep.call_count == sweeps
     if sweeps:
-        assert sweep.call_args.args[1] == picks[0]
-    assert walk.call_count + sweep.call_count == sum(len(p) > 1 for p in picks)
+        assert sweep.call_args.args[1] == tuple(picks[0])
+    assert entry.call_count == sum(len(p) > 2 for p in picks)
+    paths = walk.call_args_list + sweep.call_args_list
+    assert len(paths) == sum(len(p) > 2 for p in picks)
+    assert all(len(call.args[1]) > 2 for call in paths)  # no pair node on either path
 
 
 def test_sign_formula():

@@ -89,3 +89,14 @@ def test_both_subset_paths_match_the_rescan_at_zpos_roots(nmax):
     table = builtin("zpos", nmax=nmax).enumerate_up_to(nmax)
     root = Tower.root(table.atoms())
     _assert_both_subset_paths_match(table.poset(), headroom_candidates(table, root))
+
+
+def test_the_sweep_closes_its_stages_downward(zpos_table):
+    # 6, 10 and 15 pairwise have the lcm 30, so the one D value of two or
+    # more bits is {6, 10, 15}: each pair is supported only as a subset of it
+    candidates = tuple(zpos_table.element_id(v) for v in (6, 10, 15))
+    assert candidates == (5, 9, 14)
+    poset = zpos_table.poset()
+    expected = list(supported_subsets_by_rescan(poset, candidates, 2))
+    assert [stage for stage, _ in expected] == [(5, 9), (5, 9, 14), (5, 14), (9, 14)]
+    assert list(poset._sweep_supported_subsets(candidates)) == expected
