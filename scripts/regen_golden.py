@@ -28,7 +28,8 @@ CASES = [
     ("towers_braid3_dot", "towers --preset braid3 --format dot"),
     ("towers_mp12_dot", "towers --preset mp:p=4,8,16:K=3 --max-degree 12 --format dot"),
     ("towers_zpos10_json", "towers --preset zpos:10 --format json"),
-    # a root wide enough that its supported subsets come from the sweep
+    # a root wide enough that its stages and tops come from the pass over
+    # candidate bits and right predecessors
     ("towers_zpos1500_table", "towers --preset zpos:1500"),
     ("atoms_mp_table", "atoms --preset mp:p=4,8,16:K=3"),
     ("atoms_zpos30_json", "atoms --preset zpos:30 --format json"),

@@ -79,11 +79,12 @@ def check_cancellative(table) -> CheckReport:
     A failure is reported at the least witness, ordered by product degree,
     factor degree, side (left first) and factor id.  The same argument makes
     the factor of that least witness an atom, hence a generator, so it is
-    the least of the first collisions of the maps.
+    the least of the first collisions of the maps.  Right maps that are
+    the left ones are not probed again: a left witness sorts first.
     """
     degrees, combine = table.grid_degrees, table.grid.combine
-    found = []
-    for side, maps in (("left", table.left_maps()), ("right", table.right_maps())):
+    found, left, right = [], table.left_maps(), table.right_maps()
+    for side, maps in (("left", left), ("right", () if right is left else right)):
         for factor, row in zip(table.generators(), maps):
             witness = _first_collision(row)
             if witness is not None:

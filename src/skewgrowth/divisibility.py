@@ -11,9 +11,10 @@ every later read.  :meth:`DivPoset.multiples` gives the rule and its
 measured constant.  The divisor masks are built from the right maps on
 first read.
 
-The supported subsets of a tower node's candidates are walked, ANDing
-multiple masks, at a narrow node, and read off one sweep over the elements
-above the least candidate at a wide one; :meth:`DivPoset.iter_supported_subsets`
+The supported subsets of a tower node's candidates, with their minimal
+common multiples, are walked, ANDing and peeling multiple masks, at a narrow
+node, and read off one pass over the elements above the least candidate,
+which reads no mask, at a wide one; :meth:`DivPoset.iter_supported_subsets`
 gives the rule and its measured constant.
 
 Truncation contract: every query answer is exact for the enumerated range.
@@ -122,23 +123,16 @@ class DivPoset:
 
     @functools.cached_property
     def divisor_masks(self) -> list[int]:
-        """divisor_masks[v] has bit u set iff u | v: each x's own bit,
-        pushed forward."""
-        return self._push_forward([1 << v for v in range(self.n_elements)], 0)
-
-    def _push_forward(self, marks: list[int], start: int) -> list[int]:
-        """In increasing id order from *start*, each x ORs its marks,
-        ``marks[x - start]``, into those of every x*g, which has a larger id
-        and so reads them later.  Rows are prefixes sorted by length, so the
-        first row too short for x ends its loop."""
-        rows = self._rows
-        for x, mask in enumerate(marks, start):  # later entries fill as it runs
-            if mask:
-                for row in rows:
-                    if x >= len(row):
-                        break
-                    marks[row[x] - start] |= mask
-        return marks
+        """divisor_masks[v] has bit u set iff u | v: in increasing id order
+        each x ORs its mask, its own bit and its divisors', into that of
+        every x*g, which has a larger id and so reads it later."""
+        divisors, rows = [1 << v for v in range(self.n_elements)], self._rows
+        for x, mask in enumerate(divisors):  # later entries fill as it runs
+            for row in rows:
+                if x >= len(row):
+                    break
+                divisors[row[x]] |= mask
+        return divisors
 
     def minimal_in_mask(self, mask: int) -> list[int]:
         """The minimal elements of a mask, ascending.  A strict divisor has a
@@ -166,33 +160,33 @@ class DivPoset:
     def iter_supported_subsets(self, candidates: Sequence[int]):
         """Yield the subsets (as tuples, in lexicographic order) of at
         least two candidates whose common-multiple set is non-empty within
-        the cutoff, each with its common-multiple mask.  The candidates are
-        ascending, as every tower top is.  Each path is one generator
-        frame, not one per subset, and a caller that drops each mask, of up
-        to n bits, never holds a wide node's thousands at once.  The towers
-        answer a node of two candidates with one AND and call this from
-        three on.
+        the cutoff, each with its tops, its minimal common multiples,
+        ascending.  The candidates are ascending, as every tower top is.
+        The towers answer a node of two candidates with one AND and call
+        this from three on.
 
         Two ways find them.  The walk ANDs candidates' multiple masks, at
-        least one C-level AND per pair, k(k-1)/2 for k candidates; the sweep
-        takes about one Python step per element above the least candidate,
-        whatever k is.  A node sweeps when its pairs are more than 3 times
-        the elements swept, and walks otherwise.  The 3 is measured on the
-        zpos roots (the primes with headroom), best of 15 in process, with
-        every mask prebuilt and with masks built on demand.  Prebuilt, up to
-        zpos:500 (pairs 2.8 times the elements) the walk was faster by 7 to
-        16%, at zpos:550 (3.0 times) the two tied, and from zpos:600 (3.2
-        times) the sweep was faster, by 2 to 12% up to zpos:800 (3.8 times);
-        on demand the two were within 5% of each other from zpos:500 to
-        zpos:750.  At zpos:1500 the sweep took 1.9 ms against the walk's 3.4
-        ms (3.0 against 4.4 on demand), and at zpos:3000 4.7 against 15.8 ms
-        (12.3 against 23.2).  Every node of three or more candidates of
-        example3@200, braid3@13, free:2@12 and mp@40 walks.
+        least one C-level AND per pair, k(k-1)/2 for k candidates, and peels
+        each stage's mask; the pass takes about one Python step per element
+        above the least candidate and right map, whatever k is, and reads no
+        mask.  A node takes the pass when its pairs outnumber the elements
+        swept.  Best of 15 in process, against the walk with masks built on
+        demand, as a root reads them, the pass was faster at every zpos root
+        from zpos:20 (0.3 pairs per element) to zpos:500 (2.8), by 1 to 35%,
+        took 4.3 ms against 7.5 at zpos:1500 and 10.0 against 29.7 at
+        zpos:3000, and 0.07, 0.47 and 1.7 ms against 0.10, 0.79 and 3.9 at
+        the roots of {1} u {n = 1 mod 4} up to 500, 2,000 and 5,000 (1.4, 4.3
+        and 9.2).  Against masks a reverse pass had built the walk was faster
+        up to about 4 pairs per element, and 2 to 60 times faster at the
+        nodes of mp@40 (0.02 to 0.09) and the congruence nodes above the root
+        (under 0.01).  Of the builtins, only the zpos roots from about
+        zpos:90 on take the pass.
         """
         k = len(candidates)
-        if k > 1 and k * (k - 1) // 2 > 3 * (self.n_elements - candidates[0]):
+        if k > 1 and k * (k - 1) // 2 > self.n_elements - candidates[0]:
             return self._sweep_supported_subsets(candidates)
-        return self._walk_supported_subsets(candidates)
+        return ((stage, tuple(self.minimal_in_mask(mask)))
+                for stage, mask in self._walk_supported_subsets(candidates))
 
     def _walk_supported_subsets(self, candidates: Sequence[int]):
         """Each subset hands its extensions a survivor pool: the later
@@ -232,42 +226,46 @@ class DivPoset:
             else:
                 return
 
-    def _sweep_supported_subsets(self, candidates: Sequence[int]):
-        """One forward push from the least candidate gives every element w
-        the bits D[w] of the candidate positions that divide it.  A subset
-        is supported exactly when it lies inside some D[w], so the supported
-        subsets are the distinct D values of two or more bits, each decoded
-        once into its stage, closed downward: a stack of the stages found
-        adds each subset one candidate shorter, of two candidates or more,
-        the first time it is met.  Sorting the stages gives the walk's
-        order, the candidates being ascending; a stage's mask, the AND of
-        its candidates' multiple masks, is made as it is yielded.
-        """
-        start = candidates[0]
+    def _sweep_supported_subsets(self, candidates: Sequence[int]) -> list:
+        """One loop in increasing id order from the least candidate pushes
+        each x's bits D[x], the candidate positions dividing x, to every x*g
+        and, when they are two or more, lists them among x*g's covers: one
+        bit covers no stage.  A strict divisor of w divides some right
+        predecessor x of w (x*g = w), and D grows along divisibility, so w is
+        a minimal common multiple of S exactly when S lies inside D[w] and
+        inside no cover of w, both final once the loop reaches w.  The stages
+        are decoded once and sorted, which is the walk's order."""
+        start, rows = candidates[0], self._rows
         bits = [0] * (self.n_elements - start)
         for i, eid in enumerate(candidates):
             bits[eid - start] |= 1 << i
-        stages = set()
-        for value in set(self._push_forward(bits, start)):
-            if value & (value - 1):
-                stage = []
-                while value:
-                    low = value & -value
-                    stage.append(candidates[low.bit_length() - 1])
-                    value ^= low
-                stages.add(tuple(stage))
-        stack = [stage for stage in stages if len(stage) > 2]
-        while stack:
-            stage = stack.pop()
-            for i in range(len(stage)):
-                sub = stage[:i] + stage[i + 1:]
-                if sub not in stages:
-                    stages.add(sub)
-                    if len(sub) > 2:
-                        stack.append(sub)
-        multiples = self.multiples
-        for stage in sorted(stages):
-            mask = -1
-            for eid in stage:
-                mask &= multiples(eid)
-            yield stage, mask
+        covers, tops = {}, {}
+        for w, value in enumerate(bits, start):  # later entries fill as it runs
+            if not value:
+                continue
+            wide = value & (value - 1)
+            if wide and value not in (seen := covers.pop(w, ())):
+                sub = value
+                while sub:  # the submasks of two bits or more that no cover holds
+                    if sub & (sub - 1):
+                        for cover in seen:
+                            if sub & cover == sub:
+                                break
+                        else:
+                            tops.setdefault(sub, []).append(w)
+                    sub = (sub - 1) & value
+            for row in rows:  # prefixes sorted by length: the first too short ends it
+                if w >= len(row):
+                    break
+                bits[row[w] - start] |= value
+                if wide:
+                    covers.setdefault(row[w], []).append(value)
+        stages = []
+        for sub, top in tops.items():
+            stage = []
+            while sub:
+                low = sub & -sub
+                stage.append(candidates[low.bit_length() - 1])
+                sub ^= low
+            stages.append((tuple(stage), tuple(top)))
+        return sorted(stages)

@@ -24,11 +24,13 @@ cutoff, so the candidates of a top are the prefix of it below the first id
 without that headroom; every dropped tower has its whole top set above the
 cutoff and cannot affect reported degrees.  A tower whose top keeps fewer
 than two candidates has no children, and one that keeps two has at most
-one, on the pair, when their multiple masks meet: one AND, where three or
-more candidates go to :meth:`~skewgrowth.divisibility.DivPoset.iter_supported_subsets`.
-Enumeration is breadth-first and fully deterministic.  The cut and the
-skew-growth terms work on the table's grid ints (see
-:class:`skewgrowth.dirichlet.Grid`); keys are made when the series is.
+one, on the pair, when their multiple masks meet: one AND, peeled to its
+minimal elements.  Three or more candidates go to
+:meth:`~skewgrowth.divisibility.DivPoset.iter_supported_subsets`, which
+yields each child's stage with its top.  Enumeration is breadth-first and
+fully deterministic.  The cut and the skew-growth terms work on the table's
+grid ints (see :class:`skewgrowth.dirichlet.Grid`); keys are made when the
+series is.
 """
 from __future__ import annotations
 
@@ -121,7 +123,6 @@ def enumerate_towers(table, poset: DivPoset | None = None,
     # a top, which is ascending, are its elements below cut
     cut = bisect_right(degrees, grid.top, key=partial(grid.combine, degrees[1]))
     towers: list[Tower] = [Tower.root(ground)]
-    minimal_in_mask = poset.minimal_in_mask
     for tower in towers:  # grows while it is read
         top = tower.top
         candidates = top[:bisect_left(top, cut)]
@@ -129,10 +130,9 @@ def enumerate_towers(table, poset: DivPoset | None = None,
         if k == 2:  # the pair itself is the one possible stage
             # read through the poset: its reverse pass swaps in a faster method
             if mask := poset.multiples(candidates[0]) & poset.multiples(candidates[1]):
-                towers.append(tower.child(candidates, tuple(minimal_in_mask(mask))))
+                towers.append(tower.child(candidates, tuple(poset.minimal_in_mask(mask))))
         elif k > 2:
-            towers += [tower.child(stage, tuple(minimal_in_mask(mask)))
-                       for stage, mask in poset.iter_supported_subsets(candidates)]
+            towers += [tower.child(*step) for step in poset.iter_supported_subsets(candidates)]
     return TowerForest(ground, tuple(towers))
 
 

@@ -1,11 +1,17 @@
 import json
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 
-from scan_oracles import convolve_by_fractions, inversion_two_step, recursion_by_sum
+from scan_oracles import (
+    cancellative_by_scan,
+    convolve_by_fractions,
+    inversion_two_step,
+    recursion_by_sum,
+)
 from skewgrowth import checks
 from skewgrowth.checks import (
     FAIL,
@@ -17,7 +23,7 @@ from skewgrowth.checks import (
     check_recursion,
     run_all_checks,
 )
-from skewgrowth.dirichlet import growth_series, series_one
+from skewgrowth.dirichlet import growth_series, parse_key, series_one
 from skewgrowth.models import RewriteModel
 from skewgrowth.presentation import parse_presentation
 from skewgrowth.presets import parse_preset
@@ -61,6 +67,23 @@ def test_right_violation_witness():
     assert report.status == FAIL
     assert report.counterexample["side"] == "right"
     assert {report.counterexample["first"], report.counterexample["second"]} == {"b", "c"}
+
+
+@pytest.mark.parametrize("preset, cutoff, sides", [
+    ("zpos:1500", "1500", 1),
+    pytest.param("mp:p=4,8,16", "40", 1,
+                 marks=pytest.mark.filterwarnings("ignore:cutoff 40 reaches")),
+    ("example3", "20", 2),
+])
+def test_cancellativity_probes_shared_maps_once(preset, cutoff, sides):
+    # zpos and mp tables hand back their left maps as their right maps
+    model = parse_preset(preset)
+    table = model.enumerate_up_to(parse_key(model.key_kind, cutoff))
+    with mock.patch.object(checks, "_first_collision",
+                           side_effect=checks._first_collision) as spy:
+        report = check_cancellative(table)
+    assert spy.call_count == sides * len(table.generators())
+    assert report.to_json() == cancellative_by_scan(table).to_json()
 
 
 def test_inversion_fails_for_noncancellative_input(left_bad_table):

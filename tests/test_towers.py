@@ -94,6 +94,7 @@ def test_stage_picks_come_from_the_parent_top(mp_table):
 
 @pytest.mark.parametrize("preset, cutoff, sweeps", [
     ("zpos:1500", "1500", 1),
+    ("zpos:300", "300", 1),
     ("zpos:60", "60", 0),
     pytest.param("mp:p=4,8,16", "40", 0,
                  marks=pytest.mark.filterwarnings("ignore:cutoff 40 reaches")),
@@ -104,9 +105,11 @@ def test_stage_picks_come_from_the_parent_top(mp_table):
 ])
 def test_only_wide_nodes_sweep(preset, cutoff, sweeps):
     # zpos:1500's root has 132 primes with headroom, 8,646 pairs against
-    # 1,499 elements to sweep; every other node of three or more candidates
-    # walks, while a pair node is one AND in the towers and a node of fewer
-    # than two candidates is skipped, neither reaching the public entry
+    # 1,499 elements to sweep, and zpos:300's 35, 595 pairs against 299,
+    # while zpos:60's has 10, 45 pairs against 59; every other node of three
+    # or more candidates walks, while a pair node is one AND in the towers
+    # and a node of fewer than two candidates is skipped, neither reaching
+    # the public entry
     model = parse_preset(preset)
     table = model.enumerate_up_to(parse_key(model.key_kind, cutoff))
 

@@ -1,6 +1,6 @@
-"""The survivor-pool subset walk and the candidate-indexed sweep, the
-minimal-element peel and the lcm-reduction read off the forest against the
-rescanning oracles."""
+"""The survivor-pool subset walk and the pass over candidate bits and
+right predecessors, the minimal-element peel and the lcm-reduction read off
+the forest against the rescanning oracles."""
 import itertools
 
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from scan_oracles import (
     headroom_candidates,
     lcm_reduction_by_walk,
+    mask_to_ids,
     min_common_multiples,
     min_common_multiples_by_divisors,
     minimal_by_divisors,
@@ -23,11 +24,14 @@ from test_models import small_presentations
 
 
 def _assert_both_subset_paths_match(poset, candidates):
+    # the walk yields each stage's mask, the pass and the public entry its tops
     expected = list(supported_subsets_by_rescan(poset, candidates, 2))
     assert list(poset._walk_supported_subsets(candidates)) == expected
-    if candidates:  # the sweep starts at the least candidate
-        assert list(poset._sweep_supported_subsets(candidates)) == expected
-    assert list(poset.iter_supported_subsets(candidates)) == expected
+    tops = [(stage, tuple(minimal_by_divisors(poset, mask_to_ids(mask))))
+            for stage, mask in expected]
+    if candidates:  # the pass starts at the least candidate
+        assert list(poset._sweep_supported_subsets(candidates)) == tops
+    assert list(poset.iter_supported_subsets(candidates)) == tops
 
 
 def _assert_matches_oracles(table, ground=None):
@@ -84,19 +88,24 @@ def test_zpos3000_forest_and_lcm_report_match_oracles():
 @pytest.mark.parametrize("nmax", [30, 100, 300, 1000, 1500, 3000])
 def test_both_subset_paths_match_the_rescan_at_zpos_roots(nmax):
     # the primes with headroom; from zpos:300 on the root has supported
-    # subsets of 4 primes (2*3*5*7 = 210), and from zpos:1000 on it is wide
-    # enough that the public entry sweeps
+    # subsets of 4 primes (2*3*5*7 = 210), and from zpos:100 on it is wide
+    # enough that the public entry takes the pass
     table = builtin("zpos", nmax=nmax).enumerate_up_to(nmax)
     root = Tower.root(table.atoms())
     _assert_both_subset_paths_match(table.poset(), headroom_candidates(table, root))
 
 
-def test_the_sweep_closes_its_stages_downward(zpos_table):
-    # 6, 10 and 15 pairwise have the lcm 30, so the one D value of two or
-    # more bits is {6, 10, 15}: each pair is supported only as a subset of it
-    candidates = tuple(zpos_table.element_id(v) for v in (6, 10, 15))
-    assert candidates == (5, 9, 14)
-    poset = zpos_table.poset()
-    expected = list(supported_subsets_by_rescan(poset, candidates, 2))
-    assert [stage for stage, _ in expected] == [(5, 9), (5, 9, 14), (5, 14), (9, 14)]
-    assert list(poset._sweep_supported_subsets(candidates)) == expected
+def test_the_pass_finds_tops_from_right_predecessors():
+    # 6, 10 and 15 pairwise have the lcm 30, whose right predecessors 15, 10
+    # and 6 each hold one candidate, so 30 is the top of every stage; 30 is
+    # a right predecessor of 60 and of 90 holding the same three, so
+    # neither is the top of any
+    table = builtin("zpos", nmax=90).enumerate_up_to(90)
+    candidates = tuple(table.element_id(v) for v in (6, 10, 15))
+    poset = table.poset()
+    steps = poset._sweep_supported_subsets(candidates)
+    assert [([table.label(e) for e in stage], [table.label(e) for e in top])
+            for stage, top in steps] == [(["6", "10"], ["30"]), (["6", "10", "15"], ["30"]),
+                                         (["6", "15"], ["30"]), (["10", "15"], ["30"])]
+    assert steps == [(stage, tuple(minimal_by_divisors(poset, mask_to_ids(mask))))
+                     for stage, mask in supported_subsets_by_rescan(poset, candidates, 2)]
