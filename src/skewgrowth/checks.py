@@ -118,11 +118,6 @@ def _first_collision(row: list[int]):
 
 # ------------------------------------------------- inversion and recursion
 
-def _skew(table, forest: TowerForest | None) -> dict[int, int]:
-    """N on the table's grid, from *forest*, by default the atoms' towers."""
-    return skew_on_grid(table, forest if forest is not None else enumerate_towers(table))
-
-
 def _product(table, skew: dict[int, int]) -> dict:
     """P*N on the table's grid over every reachable int, sums that cancel
     to 0 included; *skew* is N on the grid.  On a rational grid this is one
@@ -143,7 +138,7 @@ def check_inversion(table, forest: TowerForest | None = None,
     """
     if cancellativity is None:
         cancellativity = check_cancellative(table)
-    return _inversion_report(table, _product(table, _skew(table, forest)), cancellativity)
+    return _inversion_report(table, _product(table, skew_on_grid(table, forest)), cancellativity)
 
 
 def _inversion_report(table, product: dict, cancellativity: CheckReport) -> CheckReport:
@@ -170,7 +165,7 @@ def check_recursion(table, forest: TowerForest | None = None) -> CheckReport:
     so this reads the same truncated convolution as the inversion check, at
     every reachable degree, including those where the sum cancels.
     """
-    return _recursion_report(table, _product(table, _skew(table, forest)))
+    return _recursion_report(table, _product(table, skew_on_grid(table, forest)))
 
 
 def _recursion_report(table, product: dict) -> CheckReport:

@@ -73,9 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     with warnings.catch_warnings():
@@ -255,6 +254,9 @@ _COMMANDS = {
     "cancel-check": ("run the cancellativity probe", ("table", "json"), False,
                      _cmd_cancel_check),
 }
+
+# built once per process: parsing keeps no state between calls
+_PARSER = build_parser()
 
 
 if __name__ == "__main__":

@@ -64,7 +64,7 @@ class ElementTable(abc.ABC):
     letter ``firsts[x]`` times ``tails[x]`` (the unit's entries are unread).
     """
 
-    def __init__(self, grid: Grid, degrees: list[int], by_degree: dict[int, tuple[int, ...]],
+    def __init__(self, grid: Grid, degrees: list[int], by_degree: dict[int, Sequence[int]],
                  lmul: list[list[int]], firsts: list[int], tails: list[int]):
         self.grid = grid
         self.key_kind = grid.kind
@@ -94,7 +94,7 @@ class ElementTable(abc.ABC):
         return tuple(map(self.grid.key, sorted(self._by_degree)))
 
     def elements_of_degree(self, degree) -> tuple[int, ...]:
-        return self._by_degree.get(self.grid.point(degree), ())
+        return tuple(self._by_degree.get(self.grid.point(degree), ()))
 
     def grid_counts(self) -> dict[int, int]:
         """The element count at each realized degree, keyed by grid int,
@@ -397,7 +397,7 @@ class RewriteTable(ElementTable):
                     p += 1
                 lmul[g] += ids[start:p]
         degrees += repeat(degree, eid - first)
-        by_degree[degree] = tuple(range(first, eid))
+        by_degree[degree] = range(first, eid)
 
     # -- queries ---------------------------------------------------------------
 

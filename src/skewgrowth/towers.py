@@ -6,10 +6,11 @@ elements from the current top set and the next top set is the set of
 minimal common multiples of that pick.  The tower of height 0 is the bare
 ground; a tower of height n is determined by its stage list ``J_1..J_n``,
 and its parent is the tower with the last stage removed, so the collection
-of towers is a rooted tree.  A :class:`Tower` is stored that way: a link to
-its parent, its last stage and top, its height and its sign, so the forest
-takes space linear in its towers however tall they grow.  The renderers
-print it the same way: each tower's parent index and its last stage.
+of towers is a rooted tree.  A :class:`Tower` is stored that way: its
+parent's index in the forest, its last stage and top, its height and its
+sign, so the forest takes space linear in its towers however tall they
+grow.  The renderers print it the same way: each tower's parent index and
+its last stage.
 
 Each tower contributes ``sign * t^deg(x)`` for every element x of its top
 set, where the sign is ``(-1) ** (sum of stage sizes - height + 1)``, that
@@ -35,7 +36,7 @@ series is.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
@@ -44,44 +45,34 @@ from .divisibility import DivPoset
 from .errors import InvalidGroundError
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(slots=True)
 class Tower:
-    """One tower, linked to its parent: the last stage pick, the top set
-    that pick gives, the height and the sign.
+    """One tower: its parent's index in the forest (None at the root), the
+    last stage pick, the top set that pick gives, the height and the sign.
 
-    Build the root with :meth:`root` and each child with :meth:`child`, so
-    a tower stores its own step only and the forest takes space linear in
-    its size.  ``top`` is the enumerated part of the minimal common
-    multiples of ``stage``; the root's stage is empty and its top is the
-    ground.  Towers are tree nodes and compare by identity.
+    ``top`` is the enumerated part of the minimal common multiples of
+    ``stage``; the root's stage is empty, its top is the ground and its
+    sign -1.
     """
 
-    parent: Tower | None = field(default=None, repr=False)
+    parent: int | None = None
     stage: tuple[int, ...] = ()
     top: tuple[int, ...] = ()
     height: int = 0
     sign: int = -1
 
-    @classmethod
-    def root(cls, ground: tuple[int, ...]) -> "Tower":
-        """The tower of height 0: its top is the ground and its sign -1."""
-        return cls(top=ground)
-
-    def child(self, stage: tuple[int, ...], top: tuple[int, ...]) -> "Tower":
-        """The tower one stage up, picking *stage* from this top: a pick of
-        k elements multiplies the sign by (-1) ** (k - 1)."""
-        sign = self.sign if len(stage) % 2 else -self.sign
-        return Tower(self, stage, top, self.height + 1, sign)
-
 
 @dataclass(frozen=True)
 class TowerForest:
     """All towers over one ground, breadth-first, root (height 0) first.
-    The parent links are the tree: each parent precedes its children, and
+    The parent indices are the tree: each parent precedes its children, and
     a parent's children follow one another in the order they were found."""
 
-    ground: tuple[int, ...]
     towers: tuple[Tower, ...]
+
+    @property
+    def ground(self) -> tuple[int, ...]:
+        return self.towers[0].top
 
     def __iter__(self):
         return iter(self.towers)
@@ -91,7 +82,8 @@ def _validate_ground(table, poset: DivPoset, ground: Sequence[int]) -> tuple[int
     ground = tuple(ground)
     if not ground:
         raise InvalidGroundError("ground set is empty")
-    if any(not isinstance(eid, int) or not 0 <= eid < table.n_elements for eid in ground):
+    if any(isinstance(eid, bool) or not isinstance(eid, int)
+           or not 0 <= eid < table.n_elements for eid in ground):
         raise InvalidGroundError(f"ground ids must be ints in range({table.n_elements})")
     if len(set(ground)) != len(ground):
         raise InvalidGroundError("ground set repeats an element")
@@ -115,31 +107,37 @@ def enumerate_towers(table, poset: DivPoset | None = None,
         # and the skew series is 1
         ground = table.atoms()
         if not ground:
-            return TowerForest((), (Tower.root(()),))
+            return TowerForest((Tower(),))
     degrees, grid = table.grid_degrees, table.grid
     # ids ascend with degree and only the unit has degree zero, so id 1
     # (there is one, as the ground holds a non-unit) has the least positive
     # one; the ids below cut keep that much headroom, so the candidates of
     # a top, which is ascending, are its elements below cut
     cut = bisect_right(degrees, grid.top, key=partial(grid.combine, degrees[1]))
-    towers: list[Tower] = [Tower.root(ground)]
-    for tower in towers:  # grows while it is read
+    towers = [Tower(top=ground)]
+    for i, tower in enumerate(towers):  # grows while it is read
         top = tower.top
         candidates = top[:bisect_left(top, cut)]
         k = len(candidates)
+        # a pick of j elements multiplies the sign by (-1) ** (j - 1): a pair flips it
         if k == 2:  # the pair itself is the one possible stage
             # read through the poset: its reverse pass swaps in a faster method
             if mask := poset.multiples(candidates[0]) & poset.multiples(candidates[1]):
-                towers.append(tower.child(candidates, tuple(poset.minimal_in_mask(mask))))
+                towers.append(Tower(i, candidates, tuple(poset.minimal_in_mask(mask)),
+                                    tower.height + 1, -tower.sign))
         elif k > 2:
-            towers += [tower.child(*step) for step in poset.iter_supported_subsets(candidates)]
-    return TowerForest(ground, tuple(towers))
+            height, sign = tower.height + 1, tower.sign
+            towers += [Tower(i, stage, mcms, height, sign if len(stage) % 2 else -sign)
+                       for stage, mcms in poset.iter_supported_subsets(candidates)]
+    return TowerForest(tuple(towers))
 
 
-def skew_on_grid(table, forest: TowerForest) -> dict[int, int]:
-    """The nonzero terms of the skew-growth series of *forest*, keyed by
-    the table's grid ints: 1 at the zero, plus each tower's sign at the
-    degree of every element of its top."""
+def skew_on_grid(table, forest: TowerForest | None = None) -> dict[int, int]:
+    """The nonzero terms of the skew-growth series of *forest*, by default
+    the towers over the atoms, keyed by the table's grid ints: 1 at the
+    zero, plus each tower's sign at the degree of every element of its top."""
+    if forest is None:
+        forest = enumerate_towers(table)
     degrees = table.grid_degrees
     terms = {table.grid.zero: 1}
     for tower in forest:
@@ -158,22 +156,10 @@ def skew_growth(table, forest: TowerForest | None = None) -> Series:
     """1 plus the signed degree sum over all tower tops, truncated at the
     table cutoff.  The towers are *forest*'s, by default those over the
     atoms; a forest over another ground gives that ground's series."""
-    if forest is None:
-        forest = enumerate_towers(table)
     return table.grid.series(skew_on_grid(table, forest))
 
 
 # ---------------------------------------------------------------- exports
-
-def _parent_indices(forest: TowerForest) -> list[int | None]:
-    """Each tower's parent's position in the forest, None for the root."""
-    index: dict[Tower, int] = {}
-    parents = []
-    for i, tower in enumerate(forest.towers):
-        index[tower] = i
-        parents.append(None if tower.parent is None else index[tower.parent])
-    return parents
-
 
 def _label_set(table, eids) -> str:
     return "{" + ",".join(table.label(e) for e in eids) + "}"
@@ -183,9 +169,9 @@ def forest_to_lines(forest: TowerForest, table) -> list[str]:
     """The table lines: the ground, then per tower its parent's index and
     its last stage, which the root has none of."""
     lines = [f"ground: {_label_set(table, forest.ground)}"]
-    for i, (tower, parent) in enumerate(zip(forest.towers, _parent_indices(forest))):
-        step = ("" if parent is None
-                else f" parent=[{parent}] stage: {_label_set(table, tower.stage)}")
+    for i, tower in enumerate(forest.towers):
+        step = ("" if tower.parent is None
+                else f" parent=[{tower.parent}] stage: {_label_set(table, tower.stage)}")
         lines.append(f"[{i}] height={tower.height} sign={tower.sign:+d}{step} "
                      f"top: {_label_set(table, tower.top)}")
     return lines
@@ -197,14 +183,14 @@ def forest_to_json(forest: TowerForest, table) -> dict:
         "ground": [table.label(eid) for eid in forest.ground],
         "towers": [
             {
-                "parent": parent,
+                "parent": tower.parent,
                 "stage": [table.label(e) for e in tower.stage],
                 "top": [table.label(e) for e in tower.top],
                 "top_degrees": [key_to_json(kind, table.degree(e)) for e in tower.top],
                 "sign": tower.sign,
                 "height": tower.height,
             }
-            for tower, parent in zip(forest.towers, _parent_indices(forest))
+            for tower in forest.towers
         ],
     }
 
@@ -221,7 +207,7 @@ def forest_to_dot(forest: TowerForest, table) -> str:
         lines.append(f'  t{i} [label="{escaped}"];')
     # by ascending child: breadth-first order lists each parent's children
     # together, and the parents in order
-    for j, parent in enumerate(_parent_indices(forest)[1:], 1):
-        lines.append(f"  t{parent} -> t{j};")
+    for j, tower in enumerate(forest.towers[1:], 1):
+        lines.append(f"  t{tower.parent} -> t{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

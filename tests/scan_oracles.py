@@ -26,7 +26,7 @@ Beside them sit helpers only the tests need: the poset queries ``divides``,
 ``key_add`` and ``first_difference`` on keys as they are, the
 per-height degree floor ``height_headroom_holds``, which like the oracles
 reads the least positive degree off the table's public degrees, and
-``tower_chain``, a tower's stage and top lists walked off its parent links.
+``tower_chain``, a tower's stage and top lists walked off its parent indices.
 """
 import functools
 import operator
@@ -115,13 +115,13 @@ def height_headroom_holds(table, tower: Tower) -> bool:
     return all(table.degree(eid) >= floor for eid in tower.top)
 
 
-def tower_chain(tower: Tower) -> tuple[tuple, tuple]:
+def tower_chain(forest: TowerForest, tower: Tower) -> tuple[tuple, tuple]:
     """The stages of *tower* and the top after each, from height 1 up,
-    walked off the parent links."""
+    walked off the parent indices into *forest*."""
     chain = []
     while tower.parent is not None:
         chain.append(tower)
-        tower = tower.parent
+        tower = forest.towers[tower.parent]
     chain.reverse()
     return tuple(t.stage for t in chain), tuple(t.top for t in chain)
 
@@ -448,20 +448,24 @@ def headroom_candidates(table, tower: Tower) -> list[int]:
 
 def towers_by_rescan(table, ground=None) -> TowerForest:
     """Breadth-first towers over *ground* (default the atoms), each stage
-    found by the rescanning walk and each top by divisor masks."""
+    found by the rescanning walk and each top by divisor masks.  A tower
+    keeps its chain's total stage size, so that its sign is the closed form
+    (-1) ** (sum of the stage sizes - height + 1)."""
     poset = table.poset()
     if ground is None:
         ground = table.atoms()
         if not ground:
-            return TowerForest((), (Tower.root(()),))
+            return TowerForest((Tower(),))
     ground = _validate_ground(table, poset, ground)
-    towers = [Tower.root(ground)]
-    for tower in towers:  # grows while it is read
+    towers, picked = [Tower(None, (), ground, 0, -1)], [0]
+    for i, tower in enumerate(towers):  # grows while it is read
         candidates = headroom_candidates(table, tower)
         for stage, mask in supported_subsets_by_rescan(poset, candidates, 2):
             top = tuple(minimal_by_divisors(poset, mask_to_ids(mask)))
-            towers.append(tower.child(stage, top))
-    return TowerForest(ground, tuple(towers))
+            height, total = tower.height + 1, picked[i] + len(stage)
+            towers.append(Tower(i, stage, top, height, (-1) ** (total - height + 1)))
+            picked.append(total)
+    return TowerForest(tuple(towers))
 
 
 def lcm_reduction_by_walk(table, ground=None) -> CheckReport:

@@ -290,17 +290,17 @@ def test_criterion_9_truncation_exactness(capsys):
 
         # every small tower reappears at the larger cutoff with the same
         # stage picks, and its top is the visible part of the larger top
-        def stage_labels(table, tower):
-            stages, _ = tower_chain(tower)
+        def stage_labels(table, forest, tower):
+            stages, _ = tower_chain(forest, tower)
             return tuple(tuple(table.label(e) for e in s) for s in stages)
 
         forest_small = enumerate_towers(small)
         forest_large = enumerate_towers(large)
         large_by_stages = {
-            stage_labels(large, t): t for t in forest_large.towers
+            stage_labels(large, forest_large, t): t for t in forest_large.towers
         }
         for tower in forest_small.towers:
-            partner = large_by_stages.get(stage_labels(small, tower))
+            partner = large_by_stages.get(stage_labels(small, forest_small, tower))
             if partner is None:
                 ok = False
                 continue

@@ -41,6 +41,23 @@ def test_output_is_byte_stable(capsys):
     assert first == second
 
 
+def test_calls_in_one_process_share_no_options(capsys):
+    # main parses with one parser per process; no option may carry over to
+    # the next call, whether the call before it ran or was refused
+    golden = Path(__file__).parent / "golden" / "towers_zpos10_json.txt"
+    header, _, default = golden.read_text(encoding="utf-8").partition("\n")
+    argv = shlex.split(header[len("# argv: "):])
+    assert "--ground" not in argv
+    for before, status in [
+        (argv + ["--ground", "4,6,9"], 0),
+        (argv + ["--format", "svg"], 2),            # refused by the parser
+        (["growth", "--preset", "zpos:10", "--ground", "4,6,9"], 2),  # by main
+    ]:
+        rc, out = _run(before, capsys)
+        assert rc == status and out != default
+        assert _run(argv, capsys) == (0, default)
+
+
 @pytest.mark.parametrize("argv", [
     ["growth", "--preset", "braid3", "--max-degree", "4"],
     ["towers", "--preset", "braid3", "--format", "dot"],

@@ -53,8 +53,9 @@ def test_unit_is_element_zero(example3_table):
 
 
 def test_canonical_labels_are_least_words(example3_table):
-    degree2 = [example3_table.label(e) for e in example3_table.elements_of_degree(Fraction(2))]
-    assert degree2 == ["aa", "ab"]
+    level = example3_table.elements_of_degree(Fraction(2))
+    assert type(level) is tuple  # a level is stored as a range, given out as a tuple
+    assert [example3_table.label(e) for e in level] == ["aa", "ab"]
 
 
 def test_atoms(example3_table, zpos_table):

@@ -187,7 +187,7 @@ def test_mcm_agrees_with_poset_route(mp_table):
 def test_forest_tops_match_intrinsic_mcm(mp_table):
     forest = enumerate_towers(mp_table)
     for tower in forest.towers:
-        for stage, top in zip(*tower_chain(tower)):
+        for stage, top in zip(*tower_chain(forest, tower)):
             members = [element_of_id(mp_table, e) for e in stage]
             intrinsic = mp_min_common_multiples(SPEC, members, cutoff=mp_table.cutoff)
             assert [id_of_element(mp_table, e) for e in intrinsic] == list(top)

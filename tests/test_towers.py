@@ -14,7 +14,6 @@ from skewgrowth.models import RewriteModel
 from skewgrowth.presentation import parse_presentation
 from skewgrowth.presets import parse_preset
 from skewgrowth.towers import (
-    Tower,
     enumerate_towers,
     forest_to_dot,
     forest_to_json,
@@ -42,10 +41,10 @@ def test_braid3_forest(braid3_table):
     assert len(forest.towers) == 2
     child = forest.towers[1]
     assert child.height == 1 and child.sign == 1
-    stages, _ = tower_chain(child)
+    stages, _ = tower_chain(forest, child)
     assert _labels(braid3_table, stages[0]) == ["a", "b"]
     assert _labels(braid3_table, child.top) == ["aba"]
-    assert child.parent is forest.towers[0]
+    assert child.parent == 0
 
 
 def test_example3_one_tower_per_height(example3_table):
@@ -69,7 +68,7 @@ def test_zpos_forest_at_ten():
     forest = enumerate_towers(table)
     assert _labels(table, forest.ground) == ["2", "3", "5", "7"]
     stages = [
-        _labels(table, tower_chain(t)[0][0]) for t in forest.towers if t.height == 1
+        _labels(table, tower_chain(forest, t)[0][0]) for t in forest.towers if t.height == 1
     ]
     assert stages == [["2", "3"], ["2", "5"]]
     tops = [_labels(table, t.top) for t in forest.towers if t.height == 1]
@@ -81,15 +80,12 @@ def test_stage_picks_come_from_the_parent_top(mp_table):
     forest = enumerate_towers(mp_table)
     for index, tower in enumerate(forest.towers):
         source = forest.ground
-        stages, tops = tower_chain(tower)
+        stages, tops = tower_chain(forest, tower)
         for stage, top in zip(stages, tops):
             assert len(stage) >= 2
             assert set(stage) <= set(source)
             source = top
         assert tower.top == source and tower.height == len(stages)
-        # the sign carried down the chain is the closed form over the stages
-        exponent = sum(len(stage) for stage in stages) - tower.height + 1
-        assert tower.sign == (-1) ** exponent
 
 
 @pytest.mark.parametrize("preset, cutoff, sweeps", [
@@ -130,13 +126,17 @@ def test_only_wide_nodes_sweep(preset, cutoff, sweeps):
     assert all(len(call.args[1]) > 2 for call in paths)  # no pair node on either path
 
 
-def test_sign_formula():
-    t = Tower.root((1, 2))
-    assert t.sign == -1
-    t1 = t.child((1, 2), (3,))
-    assert t1.sign == 1
-    t2 = Tower.root((1, 2, 3)).child((1, 2, 3), (4,))
-    assert t2.sign == -1  # three picks, height 1
+def test_sign_formula(example3_table, braid3_table, free2_table, zpos_table, mp_table):
+    # over every builtin forest, each sign is the closed form over the
+    # chain, and each parent comes earlier, one height below
+    for table in (example3_table, braid3_table, free2_table, zpos_table, mp_table):
+        forest = enumerate_towers(table)
+        assert forest.towers[0].parent is None and forest.towers[0].sign == -1
+        for i, tower in enumerate(forest.towers[1:], 1):
+            stages, _ = tower_chain(forest, tower)
+            assert tower.sign == (-1) ** (sum(map(len, stages)) - tower.height + 1)
+            assert tower.parent < i
+            assert forest.towers[tower.parent].height == tower.height - 1
 
 
 def _held_by_forest(cutoff):
@@ -163,13 +163,6 @@ def test_forest_space_is_linear_in_its_towers():
     large, held_large = _held_by_forest(1000)
     assert len(large.towers) == 2 * len(small.towers) == 1000
     assert held_large < 2.5 * held_small
-    for forest in (small, large):
-        assert forest.towers[0].parent is None
-        # each tower's parent is in the forest, before it and one height below
-        position = {id(tower): i for i, tower in enumerate(forest.towers)}
-        for i, tower in enumerate(forest.towers[1:], 1):
-            assert position[id(tower.parent)] < i
-            assert tower.parent.height == tower.height - 1
 
 
 def test_height_headroom(example3_table, braid3_table, zpos_table, mp_table):
@@ -193,6 +186,15 @@ def test_ground_validation(example3_table):
     for out_of_range in (999, -1, t.n_elements, "a"):
         with pytest.raises(InvalidGroundError):
             enumerate_towers(t, ground=(out_of_range,))
+
+
+def test_ground_refuses_bool_ids(braid3_table):
+    a, b = braid3_table.atoms()
+    assert (a, b) == (1, 2)
+    assert enumerate_towers(braid3_table, ground=[1, 2]).ground == (1, 2)
+    for ground in ([True, 2], [1, 2, False]):
+        with pytest.raises(InvalidGroundError, match="must be ints"):
+            enumerate_towers(braid3_table, ground=ground)
 
 
 def test_custom_ground(example3_table):
@@ -255,7 +257,7 @@ def test_forest_json_multint_degrees_are_ints():
 
 def _assert_json_parents_rebuild_the_chains(table, ground=None):
     # follow the "parent" indices to rebuild each tower's stage and top
-    # chain, in labels, and compare it with the chain walked off the links
+    # chain, in labels, and compare it with the chain walked off the forest
     forest = enumerate_towers(table, ground=ground)
     entries = forest_to_json(forest, table)["towers"]
     assert len(entries) == len(forest.towers)
@@ -266,7 +268,7 @@ def _assert_json_parents_rebuild_the_chains(table, ground=None):
         stages, tops = rebuilt[entry["parent"]]
         rebuilt.append((stages + (tuple(entry["stage"]),), tops + (tuple(entry["top"]),)))
     for tower, entry, (stages, tops) in zip(forest, entries, rebuilt):
-        walked_stages, walked_tops = tower_chain(tower)
+        walked_stages, walked_tops = tower_chain(forest, tower)
         assert stages == tuple(tuple(_labels(table, s)) for s in walked_stages)
         assert tops == tuple(tuple(_labels(table, t)) for t in walked_tops)
         assert entry["height"] == len(stages)

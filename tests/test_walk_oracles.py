@@ -91,7 +91,7 @@ def test_both_subset_paths_match_the_rescan_at_zpos_roots(nmax):
     # subsets of 4 primes (2*3*5*7 = 210), and from zpos:100 on it is wide
     # enough that the public entry takes the pass
     table = builtin("zpos", nmax=nmax).enumerate_up_to(nmax)
-    root = Tower.root(table.atoms())
+    root = Tower(top=table.atoms())
     _assert_both_subset_paths_match(table.poset(), headroom_candidates(table, root))
 
 
