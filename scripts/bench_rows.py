@@ -9,13 +9,16 @@ Each row runs `verify --format json` in a fresh interpreter, RUNS times,
 and records every run's wall time, its peak RSS (``ru_maxrss`` from
 ``os.wait4``), its exit status and its `error:` line, if it printed one.
 One more fresh interpreter then calls each layer in pipeline order and
-times each stage: enumerate, right maps, atoms, towers, skew,
-cancellativity and convolve.  It runs that sequence STAGE_RUNS times, each
-on a freshly built model and table, and records every sample, each stage's
-median and, next to it, its lower and upper quartiles (inclusive method);
-the first sample includes the cold first calls.  A stage
-that raises ends the row's stages and is recorded with its error.  The
-source measured is the `src/` of the checkout this script sits in.
+times each stage: enumerate, atoms, towers, skew, cancellativity and
+convolve.  Each stage is charged with the generator maps it builds: the
+right maps fall to the towers stage when the poset's reverse pass reads
+them, and else to the cancellativity probe, unless the presentation proves
+the right side.  It runs that sequence STAGE_RUNS times, each on a freshly
+built model and table, and records every sample, each stage's median and,
+next to it, its lower and upper quartiles (inclusive method); the first
+sample includes the cold first calls.  A stage that raises ends the row's
+stages and is recorded with its error.  The source measured is the `src/`
+of the checkout this script sits in.
 """
 import argparse
 import gc
@@ -54,7 +57,7 @@ ROWS = [
 ]
 RUNS = 2
 STAGE_RUNS = 5
-STAGES = ("enumerate", "right_maps", "atoms", "towers", "skew", "cancellativity", "convolve")
+STAGES = ("enumerate", "atoms", "towers", "skew", "cancellativity", "convolve")
 
 
 def _model(preset: str):
@@ -104,7 +107,6 @@ def _stage_sample(preset: str, cutoff: str) -> tuple[dict, dict]:
     table = forest = skew = None
     steps = {
         "enumerate": lambda: model.enumerate_up_to(parse_key(model.key_kind, cutoff)),
-        "right_maps": lambda: table.right_maps(),
         "atoms": lambda: table.atoms(),
         "towers": lambda: enumerate_towers(table),
         "skew": lambda: skew_on_grid(table, forest),

@@ -4,10 +4,12 @@ Each check returns a :class:`CheckReport` built by :func:`_report`; nothing
 raises on a negative result, so a runner can collect every report before
 deciding an exit code.  All verdicts are scoped to the enumerated range:
 "pass" means no violation exists among elements of degree <= cutoff, which is
-evidence, not a proof for the untruncated monoid.  The checks compute on the
-table's grid ints (see :class:`skewgrowth.dirichlet.Grid`).  Inversion,
-recursion and lcm reduction each build a term map that must be all zero and
-fail at its least nonzero int; :func:`run_all_checks` sums N once for all three.
+evidence, not a proof for the untruncated monoid.  The cancellativity probe
+skips a side that a presented table's relations prove cancellative, with
+the same report.  The checks compute on the table's grid ints (see
+:class:`skewgrowth.dirichlet.Grid`).  Inversion, recursion and lcm
+reduction each build a term map that must be all zero and fail at its
+least nonzero int; :func:`run_all_checks` sums N once for all three.
 """
 from __future__ import annotations
 
@@ -81,10 +83,20 @@ def check_cancellative(table) -> CheckReport:
     the factor of that least witness an atom, hence a generator, so it is
     the least of the first collisions of the maps.  Right maps that are
     the left ones are not probed again: a left witness sorts first.
+
+    A side that a presented table's relations prove cancellative
+    (:func:`_proven_sides`) has no collision, so its maps are neither built
+    nor probed, and the report is the one the probe would give.
     """
     degrees, combine = table.grid_degrees, table.grid.combine
-    found, left, right = [], table.left_maps(), table.right_maps()
-    for side, maps in (("left", left), ("right", () if right is left else right)):
+    proven = _proven_sides(getattr(table, "presentation", None))
+    sides = {}
+    if "left" not in proven:
+        sides["left"] = table.left_maps()
+    if "right" not in proven and (right := table.right_maps()) is not sides.get("left"):
+        sides["right"] = right
+    found = []
+    for side, maps in sides.items():
         for factor, row in zip(table.generators(), maps):
             witness = _first_collision(row)
             if witness is not None:
@@ -101,6 +113,35 @@ def check_cancellative(table) -> CheckReport:
         {"side": side, "factor": factor, "first": first, "second": second,
          "product_degree": _render(table, total)},
         f"{side} multiplication by {factor} identifies {first} and {second}")
+
+
+def _proven_sides(presentation) -> tuple[str, ...]:
+    """The sides, "left" and "right", on which the monoid *presentation*
+    presents is cancellative by Adjan's theorem (S. I. Adjan 1966; J. H.
+    Remmers, Adv. Math. 36, 1980): it is left cancellative when its left
+    graph, one edge per relation joining the first letters of its two
+    sides, has no cycle, a loop or a second edge between joined letters
+    included; the right graph joins the last letters.  Relations too heavy
+    for the cutoff count too: the table truncates the whole monoid, and
+    more edges can only prove less.  None, for a table with no
+    presentation, proves no side."""
+    if presentation is None:
+        return ()
+    proven = []
+    for side, end in (("left", 0), ("right", -1)):
+        parent: dict[str, str] = {}  # union-find over the generator names
+        for rel in presentation.relations:
+            a, b = rel.lhs[end], rel.rhs[end]
+            while a in parent:
+                a = parent[a]
+            while b in parent:
+                b = parent[b]
+            if a == b:
+                break  # a cycle
+            parent[a] = b
+        else:
+            proven.append(side)
+    return tuple(proven)
 
 
 def _first_collision(row: list[int]):

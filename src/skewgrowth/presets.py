@@ -85,10 +85,11 @@ def _mp(params: dict):
         if depth is None:
             raise InvalidParamsError("mp with p=pow2 requires K")
         p = [2 ** (k + 2) for k in range(_integer("mp K", depth))]
-    elif not isinstance(p, (list, tuple)):
-        raise InvalidParamsError(f"mp p must be a list or 'pow2', got {p}")
-    elif depth is not None and _integer("mp K", depth) != len(p):
-        raise InvalidParamsError(f"mp got K={depth} but p has {len(p)} entries")
+    else:
+        if not isinstance(p, (list, tuple)):
+            p = [p]  # 'p=4' parses to a scalar
+        if depth is not None and _integer("mp K", depth) != len(p):
+            raise InvalidParamsError(f"mp got K={depth} but p has {len(p)} entries")
     return MpModel(MpSpec(tuple(p)))
 
 
@@ -135,10 +136,12 @@ def parse_preset(text: str):
             positional.append(_parse_value(raw))
     if positional:
         slot = {"free": "count", "zpos": "nmax"}.get(name)
-        if slot is None or len(positional) > 1 or slot in params:
+        if slot is None:
             raise InvalidParamsError(
                 f"preset {text!r}: positional params are only 'free:N' and 'zpos:N'"
             )
+        if len(positional) > 1 or slot in params:
+            raise InvalidParamsError(f"preset {text!r}: {slot} is given twice")
         params[slot] = positional[0]
     return builtin(name, **params)
 

@@ -52,7 +52,11 @@ def test_battery_order_and_names(braid3_table):
 
 
 def test_left_violation_witness(left_bad_table):
-    report = check_cancellative(left_bad_table)
+    # the last letters b and c are joined once: the right side is proven
+    with mock.patch.object(left_bad_table, "right_maps",
+                           wraps=left_bad_table.right_maps) as right_maps:
+        report = check_cancellative(left_bad_table)
+    assert not right_maps.called
     assert report.status == FAIL
     assert report.counterexample == {
         "side": "left", "factor": "a", "first": "b", "second": "c",
@@ -62,8 +66,11 @@ def test_left_violation_witness(left_bad_table):
 
 
 def test_right_violation_witness():
+    # the first letters b and c are joined once: the left side is proven
     table = RewriteModel(RIGHT_BAD).enumerate_up_to(Fraction(4))
-    report = check_cancellative(table)
+    with mock.patch.object(table, "left_maps", wraps=table.left_maps) as left_maps:
+        report = check_cancellative(table)
+    assert not left_maps.called
     assert report.status == FAIL
     assert report.counterexample["side"] == "right"
     assert {report.counterexample["first"], report.counterexample["second"]} == {"b", "c"}
@@ -74,16 +81,50 @@ def test_right_violation_witness():
     pytest.param("mp:p=4,8,16", "40", 1,
                  marks=pytest.mark.filterwarnings("ignore:cutoff 40 reaches")),
     ("example3", "20", 2),
+    ("braid3", "13", 0),
+    ("free:2", "12", 0),
 ])
 def test_cancellativity_probes_shared_maps_once(preset, cutoff, sides):
-    # zpos and mp tables hand back their left maps as their right maps
+    # zpos and mp tables hand back their left maps as their right maps;
+    # braid3's and free:2's relations prove both sides, so they probe none
     model = parse_preset(preset)
     table = model.enumerate_up_to(parse_key(model.key_kind, cutoff))
     with mock.patch.object(checks, "_first_collision",
-                           side_effect=checks._first_collision) as spy:
+                           side_effect=checks._first_collision) as spy, \
+            mock.patch.object(table, "right_maps", wraps=table.right_maps) as right_maps:
         report = check_cancellative(table)
     assert spy.call_count == sides * len(table.generators())
+    assert right_maps.called == bool(sides)
     assert report.to_json() == cancellative_by_scan(table).to_json()
+
+
+A3 = "gen a : 1\ngen b : 1\ngen c : 1\nrel a b a = b a b\nrel b c b = c b c\nrel a c = c a\n"
+
+
+@pytest.mark.parametrize("presentation, proven", [
+    (LEFT_BAD, ("right",)),  # a loop at a on the left
+    (RIGHT_BAD, ("left",)),  # a loop at a on the right
+    (parse_preset("example3").presentation, ()),  # a double edge a-b on each side
+    (parse_presentation(A3), ()),  # a triangle on each side
+    (parse_presentation("gen a : 1\ngen b : 1\nrel a b a b a = b a b a b\n"),
+     ("left", "right")),  # I2(5)
+    (parse_presentation(A3.replace("rel a c = c a\n", "")),
+     ("left", "right")),  # the path a-b-c
+    (parse_presentation("gen a : 1\ngen b : 2\nrel a a = b\n"), ("left", "right")),
+    (None, ()),  # a table with no presentation
+], ids=["loop-left", "loop-right", "example3", "A3", "I2(5)", "path", "aa=b", "none"])
+def test_adjan_graphs_prove_the_sides_with_no_cycle(presentation, proven):
+    assert checks._proven_sides(presentation) == proven
+
+
+@settings(deadline=None, max_examples=200)
+@given(small_presentations())
+def test_a_proven_side_has_no_collision_on_random_presentations(drawn):
+    presentation, cutoff = drawn
+    table = RewriteModel(presentation).enumerate_up_to(cutoff)
+    maps = {"left": table.left_maps, "right": table.right_maps}
+    for side in checks._proven_sides(presentation):
+        assert all(checks._first_collision(row) is None for row in maps[side]()), side
 
 
 def test_inversion_fails_for_noncancellative_input(left_bad_table):

@@ -517,10 +517,30 @@ def test_zpos_refuses_non_integral_nmax(nmax):
 
 
 @pytest.mark.parametrize("preset", ["free:count=3/2", "mp:p=4.5,8", "mp:p=pow2:K=2.5",
-                                    "mp:p=4,8:K=2.5", "mp:p=4"])
+                                    "mp:p=4,8:K=2.5"])
 def test_presets_reject_non_integral_params(preset):
     with pytest.raises(InvalidParamsError):
         parse_preset(preset)
+
+
+@pytest.mark.parametrize("preset", ["mp:p=4", "mp:p=4:K=1"])
+def test_mp_scalar_p_is_a_one_entry_list(preset):
+    # 'p=4' parses to a scalar; it is also the depth-1 family's model name
+    assert parse_preset(preset).spec == parse_preset("mp:p=4,").spec
+
+
+@pytest.mark.parametrize("preset, slot", [("zpos:30:nmax=4", "nmax"),
+                                          ("free:2:count=3", "count"),
+                                          ("free:2:3", "count")])
+def test_presets_name_the_slot_given_twice(preset, slot):
+    with pytest.raises(InvalidParamsError) as caught:
+        parse_preset(preset)
+    assert str(caught.value) == f"preset {preset!r}: {slot} is given twice"
+
+
+def test_positional_params_are_only_for_free_and_zpos():
+    with pytest.raises(InvalidParamsError, match="positional params are only"):
+        parse_preset("braid3:4")
 
 
 @pytest.mark.parametrize("degree", [True, 0.5])
