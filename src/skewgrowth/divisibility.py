@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import weakref
 from bisect import bisect_right
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import CutoffTooLargeError
@@ -172,14 +173,15 @@ class DivPoset:
         mask.  A node takes the pass when its pairs outnumber the elements
         swept.  Best of 15 in process, against the walk with masks built on
         demand, as a root reads them, the pass was faster at every zpos root
-        from zpos:20 (0.3 pairs per element) to zpos:500 (2.8), by 1 to 35%,
-        took 4.3 ms against 7.5 at zpos:1500 and 10.0 against 29.7 at
-        zpos:3000, and 0.07, 0.47 and 1.7 ms against 0.10, 0.79 and 3.9 at
+        from zpos:20 (0.3 pairs per element) to zpos:500 (2.8), by 11 to 34%,
+        took 1.6 ms against 3.7 at zpos:1500 and 3.8 against 14.7 at
+        zpos:3000, and 0.07, 0.64 and 1.2 ms against 0.16, 0.77 and 3.4 at
         the roots of {1} u {n = 1 mod 4} up to 500, 2,000 and 5,000 (1.4, 4.3
         and 9.2).  Against masks a reverse pass had built the walk was faster
-        up to about 4 pairs per element, and 2 to 60 times faster at the
-        nodes of mp@40 (0.02 to 0.09) and the congruence nodes above the root
-        (under 0.01).  Of the builtins, only the zpos roots from about
+        up to about 2 pairs per element at the zpos roots and 4 at those
+        congruence roots, and 2 to 17 times faster at the nodes of mp@40
+        (0.01 to 0.09) and 36 times at the congruence node above the root of
+        5,000 (0.002).  Of the builtins, only the zpos roots from about
         zpos:90 on take the pass.
         """
         k = len(candidates)
@@ -233,9 +235,22 @@ class DivPoset:
         bit covers no stage.  A strict divisor of w divides some right
         predecessor x of w (x*g = w), and D grows along divisibility, so w is
         a minimal common multiple of S exactly when S lies inside D[w] and
-        inside no cover of w, both final once the loop reaches w.  The stages
-        are decoded once and sorted, which is the walk's order."""
-        start, rows = candidates[0], self._rows
+        inside no cover of w, both final once the loop reaches w.
+
+        Most tops are settled from their cover count, with no submask
+        walked.  Each cover is some D[x] with x*g = w, so a subset of D[w];
+        with k bits in D[w], a proper subset S of two bits or more misses
+        some bit b, so lies inside D[w] less b.  When k is 2, D[w] is the
+        only subset of two bits; when the distinct covers include k of k - 1
+        bits, every D[w] less b is a cover.  Either way D[w] is the only new
+        stage at w; otherwise the submasks are walked against the covers.
+        Every top of zpos:1500's root is settled; the top 30 of 6, 10 and
+        15, whose right predecessors hold one candidate each, is walked.
+
+        A map row too short for w is dropped as w passes it: rows are
+        prefixes, longest first, so it is the last.  The stages are decoded
+        once and sorted by their candidates, which is the walk's order."""
+        start, rows = candidates[0], list(self._rows)
         bits = [0] * (self.n_elements - start)
         for i, eid in enumerate(candidates):
             bits[eid - start] |= 1 << i
@@ -245,18 +260,22 @@ class DivPoset:
                 continue
             wide = value & (value - 1)
             if wide and value not in (seen := covers.pop(w, ())):
-                sub = value
-                while sub:  # the submasks of two bits or more that no cover holds
-                    if sub & (sub - 1):
-                        for cover in seen:
-                            if sub & cover == sub:
-                                break
-                        else:
-                            tops.setdefault(sub, []).append(w)
-                    sub = (sub - 1) & value
-            for row in rows:  # prefixes sorted by length: the first too short ends it
-                if w >= len(row):
-                    break
+                k = value.bit_count()
+                if k == 2 or len({c for c in seen if c.bit_count() == k - 1}) == k:
+                    tops.setdefault(value, []).append(w)
+                else:
+                    sub = value
+                    while sub:  # the submasks of two bits or more that no cover holds
+                        if sub & (sub - 1):
+                            for cover in seen:
+                                if sub & cover == sub:
+                                    break
+                            else:
+                                tops.setdefault(sub, []).append(w)
+                        sub = (sub - 1) & value
+            while rows and w >= len(rows[-1]):
+                rows.pop()
+            for row in rows:
                 bits[row[w] - start] |= value
                 if wide:
                     covers.setdefault(row[w], []).append(value)
@@ -268,4 +287,4 @@ class DivPoset:
                 stage.append(candidates[low.bit_length() - 1])
                 sub ^= low
             stages.append((tuple(stage), tuple(top)))
-        return sorted(stages)
+        return sorted(stages, key=itemgetter(0))

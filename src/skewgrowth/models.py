@@ -39,7 +39,7 @@ import math
 import sys
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 from .dirichlet import Grid, KeyKind, coerce_key, is_digits, key_zero
@@ -99,7 +99,8 @@ class ElementTable(abc.ABC):
     def grid_counts(self) -> dict[int, int]:
         """The element count at each realized degree, keyed by grid int,
         ascending."""
-        return {n: len(ids) for n, ids in sorted(self._by_degree.items())}
+        keys = sorted(self._by_degree)
+        return dict(zip(keys, map(len, map(self._by_degree.__getitem__, keys))))
 
     def all_elements(self) -> range:
         return range(len(self.grid_degrees))
@@ -190,7 +191,7 @@ class ElementTable(abc.ABC):
         if self._atoms is None:
             gens = self.generators()
             top = max(gens, default=0)
-            non_atoms = {y for row in self.left_maps() for y in row[1:top]}
+            non_atoms = set(chain.from_iterable(row[1:top] for row in self.left_maps()))
             self._atoms = tuple(g for g in gens if g not in non_atoms)
         return self._atoms
 
@@ -481,8 +482,8 @@ class MultIntTable(ElementTable):
         letter = {p: i for i, p in enumerate(primes)}
         degrees = list(range(1, cutoff + 1))
         super().__init__(Grid(KeyKind.MULTINT, cutoff), degrees,
-                         {n: (n - 1,) for n in degrees},
-                         [[(x + 1) * p - 1 for x in range(cutoff // p)] for p in primes],
+                         dict(zip(degrees, zip(range(cutoff)))),
+                         [list(range(p - 1, cutoff, p)) for p in primes],
                          [0] + [letter[lpf[n]] for n in degrees[1:]],
                          [0] + [n // lpf[n] - 1 for n in degrees[1:]])
 

@@ -168,10 +168,27 @@ def test_multint_convolution_matches_naive(drawn):
                 key = ka * kb if f.kind is M else ka + kb
                 if key <= f.cutoff:
                     naive[key] = naive.get(key, 0) + ca * cb
-        # the kernel sorts g itself: its cutoff break must not rely on the caller
-        descending = Series(g.kind, g.cutoff, dict(sorted(g.terms.items(), reverse=True)))
-        assert convolve(f, descending) == naive
+        # the loop runs over the shorter factor and sorts the other itself:
+        # its cutoff break must not rely on the caller's order, and the
+        # product, sums that cancel to 0 included, must not depend on which
+        # factor is the shorter
+        f_down, g_down = (Series(h.kind, h.cutoff, dict(sorted(h.terms.items(), reverse=True)))
+                          for h in (f, g))
+        assert convolve(f_down, g_down) == naive
+        assert convolve(g_down, f_down) == naive
         assert series_mul(f, g) == Series.build(f.kind, f.cutoff, naive)
+
+
+@pytest.mark.parametrize("kind, cutoff, f, g", [
+    (M, 12, {1: 1, 2: 1}, {5: 1, 3: 2, 2: -1, 1: 1}),
+    (R, Fraction(12), {0: 1, 1: 1}, {4: 1, 2: 2, 1: -1, 0: 1}),
+])
+def test_the_loop_is_symmetric_and_keeps_sums_that_cancel(kind, cutoff, f, g):
+    # the shorter factor first and last; 1*2 and 2*1 (0+1 and 1+0) cancel
+    f, g = Series.build(kind, cutoff, f), Series.build(kind, cutoff, g)
+    product = convolve(f, g)
+    assert product == convolve(g, f) == convolve_by_fractions(f, g)
+    assert product[coerce_key(kind, 2 if kind is M else 1)] == 0
 
 
 # ------------------------------------------------------------ scaled keys

@@ -2,11 +2,13 @@
 right predecessors, the minimal-element peel and the lcm-reduction read off
 the forest against the rescanning oracles."""
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 
 from scan_oracles import (
+    divides,
     headroom_candidates,
     lcm_reduction_by_walk,
     mask_to_ids,
@@ -103,9 +105,68 @@ def test_the_pass_finds_tops_from_right_predecessors():
     table = builtin("zpos", nmax=90).enumerate_up_to(90)
     candidates = tuple(table.element_id(v) for v in (6, 10, 15))
     poset = table.poset()
+    # no cover settles 30, so its submasks are walked
+    assert _cover_count(table, candidates, table.element_id(30)) == (3, 0)
     steps = poset._sweep_supported_subsets(candidates)
     assert [([table.label(e) for e in stage], [table.label(e) for e in top])
             for stage, top in steps] == [(["6", "10"], ["30"]), (["6", "10", "15"], ["30"]),
                                          (["6", "15"], ["30"]), (["10", "15"], ["30"])]
     assert steps == [(stage, tuple(minimal_by_divisors(poset, mask_to_ids(mask))))
                      for stage, mask in supported_subsets_by_rescan(poset, candidates, 2)]
+
+
+def test_the_pass_walks_a_top_that_some_covers_miss():
+    # 36 = 2*18 = 3*12 has the right predecessors 18 and 12, which hold 6
+    # and 9, and 4 and 6: two of the three pairs of 4, 6 and 9, so the pass
+    # walks 36's submasks, and finds that it also tops 4 and 9, which no
+    # cover holds
+    table = builtin("zpos", nmax=90).enumerate_up_to(90)
+    candidates = tuple(table.element_id(v) for v in (4, 6, 9))
+    poset = table.poset()
+    assert _cover_count(table, candidates, table.element_id(36)) == (3, 2)
+    steps = poset._sweep_supported_subsets(candidates)
+    assert [([table.label(e) for e in stage], [table.label(e) for e in top])
+            for stage, top in steps] == [(["4", "6"], ["12"]), (["4", "6", "9"], ["36"]),
+                                         (["4", "9"], ["36"]), (["6", "9"], ["18"])]
+    assert steps == [(stage, tuple(minimal_by_divisors(poset, mask_to_ids(mask))))
+                     for stage, mask in supported_subsets_by_rescan(poset, candidates, 2)]
+
+
+def _cover_count(table, candidates, w):
+    """The number k of candidates dividing w, and the number of distinct
+    sets of k - 1 of them, two or more, that divide a right predecessor x
+    of w (x*g = w): the covers that settle w in the pass when they are k."""
+    poset = table.poset()
+
+    def dividing(x):
+        return frozenset(c for c in candidates if divides(poset, c, x))
+
+    covers = {dividing(x) for row in table.right_maps() for x, y in enumerate(row) if y == w}
+    k = len(dividing(w))
+    return k, sum(1 for cover in covers if len(cover) == k - 1 > 1)
+
+
+def test_the_pass_settles_zpos_root_tops_from_their_cover_count():
+    # 30 = 2*3*5 has the three right predecessors 15, 10 and 6, each with
+    # two of its primes, and 210 = 2*3*5*7 the four 105, 70, 42 and 30,
+    # each with three: every proper subset of two primes or more lies in a
+    # cover, so the primes are the only stage that 30 or 210 tops.  Every
+    # top of the zpos:1500 root is settled so, with no submask walked.
+    table = builtin("zpos", nmax=1500).enumerate_up_to(1500)
+    poset = table.poset()
+    candidates = headroom_candidates(table, Tower(top=table.atoms()))
+    steps = poset._sweep_supported_subsets(candidates)
+    assert steps == [(stage, tuple(minimal_by_divisors(poset, mask_to_ids(mask))))
+                     for stage, mask in supported_subsets_by_rescan(poset, candidates, 2)]
+    stages_at = {}
+    for stage, tops in steps:
+        for w in tops:
+            stages_at.setdefault(w, []).append(stage)
+    for primes in ((2, 3, 5), (2, 3, 5, 7)):
+        w = table.element_id(math.prod(primes))
+        assert _cover_count(table, candidates, w) == (len(primes), len(primes))
+        assert stages_at[w] == [tuple(map(table.element_id, primes))]
+    assert len(stages_at) == 675
+    for w in stages_at:
+        k, covers = _cover_count(table, candidates, w)
+        assert k == 2 or covers == k
