@@ -44,13 +44,20 @@ TWIN_TEXT = ("from skewgrowth import MpSpec, family_presentation\n"
              "from skewgrowth.presentation import render_presentation\n"
              "print(render_presentation(family_presentation(MpSpec((4, 8, 16)))), end='')")
 
+# <3, 4, 5>, the numerical semigroup, as presentation text: its tower forest
+# grows about twentyfold per 10 degrees of cutoff, to 851,961 towers at 50
+SEMIGROUP = "semigroup-3-4-5"
+SEMIGROUP_TEXT = ("gen a : 3\ngen b : 4\ngen c : 5\n"
+                  "rel a b = b a\nrel a c = c a\nrel b c = c b\n"
+                  "rel b b = a c\nrel c c = a a b\nrel a a a = b c\n")
+
 # (preset, cutoff): the verify rows of ROADMAP.md's baseline table whose
 # inputs are in the repository, braid3@13 and the twin, which with
-# example3@20 and free:2@12 are the presented inputs of perfbench/, and
-# zpos:1500, its zpos input
+# example3@20 and free:2@12 are the presented inputs of perfbench/,
+# zpos:1500, its zpos input, and <3, 4, 5> at 50
 ROWS = [
     ("example3", "20"), ("braid3", "12"), ("mp:p=4,8,16", "40"), ("free:2", "12"),
-    ("braid3", "13"), (TWIN, "22"), ("zpos:1500", "1500"),
+    ("braid3", "13"), (TWIN, "22"), ("zpos:1500", "1500"), (SEMIGROUP, "50"),
     ("zpos:3000", "3000"), ("example3", "1000"), ("example3", "4000"),
     ("example3", "16000"), ("zpos:20000", "20000"), ("zpos:50000", "50000"),
     ("braid3", "20"), ("braid3", "21"), ("free:2", "16"), ("braid3", "24"),
@@ -62,10 +69,13 @@ STAGES = ("enumerate", "atoms", "towers", "skew", "cancellativity", "convolve")
 
 
 def _model(preset: str):
-    from skewgrowth import MpSpec, RewriteModel, family_presentation, parse_preset
+    from skewgrowth import (MpSpec, RewriteModel, family_presentation, parse_presentation,
+                            parse_preset)
 
     if preset == TWIN:
         return RewriteModel(family_presentation(MpSpec((4, 8, 16))), name=TWIN)
+    if preset == SEMIGROUP:
+        return RewriteModel(parse_presentation(SEMIGROUP_TEXT), name=SEMIGROUP)
     return parse_preset(preset)
 
 
@@ -161,9 +171,10 @@ def run_verify(argv: list[str]) -> dict:
 
 
 def bench_row(preset: str, cutoff: str, workdir: Path) -> dict:
-    if preset == TWIN:
-        path = workdir / f"{TWIN}.txt"
-        path.write_text(_child_output(["-c", TWIN_TEXT]), encoding="utf-8")
+    if preset in (TWIN, SEMIGROUP):
+        path = workdir / f"{preset}.txt"
+        text = _child_output(["-c", TWIN_TEXT]) if preset == TWIN else SEMIGROUP_TEXT
+        path.write_text(text, encoding="utf-8")
         source, shown = ["--file", str(path)], ["--file", path.name]
     else:
         source = shown = ["--preset", preset]

@@ -97,9 +97,16 @@ def key_to_json(kind: KeyKind, key):
     return render_key(kind, key) if kind is KeyKind.RATIONAL else key
 
 
-def is_digits(text: str) -> bool:
-    """True for a non-empty run of ASCII digits, the digits of every number read as text."""
-    return text.isascii() and text.isdigit()
+def read_digits(text: str, what: str, error=MalformedKeyError) -> int | None:
+    """The int *text* writes if it is a non-empty run of ASCII digits, the
+    digits of every number read as text, else None.  A run past the
+    interpreter's limit on digits read raises *error*, naming *what*."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise error(f"a {what} of more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def parse_key(kind: KeyKind, text: str):
@@ -108,20 +115,18 @@ def parse_key(kind: KeyKind, text: str):
     run of ASCII digits.  Any other text, '2.5', '+3', '1e1', '1_0' or
     digits outside ASCII, is a MalformedKeyError that names it."""
     num, slash, den = text.strip().partition("/")
-    if is_digits(num) and (not slash or kind is KeyKind.RATIONAL and is_digits(den)
-                           and den.strip("0")):
-        try:
-            value = Fraction(int(num), int(den)) if slash else int(num)
-        except ValueError:  # past the interpreter's limit on digits read
-            raise MalformedKeyError(f"a key of more than {sys.get_int_max_str_digits()} "
-                                    f"digits") from None
-        return coerce_key(kind, value)
+    if (value := read_digits(num, "key")) is not None:
+        if not slash:
+            return coerce_key(kind, value)
+        if kind is KeyKind.RATIONAL and (den := read_digits(den, "key")):
+            return coerce_key(kind, Fraction(value, den))
     if kind is KeyKind.MULTINT:
         raise MalformedKeyError(f"bad multiplicative key {text!r}: write a run of ASCII digits")
     hint = ""
     whole, _, tenths = text.strip().partition(".")
-    if is_digits(whole) and is_digits(tenths):  # a decimal, the likeliest slip
-        value = Fraction(int(whole + tenths), 10 ** len(tenths))
+    ones, tens = read_digits(whole, "key"), read_digits(tenths, "key")
+    if ones is not None and tens is not None:  # a decimal, the likeliest slip
+        value = ones + Fraction(tens, 10 ** len(tenths))
         hint = f"; for {whole}.{tenths} write {render_key(kind, value)}"
     raise MalformedKeyError(f"bad rational key {text!r}: write a run of ASCII digits, or two "
                             f"around '/' with a non-zero denominator{hint}")
@@ -425,13 +430,10 @@ def series_from_json(obj: Mapping) -> Series:
         if not isinstance(coeff, str):
             return coeff
         text = coeff.strip()  # parse_key's grammar, after an optional '-'
-        if not is_digits(text.removeprefix("-")):
+        value = read_digits(text.removeprefix("-"), "coefficient")
+        if value is None:
             raise MalformedKeyError(f"bad coefficient {coeff!r}: write a run of ASCII digits, "
                                     f"optionally after '-'")
-        try:
-            return int(text)
-        except ValueError:  # past the interpreter's limit on digits read
-            raise MalformedKeyError(f"a coefficient of more than {sys.get_int_max_str_digits()} "
-                                    f"digits") from None
+        return -value if text.startswith("-") else value
 
     return Series.build(kind, read(cutoff), [(read(key), read_coeff(coeff)) for key, coeff in terms])

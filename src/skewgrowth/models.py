@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import abc
 import math
-import sys
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain, repeat
 from typing import Iterable, Sequence
 
-from .dirichlet import Grid, KeyKind, coerce_key, is_digits, key_zero
+from .dirichlet import Grid, KeyKind, coerce_key, key_zero, read_digits
 from .divisibility import DivPoset
 from .errors import (CutoffTooLargeError, EmptyAlphabetError, InvalidGroundError,
                      InvalidParamsError, MalformedKeyError, UnknownSymbolError)
@@ -221,13 +220,10 @@ def _check_size(count: int, what: str):
 
 def _natural(text: str, token: str) -> int:
     """*text* as an int; only a run of ASCII digits is accepted, as in keys."""
-    if not is_digits(text):
+    value = read_digits(text, "ground token", InvalidGroundError)
+    if value is None:
         raise InvalidGroundError(f"cannot parse ground token {token!r}")
-    try:
-        return int(text)
-    except ValueError:  # past the interpreter's limit on digits read
-        raise InvalidGroundError(f"a ground token of more than "
-                                 f"{sys.get_int_max_str_digits()} digits") from None
+    return value
 
 
 def _integer(name: str, value) -> int:

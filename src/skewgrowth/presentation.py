@@ -41,15 +41,11 @@ class Generator:
     degree: Fraction
 
     def __post_init__(self):
-        if not _NAME_RE.fullmatch(self.name):
-            raise PresentationError(f"invalid generator name {self.name!r}")
+        _check_name(self.name)
         if isinstance(self.degree, (bool, float, str)):
             raise PresentationError(f"degrees must be exact rationals, got {self.degree!r}")
         object.__setattr__(self, "degree", Fraction(self.degree))
-        if self.degree <= 0:
-            raise NonPositiveDegreeError(
-                f"generator {self.name!r} has degree {self.degree}; degrees must be > 0"
-            )
+        _check_degree(self.name, self.degree)
 
 
 @dataclass(frozen=True)
@@ -78,45 +74,64 @@ class Presentation:
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "relations", tuple(self.relations))
-        seen = set()
+        degrees: dict[str, Fraction] = {}
         for gen in self.generators:
-            if gen.name in seen:
-                raise DuplicateGeneratorError(f"generator {gen.name!r} declared twice")
-            seen.add(gen.name)
-        degrees = {gen.name: gen.degree for gen in self.generators}
+            _check_new(gen.name, degrees)
+            degrees[gen.name] = gen.degree
         for rel in self.relations:
-            lhs_deg = _word_degree(degrees, rel.lhs)
-            rhs_deg = _word_degree(degrees, rel.rhs)
-            if lhs_deg != rhs_deg:
-                raise NonHomogeneousRelationError(
-                    f"relation {' '.join(rel.lhs)} = {' '.join(rel.rhs)} is not homogeneous: "
-                    f"degrees {lhs_deg} vs {rhs_deg}",
-                    lhs_degree=lhs_deg,
-                    rhs_degree=rhs_deg,
-                )
+            _check_homogeneous(rel.lhs, rel.rhs, sum(_declared(degrees, n) for n in rel.lhs),
+                               sum(_declared(degrees, n) for n in rel.rhs))
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(g.name for g in self.generators)
 
     def degree_of(self, name: str) -> Fraction:
-        for gen in self.generators:
-            if gen.name == name:
-                return gen.degree
-        raise UnknownSymbolError(f"unknown generator {name!r}")
+        return _declared({g.name: g.degree for g in self.generators}, name)
 
     def word_degree(self, word) -> Fraction:
-        return _word_degree({g.name: g.degree for g in self.generators}, word)
+        return sum(map(self.degree_of, word), Fraction(0))
 
 
-def _word_degree(degrees: dict[str, Fraction], word) -> Fraction:
-    """The degree of *word* under the name -> degree map *degrees*."""
-    total = Fraction(0)
-    for name in word:
-        if name not in degrees:
-            raise UnknownSymbolError(f"unknown generator {name!r} in relation")
-        total += degrees[name]
-    return total
+# The rules on a presentation, one function each.  The dataclasses call them
+# with no position; the parser passes the 1-based line, and the column where
+# the rule's error class carries one.
+
+def _check_name(name: str, line=None, column=None):
+    if not _NAME_RE.fullmatch(name):
+        raise PresentationParseError(f"invalid generator name {name!r}", line, column)
+
+
+def _check_degree(name: str, degree: Fraction, line=None):
+    if degree <= 0:
+        raise NonPositiveDegreeError(f"{_at(line)}generator {name!r} has degree {degree}; "
+                                     f"degrees must be > 0")
+
+
+def _check_new(name: str, declared, line=None, column=None):
+    if name in declared:
+        raise DuplicateGeneratorError(f"generator {name!r} declared twice", line, column)
+
+
+def _declared(degrees: dict[str, Fraction], name: str, line=None, column=None) -> Fraction:
+    """The degree of the generator *name*, which must be declared."""
+    if name not in degrees:
+        raise UnknownSymbolError(f"unknown generator {name!r}", line, column)
+    return degrees[name]
+
+
+def _check_homogeneous(lhs, rhs, lhs_degree, rhs_degree, line=None):
+    if lhs_degree != rhs_degree:
+        raise NonHomogeneousRelationError(
+            f"{_at(line)}relation {' '.join(lhs)} = {' '.join(rhs)} is not homogeneous: "
+            f"degrees {lhs_degree} vs {rhs_degree}",
+            lhs_degree=lhs_degree,
+            rhs_degree=rhs_degree,
+        )
+
+
+def _at(line) -> str:
+    return "" if line is None else f"line {line}: "
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -159,19 +174,14 @@ def _parse_gen(tokens, lineno, declared) -> tuple[str, Fraction]:
             "generator lines read 'gen NAME : RATIONAL'", lineno, tokens[0][1]
         )
     name, name_col = tokens[1]
-    if not _NAME_RE.fullmatch(name):
-        raise PresentationParseError(f"invalid generator name {name!r}", lineno, name_col)
-    if name in declared:
-        raise DuplicateGeneratorError(f"generator {name!r} declared twice", lineno, name_col)
+    _check_name(name, lineno, name_col)
+    _check_new(name, declared, lineno, name_col)
     text, num_col = tokens[3]
     try:
         degree = parse_key(KeyKind.RATIONAL, text)
     except MalformedKeyError as exc:
         raise PresentationParseError(f"degree: {exc}", lineno, num_col) from None
-    if degree <= 0:
-        raise NonPositiveDegreeError(
-            f"line {lineno}: generator {name!r} has degree {degree}; degrees must be > 0"
-        )
+    _check_degree(name, degree, lineno)
     return name, degree
 
 
@@ -186,24 +196,10 @@ def _parse_rel(tokens, lineno, declared) -> Relation:
         raise PresentationParseError("relation sides must be non-empty", lineno, tokens[0][1])
     if any(t == "=" for t, _ in rhs_tokens):
         raise PresentationParseError("more than one '=' in relation", lineno, tokens[0][1])
-
-    def check(side):
-        total = Fraction(0)
-        for name, col in side:
-            if name not in declared:
-                raise UnknownSymbolError(f"unknown generator {name!r}", lineno, col)
-            total += declared[name]
-        return total
-
-    lhs_deg = check(lhs_tokens)
-    rhs_deg = check(rhs_tokens)
-    if lhs_deg != rhs_deg:
-        raise NonHomogeneousRelationError(
-            f"line {lineno}: relation is not homogeneous: degrees {lhs_deg} vs {rhs_deg}",
-            lhs_degree=lhs_deg,
-            rhs_degree=rhs_deg,
-        )
-    return Relation(tuple(t for t, _ in lhs_tokens), tuple(t for t, _ in rhs_tokens))
+    lhs, rhs = tuple(t for t, _ in lhs_tokens), tuple(t for t, _ in rhs_tokens)
+    _check_homogeneous(lhs, rhs, sum(_declared(declared, t, lineno, col) for t, col in lhs_tokens),
+                       sum(_declared(declared, t, lineno, col) for t, col in rhs_tokens), lineno)
+    return Relation(lhs, rhs)
 
 
 def render_presentation(pres: Presentation) -> str:

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
+from . import models
 from .dirichlet import Series, key_to_json
 from .divisibility import DivPoset
 from .errors import InvalidGroundError
@@ -98,7 +99,8 @@ def enumerate_towers(table, poset: DivPoset | None = None,
                      ground: Sequence[int] | None = None) -> TowerForest:
     """Breadth-first tower enumeration over the table's full degree range.
     A *ground* the caller passes is validated; the default, the atoms, is a
-    sorted antichain of non-units by definition."""
+    sorted antichain of non-units by definition.  A forest of more towers
+    than the word cap is refused with CutoffTooLargeError."""
     poset = poset or table.poset()
     if ground is not None:
         ground = _validate_ground(table, poset, ground)
@@ -115,7 +117,10 @@ def enumerate_towers(table, poset: DivPoset | None = None,
     # a top, which is ascending, are its elements below cut
     cut = bisect_right(degrees, grid.top, key=partial(grid.combine, degrees[1]))
     towers = [Tower(top=ground)]
+    cap = models.WORD_CAP
     for i, tower in enumerate(towers):  # grows while it is read
+        if len(towers) > cap:  # once per node; each tower is one in turn, so none slips by
+            models._check_size(len(towers), "towers")
         top = tower.top
         candidates = top[:bisect_left(top, cut)]
         k = len(candidates)

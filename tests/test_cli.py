@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from numerical_reference import THREE_FOUR_FIVE
 from skewgrowth import divisibility, models
 from skewgrowth.cli import _COMMANDS, build_parser, main
 
@@ -349,6 +350,18 @@ def test_presented_table_past_the_word_cap_in_all_is_refused(capsys, monkeypatch
     assert main(["growth", "--preset", "free:2", "--max-degree", "6"]) == 2
     assert capsys.readouterr().err == ("error: 127 elements up to cutoff 6 "
                                        "exceed the word cap 100\n")
+
+
+@pytest.mark.parametrize("command", ["towers", "verify"])
+def test_tower_forest_past_the_word_cap_is_refused(command, tmp_path, capsys, monkeypatch):
+    # <3, 4, 5> at 40 has 39 elements and 42,940 towers
+    path = tmp_path / "three_four_five.txt"
+    path.write_text(THREE_FOUR_FIVE, encoding="utf-8")
+    monkeypatch.setattr(models, "WORD_CAP", 1000)
+    assert main([command, "--file", str(path), "--max-degree", "40"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: 1001 towers exceed the word cap 1000\n"
 
 
 def test_poset_past_its_cap_is_refused_before_any_mask_is_built(capsys, monkeypatch):

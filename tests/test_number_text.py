@@ -77,6 +77,21 @@ def test_digits_past_the_interpreters_limit_are_refused(zpos_table, mp_table, ca
             table.parse_label(token)
     assert main(["growth", "--preset", "example3", "--max-degree", text]) == 2
     assert capsys.readouterr().err.count("\n") == 1
+    # decimals, the one spelling read for its hint, with either side past the limit
+    for decimal in (text + ".5", "1." + text):
+        assert main(["growth", "--preset", "example3", "--max-degree", decimal]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: --max-degree: ")
+        for preset in (f"zpos:{decimal}", f"free:2:degrees=1,{decimal}"):
+            with pytest.raises(InvalidParamsError):
+                parse_preset(preset)
+        with pytest.raises(PresentationParseError) as info:
+            parse_presentation(f"gen a : {decimal}\n")
+        assert (info.value.line, info.value.column) == (1, 9)
+        with pytest.raises(MalformedKeyError):
+            series_from_json({"key_kind": "rational", "cutoff": "8", "terms": [[decimal, "1"]]})
+        with pytest.raises(MalformedKeyError):
+            series_from_json({"key_kind": "rational", "cutoff": decimal, "terms": []})
 
 
 def test_accepted_forms_read_as_before(zpos_table, mp_table, capsys):

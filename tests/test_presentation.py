@@ -102,6 +102,29 @@ def test_inhomogeneous_relation_carries_degrees():
         parse_presentation("gen a : 1\ngen b : 2\nrel a = b\n")
     assert exc.value.lhs_degree == 1
     assert exc.value.rhs_degree == 2
+    assert str(exc.value) == "line 3: relation a = b is not homogeneous: degrees 1 vs 2"
+
+
+def test_parser_and_dataclasses_share_each_rule():
+    # the same error class and text, the parser's with its position
+    cases = [("gen 1a : 1\n", lambda: Generator("1a", 1)),
+             ("gen a : 0\n", lambda: Generator("a", 0)),
+             ("gen a : 1\ngen a : 1\n", lambda: Presentation((Generator("a", 1),) * 2)),
+             ("gen a : 1\nrel a = c\n",
+              lambda: Presentation((Generator("a", 1),), (Relation(("a",), ("c",)),))),
+             ("gen a : 1\ngen b : 2\nrel a = b\n",
+              lambda: Presentation((Generator("a", 1), Generator("b", 2)),
+                                   (Relation(("a",), ("b",)),)))]
+    for text, build in cases:
+        with pytest.raises(PresentationError) as parsed:
+            parse_presentation(text)
+        with pytest.raises(PresentationError) as built:
+            build()
+        assert type(parsed.value) is type(built.value)
+        assert str(parsed.value).endswith(": " + str(built.value))
+    with pytest.raises(PresentationParseError) as info:
+        Generator("1a", 1)
+    assert (info.value.line, info.value.column) == (None, None)
 
 
 def test_relation_shape_errors():

@@ -5,11 +5,12 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from numerical_reference import THREE_FOUR_FIVE
 from scan_oracles import headroom_candidates, height_headroom_holds, tower_chain
 
 from skewgrowth.dirichlet import KeyKind, Series, parse_key, series_invert, growth_series
 from skewgrowth.divisibility import DivPoset
-from skewgrowth.errors import InvalidGroundError
+from skewgrowth.errors import CutoffTooLargeError, InvalidGroundError
 from skewgrowth.models import RewriteModel
 from skewgrowth.presentation import parse_presentation
 from skewgrowth.presets import parse_preset
@@ -20,7 +21,7 @@ from skewgrowth.towers import (
     skew_growth,
 )
 
-from skewgrowth import builtin
+from skewgrowth import builtin, models
 from test_models import small_presentations
 
 
@@ -294,3 +295,12 @@ def test_forest_dot(braid3_table):
     assert dot.startswith("digraph towers {")
     assert 't0 [label="h=0 sign=-1 top={a, b}"];' in dot
     assert "t0 -> t1;" in dot
+
+
+def test_a_forest_is_built_up_to_the_word_cap_and_refused_past_it(monkeypatch):
+    table = RewriteModel(parse_presentation(THREE_FOUR_FIVE)).enumerate_up_to(30)
+    monkeypatch.setattr(models, "WORD_CAP", 2059)  # <3, 4, 5> at 30 has 2,059 towers
+    assert len(enumerate_towers(table).towers) == 2059
+    monkeypatch.setattr(models, "WORD_CAP", 2058)
+    with pytest.raises(CutoffTooLargeError, match="^2059 towers exceed the word cap 2058$"):
+        enumerate_towers(table)
