@@ -97,6 +97,10 @@ def key_to_json(kind: KeyKind, key):
     return render_key(kind, key) if kind is KeyKind.RATIONAL else key
 
 
+# the most characters of a refused text that its error echoes
+ECHO_CHARS = 40
+
+
 def read_digits(text: str, what: str, error=MalformedKeyError) -> int | None:
     """The int *text* writes if it is a non-empty run of ASCII digits, the
     digits of every number read as text, else None.  A run past the
@@ -120,15 +124,17 @@ def parse_key(kind: KeyKind, text: str):
             return coerce_key(kind, value)
         if kind is KeyKind.RATIONAL and (den := read_digits(den, "key")):
             return coerce_key(kind, Fraction(value, den))
+    echo = text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "..."
     if kind is KeyKind.MULTINT:
-        raise MalformedKeyError(f"bad multiplicative key {text!r}: write a run of ASCII digits")
+        raise MalformedKeyError(f"bad multiplicative key {echo!r}: write a run of ASCII digits")
     hint = ""
-    whole, _, tenths = text.strip().partition(".")
+    decimal = text.strip()
+    whole, _, tenths = decimal.partition(".")
     ones, tens = read_digits(whole, "key"), read_digits(tenths, "key")
-    if ones is not None and tens is not None:  # a decimal, the likeliest slip
-        value = ones + Fraction(tens, 10 ** len(tenths))
-        hint = f"; for {whole}.{tenths} write {render_key(kind, value)}"
-    raise MalformedKeyError(f"bad rational key {text!r}: write a run of ASCII digits, or two "
+    # a decimal, the likeliest slip, named unless its rewrite would be clipped
+    if ones is not None and tens is not None and len(decimal) <= ECHO_CHARS:
+        hint = f"; for {decimal} write {render_key(kind, ones + Fraction(tens, 10 ** len(tenths)))}"
+    raise MalformedKeyError(f"bad rational key {echo!r}: write a run of ASCII digits, or two "
                             f"around '/' with a non-zero denominator{hint}")
 
 

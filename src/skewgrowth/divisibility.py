@@ -5,10 +5,12 @@ elements of a conical degree-graded monoid this is a partial order.  The
 poset records it bitwise: the multiples of an element as an integer bitmask
 indexed by element id.  The towers read few of the n masks (3 of braid3@20's
 75,001), so each is built when first asked for, from the table's letter
-rows, until the masks asked for would have cost more than all n: then one
-reverse pass over the right generator maps builds every mask and serves
-every later read.  :meth:`DivPoset.multiples` gives the rule and its
-measured constant.  The divisor masks are built from the right maps on
+rows: a slice of the row of the element's last letter, mapped through the
+rows of the others, sets one byte per id in a buffer that is reversed and
+read as a base-2 int.  Once the masks asked for would have cost more than
+all n, one reverse pass over the right generator maps builds every mask and
+serves every later read.  :meth:`DivPoset.multiples` gives the rule and its
+measured constants.  The divisor masks are built from the right maps on
 first read.
 
 The supported subsets of a tower node's candidates, with their minimal
@@ -56,19 +58,25 @@ class DivPoset:
 
         Built on first read as the image of x -> u*x over the ids x with
         deg(u) (+) deg(x) <= top, a prefix since ids ascend with degree:
-        the letter rows of u's word map it, right to left, and the ids are
-        set in a b"0"/b"1" buffer over u..n-1 that is read as a base-2 int.
+        the row of u's last letter, sliced to that prefix, is the image
+        under that letter, the rows of the other letters map it right to
+        left, and each id v sets byte v of a b"0"/b"1" buffer of n bytes,
+        which is reversed, so that byte v weighs 2 ** v, and read as a
+        base-2 int.  The unit's image is the prefix itself.
 
         Buy or rent: each build is charged, before it runs, in the 64-bit
         word ORs of the reverse pass below, which takes about n*n // 64.  A
-        map step costs about 8 of them and a buffer byte about one: on
-        example3@16000, zpos:20000, braid3@17 and free:2@14 a step took 40
-        to 100 ns, a word 3 to 7.5 ns and a byte 2 to 5 ns.  Once the
-        charges, 8 * end * (len(word) + 1) + n - u a mask, would pass
-        n*n // 64, the reverse pass runs instead if its n*n bits are within
-        the poset cap, and serves this read and every later one, which then
-        index a list.  Past the cap the masks stay one by one, and one is
-        refused when the bits built so far plus n would pass the cap.
+        step over the image, one per letter but the sliced one and one to
+        set the bytes, costs about 8 of them, and a buffer byte about one:
+        on example3@16000, zpos:20000, braid3@17 and free:2@14 a map step
+        took 22 to 53 ns, a byte-setting step 42 to 58 ns, a word 6 to 12.6
+        ns, a byte, with its share of the reverse and the read, 3 to 5 ns,
+        and a sliced id 3 to 7.5 ns.  Once the charges, 8 * end *
+        max(len(word), 1) + n a mask, would pass n*n // 64, the reverse
+        pass runs instead if its n*n bits are within the poset cap, and
+        serves this read and every later one, which then index a list.
+        Past the cap the masks stay one by one, and one is refused when the
+        bits built so far plus n would pass the cap.
         """
         try:
             return self._memo[u]
@@ -77,20 +85,21 @@ class DivPoset:
         table, n = self._table(), self.n_elements
         word, degrees, grid = table.word(u), table.grid_degrees, table.grid
         end = bisect_right(degrees, grid.top, key=functools.partial(grid.combine, degrees[u]))
-        self._spent += 8 * end * (len(word) + 1) + n - u
+        self._spent += 8 * end * max(len(word), 1) + n
         if self._spent > n * n // 64 and n * n <= POSET_BIT_CAP:
             return self._reverse_pass()[u]
         if self._bits + n > POSET_BIT_CAP:
             raise CutoffTooLargeError(f"{self._bits + n} divisibility mask bits for {n} "
                                       f"elements exceed the poset cap {POSET_BIT_CAP}")
-        image = range(end)
-        for g in reversed(word):
-            image = map(table._lmul[g].__getitem__, image)
-        buf = bytearray(b"0") * (n - u)
-        last = n - 1
+        lmul = table._lmul
+        image = lmul[word[-1]][:end] if word else range(end)
+        for g in reversed(word[:-1]):
+            image = map(lmul[g].__getitem__, image)
+        buf = bytearray(b"0") * n
         for v in image:
-            buf[last - v] = 49  # weight 2 ** (v - u) in base 2
-        mask = self._memo[u] = int(buf, 2) << u
+            buf[v] = 49
+        buf.reverse()  # byte v now has weight 2 ** v in base 2
+        mask = self._memo[u] = int(buf, 2)
         self._bits += mask.bit_length()
         return mask
 

@@ -353,11 +353,12 @@ class RewriteTable(ElementTable):
                 lengths += repeat(length + 1, count)
                 eid += count
         else:
-            # node (g, x) sits at position shift[g, len(x)] + x
-            shift = {}
+            # node (g, x) sits at position shift[g][len(x)] + x; runs are
+            # sorted, so the last has the greatest length
+            shift = [[0] * (runs[-1][0] + 1) for _ in self._gen_degrees]
             position = 0
             for length, g, x, stop in runs:
-                shift[g, length] = position - x
+                shift[g][length] = position - x
                 position += stop - x
             parent = list(range(size))
             for (_, g, u, h, v), ys in edges:
@@ -367,14 +368,16 @@ class RewriteTable(ElementTable):
                         x = row[x]
                     for row in v:
                         z = row[z]
-                    a = shift[g, lengths[x]] + x
+                    a = shift[g][lengths[x]] + x
                     while (up := parent[a]) != a:  # path halving
                         parent[a] = a = parent[up]
-                    b = shift[h, lengths[z]] + z
+                    b = shift[h][lengths[z]] + z
                     while (up := parent[b]) != b:
                         parent[b] = b = parent[up]
-                    if a != b:
-                        parent[max(a, b)] = min(a, b)
+                    if a < b:
+                        parent[b] = a
+                    elif b < a:
+                        parent[a] = b
             # one pass in node order; parent[p] < p for every non-root p, so
             # its id is known by then
             ids: list[int] = []

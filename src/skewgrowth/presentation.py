@@ -17,6 +17,7 @@ declaration and is written implicitly as the empty product.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,8 +80,8 @@ class Presentation:
             _check_new(gen.name, degrees)
             degrees[gen.name] = gen.degree
         for rel in self.relations:
-            _check_homogeneous(rel.lhs, rel.rhs, sum(_declared(degrees, n) for n in rel.lhs),
-                               sum(_declared(degrees, n) for n in rel.rhs))
+            _check_homogeneous(rel.lhs, rel.rhs, _total([_declared(degrees, n) for n in rel.lhs]),
+                               _total([_declared(degrees, n) for n in rel.rhs]))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -118,6 +119,13 @@ def _declared(degrees: dict[str, Fraction], name: str, line=None, column=None) -
     if name not in degrees:
         raise UnknownSymbolError(f"unknown generator {name!r}", line, column)
     return degrees[name]
+
+
+def _total(degrees: list[Fraction]) -> Fraction:
+    """The sum of a side's degrees: ints over the lcm of their
+    denominators, made one Fraction."""
+    den = math.lcm(*(d.denominator for d in degrees))
+    return Fraction(sum(d.numerator * (den // d.denominator) for d in degrees), den)
 
 
 def _check_homogeneous(lhs, rhs, lhs_degree, rhs_degree, line=None):
@@ -197,8 +205,9 @@ def _parse_rel(tokens, lineno, declared) -> Relation:
     if any(t == "=" for t, _ in rhs_tokens):
         raise PresentationParseError("more than one '=' in relation", lineno, tokens[0][1])
     lhs, rhs = tuple(t for t, _ in lhs_tokens), tuple(t for t, _ in rhs_tokens)
-    _check_homogeneous(lhs, rhs, sum(_declared(declared, t, lineno, col) for t, col in lhs_tokens),
-                       sum(_declared(declared, t, lineno, col) for t, col in rhs_tokens), lineno)
+    lhs_degree, rhs_degree = (_total([_declared(declared, t, lineno, col) for t, col in side])
+                              for side in (lhs_tokens, rhs_tokens))
+    _check_homogeneous(lhs, rhs, lhs_degree, rhs_degree, lineno)
     return Relation(lhs, rhs)
 
 

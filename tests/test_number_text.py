@@ -94,6 +94,19 @@ def test_digits_past_the_interpreters_limit_are_refused(zpos_table, mp_table, ca
             series_from_json({"key_kind": "rational", "cutoff": decimal, "terms": []})
 
 
+@pytest.mark.parametrize("preset", ["example3", "zpos:30"])
+@pytest.mark.parametrize("text", ["9" * 5000 + ".5", "9" * 4300 + ".5", "1." + "9" * 4300,
+                                  "x" * 5000, "9" * 41 + ".5"],
+                         ids=["5000-nines.5", "4300-nines.5", "1.4300-nines", "5000-letters",
+                              "41-nines.5"])
+def test_a_long_refused_text_is_echoed_clipped(preset, text, capsys):
+    # the text and the decimal hint are clipped, so the line stays short
+    assert main(["growth", "--preset", preset, "--max-degree", text]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: --max-degree: ")
+    assert len(err) < 200
+
+
 def test_accepted_forms_read_as_before(zpos_table, mp_table, capsys):
     for preset, text, cutoff in [("example3", "7", "7"), ("example3", "7/2", "7/2"),
                                  ("zpos:30", "7", "7")]:
