@@ -353,9 +353,8 @@ class RewriteTable(ElementTable):
                 lengths += repeat(length + 1, count)
                 eid += count
         else:
-            # node (g, x) sits at position shift[g][len(x)] + x; runs are
-            # sorted, so the last has the greatest length
-            shift = [[0] * (runs[-1][0] + 1) for _ in self._gen_degrees]
+            # node (g, x) sits at position shift[g][len(x)] + x
+            shift = [{} for _ in self._gen_degrees]
             position = 0
             for length, g, x, stop in runs:
                 shift[g][length] = position - x
