@@ -58,25 +58,24 @@ class DivPoset:
 
         Built on first read as the image of x -> u*x over the ids x with
         deg(u) (+) deg(x) <= top, a prefix since ids ascend with degree:
-        the row of u's last letter, sliced to that prefix, is the image
-        under that letter, the rows of the other letters map it right to
-        left, and each id v sets byte v of a b"0"/b"1" buffer of n bytes,
-        which is reversed, so that byte v weighs 2 ** v, and read as a
-        base-2 int.  The unit's image is the prefix itself.
+        the row of u's last letter, sliced to that prefix, maps it, the
+        rows of the other letters map that right to left, and each id v
+        sets byte v of a b"0"/b"1" buffer of n bytes that is reversed and
+        read as a base-2 int.  The unit's image is the prefix itself.
 
         Buy or rent: each build is charged, before it runs, in the 64-bit
         word ORs of the reverse pass below, which takes about n*n // 64.  A
         step over the image, one per letter but the sliced one and one to
         set the bytes, costs about 8 of them, and a buffer byte about one:
-        on example3@16000, zpos:20000, braid3@17 and free:2@14 a map step
-        took 22 to 53 ns, a byte-setting step 42 to 58 ns, a word 6 to 12.6
-        ns, a byte, with its share of the reverse and the read, 3 to 5 ns,
-        and a sliced id 3 to 7.5 ns.  Once the charges, 8 * end *
-        max(len(word), 1) + n a mask, would pass n*n // 64, the reverse
-        pass runs instead if its n*n bits are within the poset cap, and
-        serves this read and every later one, which then index a list.
-        Past the cap the masks stay one by one, and one is refused when the
-        bits built so far plus n would pass the cap.
+        on example3@16000, zpos:20000, braid3@17 and free:2@14 a word took 6
+        to 12.6 ns, a map step 22 to 53 ns, a byte-setting step 42 to 58
+        ns, a sliced id 3 to 7.5 ns and a byte, reverse and read included,
+        3 to 5 ns.  Once the charges, 8 * end * max(len(word), 1) + n a
+        mask, would pass n*n // 64, the reverse pass runs instead if its
+        n*n bits are within the poset cap, and serves this read and every
+        later one, which then index a list.  Past the cap the masks stay one
+        by one, and one is refused when the bits built so far plus n would
+        pass the cap.
         """
         try:
             return self._memo[u]

@@ -168,6 +168,19 @@ def test_verify_runs_the_reverse_pass_once_the_masks_would_cost_more(preset, cut
         assert len(table.poset()._memo) == {"free:2": 2, "braid3": 3, "zpos:1500": 0}[preset]
 
 
+@pytest.mark.parametrize("preset, cutoff, masks", [("free:2", "9", 2), ("braid3", "12", 3)])
+def test_the_sliced_letter_is_not_charged_a_step(preset, cutoff, masks):
+    # an atom's image is a slice of its row, so its build is charged one
+    # step per id, for the bytes; charged two, these verifies would run the
+    # reverse pass, whose towers stage took four times as long
+    model = parse_preset(preset)
+    table = model.enumerate_up_to(parse_key(model.key_kind, cutoff))
+    with _spy_reverse_pass() as spy:
+        run_all_checks(table)
+    assert spy.call_count == 0
+    assert len(table.poset()._memo) == masks
+
+
 @pytest.mark.filterwarnings("ignore:cutoff 40 reaches")
 def test_poset_cap_between_the_bits_built_and_n_squared_keeps_masks_on_demand(monkeypatch):
     # mp@40 runs the reverse pass under the default cap; one bit short of
