@@ -9,8 +9,10 @@ Each row runs `verify --format json` in a fresh interpreter, RUNS times,
 and records every run's wall time, its peak RSS (``ru_maxrss`` from
 ``os.wait4``), its exit status and its `error:` line, if it printed one.
 One more fresh interpreter then calls each layer in pipeline order and
-times each stage: enumerate, atoms, towers, skew, cancellativity and
-convolve.  Each stage is charged with the generator maps it builds: the
+times each stage: enumerate, atoms, towers, cancellativity and convolve.
+The towers stage is what `verify` runs, the sum of N over the distinct
+tower tops, so it holds what was once a stage of its own, skew, the sum
+over a forest.  Each stage is charged with the generator maps it builds: the
 right maps fall to the towers stage when the poset's reverse pass reads
 them, and else to the cancellativity probe, unless the presentation proves
 the right side.  It runs that sequence STAGE_RUNS times, each on a freshly
@@ -54,18 +56,20 @@ SEMIGROUP_TEXT = ("gen a : 3\ngen b : 4\ngen c : 5\n"
 # (preset, cutoff): the verify rows of ROADMAP.md's baseline table whose
 # inputs are in the repository, braid3@13 and the twin, which with
 # example3@20 and free:2@12 are the presented inputs of perfbench/,
-# zpos:1500, its zpos input, and <3, 4, 5> at 50
+# zpos:1500, its zpos input, <3, 4, 5> at 50, and mp at 120 and 160, where
+# the towers have many distinct tops
 ROWS = [
     ("example3", "20"), ("braid3", "12"), ("mp:p=4,8,16", "40"), ("free:2", "12"),
     ("braid3", "13"), (TWIN, "22"), ("zpos:1500", "1500"), (SEMIGROUP, "50"),
     ("zpos:3000", "3000"), ("example3", "1000"), ("example3", "4000"),
     ("example3", "16000"), ("zpos:20000", "20000"), ("zpos:50000", "50000"),
     ("braid3", "20"), ("braid3", "21"), ("free:2", "16"), ("braid3", "24"),
+    ("mp:p=4,8,16", "120"), ("mp:p=4,8,16", "160"),
     ("free:1", "60000000"),  # past the word cap: exit 2
 ]
 RUNS = 2
 STAGE_RUNS = 5
-STAGES = ("enumerate", "atoms", "towers", "skew", "cancellativity", "convolve")
+STAGES = ("enumerate", "atoms", "towers", "cancellativity", "convolve")
 
 
 def _model(preset: str):
@@ -109,18 +113,17 @@ def _stage_sample(preset: str, cutoff: str) -> tuple[dict, dict]:
     time of each stage, and the element count or the error that ended it."""
     import warnings
 
-    from skewgrowth import SkewGrowthError, check_cancellative, enumerate_towers
+    from skewgrowth import SkewGrowthError, check_cancellative
     from skewgrowth.dirichlet import convolve_on_grid, parse_key
-    from skewgrowth.towers import skew_on_grid
+    from skewgrowth.towers import sum_over_tops
 
     warnings.simplefilter("ignore")  # the mp depth warning
     model = _model(preset)
-    table = forest = skew = None
+    table = skew = None
     steps = {
         "enumerate": lambda: model.enumerate_up_to(parse_key(model.key_kind, cutoff)),
         "atoms": lambda: table.atoms(),
-        "towers": lambda: enumerate_towers(table),
-        "skew": lambda: skew_on_grid(table, forest),
+        "towers": lambda: sum_over_tops(table)[0],
         "cancellativity": lambda: check_cancellative(table),
         "convolve": lambda: convolve_on_grid(table.grid, table.grid_counts().items(),
                                              skew.items()),
@@ -136,8 +139,6 @@ def _stage_sample(preset: str, cutoff: str) -> tuple[dict, dict]:
         if name == "enumerate":
             table = result
         elif name == "towers":
-            forest = result
-        elif name == "skew":
             skew = result
     return times, {"elements": table.n_elements}
 

@@ -13,11 +13,12 @@ least nonzero int; :func:`run_all_checks` sums N once for all three.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .dirichlet import KeyKind, convolve_on_grid, key_to_json, render_key
-from .divisibility import DivPoset
-from .towers import TowerForest, enumerate_towers, skew_on_grid
+from .divisibility import DivPoset, decode_stage
+from .towers import TowerForest, enumerate_towers, skew_on_grid, sum_over_tops
 
 PASS = "pass"
 FAIL = "fail"
@@ -162,8 +163,8 @@ def _first_collision(row: list[int]):
 def _product(table, skew: dict[int, int]) -> dict:
     """P*N on the table's grid over every reachable int, sums that cancel
     to 0 included; *skew* is N on the grid.  On a rational grid this is one
-    packed big-int product, which also marks the reachable ints; on
-    multiplicative keys it is the loop over pairs of terms."""
+    packed big-int product, whose reachable ints are read from the two
+    supports; on multiplicative keys it is the loop over pairs of terms."""
     return convolve_on_grid(table.grid, table.grid_counts().items(), skew.items())
 
 
@@ -235,46 +236,54 @@ def check_lcm_reduction(table, poset: DivPoset | None = None,
     multiples makes the shortcut inapplicable and is reported as such, the
     first in lexicographic order over the sorted ground.
 
-    The subsets are read off the forest, not walked again.  A singleton's
+    The subsets are read off the towers, not walked again.  A singleton's
     only minimal common multiple is itself.  The subsets of two or more
     elements with a common multiple in range, and their minimal common
-    multiples, are the stages and tops of the root's children, in the same
-    order.  They are read from the towers after the root with no stop at
-    height 2: a height-2 tower's parent is a root child with two or more
-    tops, which breadth-first order lists first, and that child already
-    makes the report not applicable.  The tower walk drops a ground element
-    g whose degree plus the least positive degree d_min passes the cutoff,
-    but such a g is in no supported subset: a common multiple of g and
-    another element of the antichain is a strict multiple g*x, and x is a
-    non-unit of degree at most that of g*x, hence enumerated, so deg(g*x)
-    >= deg(g) (+) d_min is past the cutoff.
+    multiples, are the stages and tops of the root's children: here the
+    towers of height 1 in *forest*, which directly follow the root, and in
+    :func:`run_all_checks` the root's children from the sum over distinct
+    tops, whose stages are decoded only for a report that does not apply.
+    The tower walk drops a ground element g whose degree plus the least
+    positive degree d_min passes the cutoff, but such a g is in no
+    supported subset: a common multiple of g and another element of the
+    antichain is a strict multiple g*x, and x is a non-unit of degree at
+    most that of g*x, hence enumerated, so deg(g*x) >= deg(g) (+) d_min is
+    past the cutoff.
 
-    Read off the forest, the comparison checks the code, not the monoid:
+    Read off the towers, the comparison checks the code, not the monoid:
     when every child of the root has a single top, no tower rises above
-    height 1, and the sum recounts the height-0 and height-1 terms of
-    ``skew_growth``.  A FAIL then points to a bug in ``skew_growth`` or
-    ``Tower.sign``, not to a property of the monoid.
+    height 1, and the sum recounts the height-0 and height-1 terms of N.
+    A FAIL then points to a bug in the tower sum or its signs, not to a
+    property of the monoid.
     """
     if forest is None:
         forest = enumerate_towers(table, poset)
-    return _lcm_report(table, forest, skew_on_grid(table, forest))
+    level = itertools.takewhile(lambda tower: tower.parent == 0,
+                                itertools.islice(forest.towers, 1, None))
+    return _lcm_report(table, forest.ground, [(len(t.stage), t.top, t.stage) for t in level],
+                       skew_on_grid(table, forest))
 
 
-def _lcm_report(table, forest: TowerForest, skew: dict[int, int]) -> CheckReport:
+def _lcm_report(table, ground, children, skew: dict[int, int]) -> CheckReport:
+    """The report over the sorted *ground* and the root's *children*, as
+    (stage size, tops, stage) triples of
+    :meth:`~skewgrowth.divisibility.DivPoset.supported_stages` over a
+    prefix of the ground, against N on the grid, *skew*.  The stages are
+    decoded only for a report that does not apply."""
     degrees = table.grid_degrees
     reduced = {table.grid.zero: 1}
-    for eid in forest.ground:
+    for eid in ground:
         reduced[degrees[eid]] = reduced.get(degrees[eid], 0) - 1
-    # the root's children are the height-1 towers, which directly follow it
-    for child in forest.towers[1:]:
-        subset, tops = child.stage, child.top
+    for size, tops, _ in children:
         if len(tops) > 1:
+            subset, tops = min((decode_stage(ground, stage), tops)
+                               for _, tops, stage in children if len(tops) > 1)
             return _report(table, "lcm-reduction", NOT_APPLICABLE, None,
                            {"subset": [table.label(e) for e in subset],
                             "minimal_common_multiples": [table.label(e) for e in tops]},
                            "a ground subset has several minimal common multiples")
         degree = degrees[tops[0]]
-        reduced[degree] = reduced.get(degree, 0) + (-1 if len(subset) % 2 else 1)
+        reduced[degree] = reduced.get(degree, 0) + (-1 if size % 2 else 1)
     difference = {n: reduced.get(n, 0) - skew.get(n, 0) for n in reduced.keys() | skew.keys()}
     bad = _least_nonzero(difference)
     if bad is None:
@@ -288,15 +297,16 @@ def _lcm_report(table, forest: TowerForest, skew: dict[int, int]) -> CheckReport
 
 
 def run_all_checks(table, ground=None) -> list[CheckReport]:
-    """The full battery in a stable order, sharing one forest, the towers
-    over *ground* (by default the atoms), and the one N summed from it."""
-    forest = enumerate_towers(table, ground=ground)
-    skew = skew_on_grid(table, forest)
+    """The full battery in a stable order.  N, over *ground* (by default
+    the atoms), is summed once, over the distinct tower tops with no forest
+    built (:func:`~skewgrowth.towers.sum_over_tops`), and the lcm reduction
+    reads the root's children from the same pass."""
+    skew, ground, children = sum_over_tops(table, ground)
     cancel = check_cancellative(table)
     product = _product(table, skew)
     return [
         cancel,
         _inversion_report(table, product, cancel),
         _recursion_report(table, product),
-        _lcm_report(table, forest, skew),
+        _lcm_report(table, ground, children, skew),
     ]

@@ -27,7 +27,7 @@ from .models import RewriteModel
 from .presentation import parse_presentation
 from .presets import parse_preset
 from .towers import (enumerate_towers, forest_to_dot, forest_to_json, forest_to_lines,
-                     skew_growth)
+                     sum_over_tops)
 
 
 @dataclass
@@ -180,10 +180,6 @@ def _report_lines(report) -> list[str]:
     return lines
 
 
-def _forest(config: RunConfig):
-    return enumerate_towers(config.table, ground=config.ground)
-
-
 # ----------------------------------------------------------------- handlers
 # Each handler returns the output text and the exit status.
 
@@ -198,7 +194,7 @@ def _cmd_series(config: RunConfig, title: str, series: Series) -> tuple[str, int
 
 def _cmd_towers(config: RunConfig) -> tuple[str, int]:
     table = config.table
-    forest = _forest(config)
+    forest = enumerate_towers(table, ground=config.ground)
     if config.fmt == "json":
         return _json(config, forest_to_json(forest, table)), 0
     if config.fmt == "dot":
@@ -246,8 +242,8 @@ _COMMANDS = {
     "growth": ("growth series (element counts per degree)", ("table", "json"), False,
                lambda config: _cmd_series(config, "growth", growth_series(config.table))),
     "skew": ("skew-growth series from the tower enumeration", ("table", "json"), True,
-             lambda config: _cmd_series(config, "skew-growth",
-                                        skew_growth(config.table, _forest(config)))),
+             lambda config: _cmd_series(config, "skew-growth", config.table.grid.series(
+                 sum_over_tops(config.table, config.ground)[0]))),
     "towers": ("enumerate the tower forest", ("table", "json", "dot"), True, _cmd_towers),
     "atoms": ("list the atoms", ("table", "json"), False, _cmd_atoms),
     "verify": ("run all verification checks", ("table", "json"), True, _cmd_verify),

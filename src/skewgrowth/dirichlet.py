@@ -63,16 +63,21 @@ def key_zero(kind: KeyKind):
     return Fraction(0) if kind is KeyKind.RATIONAL else 1
 
 
+def exact_rational(value, what: str, error=MalformedKeyError) -> Fraction:
+    """*value* as a ``Fraction`` if it is an exact rational, an int that is
+    not a bool or a ``Fraction``; anything else, a float or text among
+    them, raises *error* naming *what*.  Rational keys, generator degrees
+    and the degrees of the free preset all take this one rule."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise error(f"{what} must be exact rationals, an int or a Fraction, got {value!r}")
+    return Fraction(value)
+
+
 def coerce_key(kind: KeyKind, value):
     """Validate *value* as a key of *kind* and return it in canonical form.
     Text is refused: :func:`parse_key` reads it."""
     if kind is KeyKind.RATIONAL:
-        if isinstance(value, (bool, float, str)):
-            raise MalformedKeyError(f"rational keys must be int or Fraction, got {value!r}")
-        try:
-            key = Fraction(value)
-        except (TypeError, ValueError) as exc:
-            raise MalformedKeyError(f"not a rational key: {value!r}") from exc
+        key = exact_rational(value, "rational keys")
         if key < 0:
             raise MalformedKeyError(f"rational keys must be >= 0, got {key}")
         return key
@@ -258,12 +263,12 @@ def convolve_on_grid(grid: Grid, left: Iterable, right: Iterable) -> dict:
 
     On a rational grid this is one packed big-int product (Kronecker
     substitution): each factor becomes one int with a fixed-width slot per
-    grid int, and a second product of the 0/1 support indicators marks the
-    reachable ints.  A sparse grid, whose slots cost more than the term
-    pairs a loop would visit, a grid so small that the packing's fixed cost
-    outweighs the pairs, coefficients too wide for a memoryview slot, and
-    every multiplicative grid (a Dirichlet convolution does not pack) take
-    the loop of :func:`_convolve_by_loop`.
+    grid int, and :func:`_reach` marks the reachable ints.  A sparse grid,
+    whose slots cost more than the term pairs a loop would visit, a grid so
+    small that the packing's fixed cost outweighs the pairs, coefficients
+    too wide for a memoryview slot, and every multiplicative grid (a
+    Dirichlet convolution does not pack) take the loop of
+    :func:`_convolve_by_loop`.
     """
     top = grid.top
     left = [(n, c) for n, c in left if n <= top]
@@ -278,8 +283,7 @@ def convolve_on_grid(grid: Grid, left: Iterable, right: Iterable) -> dict:
         width = _slot_bytes(bound)
         if width and 8 * size * width + _PACKING_PAIRS <= pairs:
             values = _packed_product(left, right, size, width)
-            reach = _packed_product([(n, 1) for n, _ in left], [(n, 1) for n, _ in right],
-                                    size, _slot_bytes(min(len(left), len(right))))
+            reach = _reach(left, right, size)
             return dict(zip(itertools.compress(range(size), reach),
                             itertools.compress(values, reach)))
     return _convolve_by_loop(grid, left, right)
@@ -324,18 +328,69 @@ def _packed_product(left: list, right: list, size: int, width: int):
     return memoryview(slots.to_bytes(size * width, "little")).cast(code)
 
 
+def _reach(left: list, right: list, size: int):
+    """One flag per int below *size*, true where an int of *left* plus one
+    of *right* lands: a sum that cancels to 0 is still in the product.
+
+    The flags come from the two supports: the longer one as a bitmask,
+    shifted by each int of the shorter one and ORed, len(shorter) * size
+    / 64 word operations.  Where that costs more than the product of the
+    two 0/1 indicators, packed as the values are, the indicator product
+    gives them.  Dense grids of 1,000 to 64,000 slots with 2- and 4-byte
+    indicator slots (2-core x86-64 VM) put that product at about
+    (size * width) ** 1.585 * 20 / 64 of those word operations, Karatsuba's
+    exponent; the ORs took 1.06 to 3.8 times less on the dense diagonal,
+    every int in both supports, and more off it."""
+    short, long = sorted((left, right), key=len)
+    width = _slot_bytes(len(short))
+    if len(short) * size > _REACH_PRODUCT * (size * width) ** 1.585:
+        return _packed_product([(n, 1) for n, _ in short], [(n, 1) for n, _ in long],
+                               size, width)
+    buf = bytearray(b"0") * size
+    for n, _ in long:
+        buf[n] = 49
+    buf.reverse()  # byte n now has weight 2 ** n in base 2
+    support, reach = int(buf, 2), 0
+    for n, _ in short:
+        reach |= support << n
+    bits = format(reach & ((1 << size) - 1), "b").encode()
+    return bits[::-1].translate(bytes.maketrans(b"01", b"\0\1"))
+
+
+# the indicator product's cost per (size * width) ** 1.585, in the ORs'
+# word operations, as :func:`_reach` measured it
+_REACH_PRODUCT = 20
+
+
 def _convolve_by_loop(grid: Grid, left: list, right: list) -> dict:
     """:func:`convolve_on_grid` pair by pair.  Combining is monotone, so
     each pass over the sorted inner terms stops at the first int past the
     top.  Combining and the coefficient product commute, so the outer loop
     runs over the factor with fewer terms, which visits the same pairs with
     fewer starts and breaks of the inner one: 915 rather than 1,500 for
-    P*N at zpos:1500.  The result's dict order follows the shorter factor;
-    its readers take ``min``, ``len`` or ``sorted`` of it."""
+    P*N at zpos:1500.  Where the term pairs are at least 4 times the grid's
+    ints, each pair adds into a list slot per int and sets its byte in a
+    reached flag per int, which C-level ``compress`` reads back; a sparser
+    grid sums into a dict, which the read-back would cost more than it
+    saves (braid3@13, 42 pairs on 14 ints: 10 us against 8).  The result's
+    dict order is that of the ints, or follows the shorter factor; its
+    readers take ``min``, ``len`` or ``sorted`` of it."""
     combine, top = grid.combine, grid.top
     if len(left) > len(right):
         left, right = right, left
     right = sorted(right)
+    size = top + 1
+    if 4 * size <= len(left) * len(right):
+        slots, reached = [0] * size, bytearray(size)
+        for ka, ca in left:
+            for kb, cb in right:
+                key = combine(ka, kb)
+                if key > top:
+                    break
+                slots[key] += ca * cb
+                reached[key] = 1
+        return dict(zip(itertools.compress(range(size), reached),
+                        itertools.compress(slots, reached)))
     acc: dict = {}
     for ka, ca in left:
         for kb, cb in right:

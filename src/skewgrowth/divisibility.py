@@ -192,11 +192,27 @@ class DivPoset:
         5,000 (0.002).  Of the builtins, only the zpos roots from about
         zpos:90 on take the pass.
         """
-        k = len(candidates)
-        if k > 1 and k * (k - 1) // 2 > self.n_elements - candidates[0]:
+        if self._sweeps(candidates):
             return self._sweep_supported_subsets(candidates)
         return ((stage, tuple(self.minimal_in_mask(mask)))
                 for stage, mask in self._walk_supported_subsets(candidates))
+
+    def supported_stages(self, candidates: Sequence[int]) -> list:
+        """(size, tops, stage) for each subset :meth:`iter_supported_subsets`
+        yields, the tops a list, in no set order: what a sum over tops
+        reads, with no stage decoded.  It takes the same path; the walk
+        gives each stage as its tuple and the pass as the bitmask of its
+        positions among the candidates, which :func:`decode_stage` reads."""
+        if self._sweeps(candidates):
+            return [(sub.bit_count(), top, sub)
+                    for sub, top in self._sweep_tops(candidates).items()]
+        return [(len(stage), self.minimal_in_mask(mask), stage)
+                for stage, mask in self._walk_supported_subsets(candidates)]
+
+    def _sweeps(self, candidates: Sequence[int]) -> bool:
+        """Whether a node takes the pass, by the rule above."""
+        k = len(candidates)
+        return k > 1 and k * (k - 1) // 2 > self.n_elements - candidates[0]
 
     def _walk_supported_subsets(self, candidates: Sequence[int]):
         """Each subset hands its extensions a survivor pool: the later
@@ -237,7 +253,17 @@ class DivPoset:
                 return
 
     def _sweep_supported_subsets(self, candidates: Sequence[int]) -> list:
-        """One loop in increasing id order from the least candidate pushes
+        """:meth:`_sweep_tops` with each stage decoded to its candidates,
+        sorted, which is the walk's order."""
+        tops = self._sweep_tops(candidates)
+        return sorted(((decode_stage(candidates, sub), tuple(top)) for sub, top in tops.items()),
+                      key=itemgetter(0))
+
+    def _sweep_tops(self, candidates: Sequence[int]) -> dict[int, list[int]]:
+        """Each supported subset, as the bitmask of its positions among the
+        candidates, mapped to its tops, ascending.
+
+        One loop in increasing id order from the least candidate pushes
         each x's bits D[x], the candidate positions dividing x, to every x*g
         and, when they are two or more, lists them among x*g's covers: one
         bit covers no stage.  A strict divisor of w divides some right
@@ -256,8 +282,7 @@ class DivPoset:
         15, whose right predecessors hold one candidate each, is walked.
 
         A map row too short for w is dropped as w passes it: rows are
-        prefixes, longest first, so it is the last.  The stages are decoded
-        once and sorted by their candidates, which is the walk's order."""
+        prefixes, longest first, so it is the last."""
         start, rows = candidates[0], list(self._rows)
         bits = [0] * (self.n_elements - start)
         for i, eid in enumerate(candidates):
@@ -287,12 +312,17 @@ class DivPoset:
                 bits[row[w] - start] |= value
                 if wide:
                     covers.setdefault(row[w], []).append(value)
-        stages = []
-        for sub, top in tops.items():
-            stage = []
-            while sub:
-                low = sub & -sub
-                stage.append(candidates[low.bit_length() - 1])
-                sub ^= low
-            stages.append((tuple(stage), tuple(top)))
-        return sorted(stages, key=itemgetter(0))
+        return tops
+
+
+def decode_stage(candidates: Sequence[int], stage) -> tuple[int, ...]:
+    """A stage of :meth:`DivPoset.supported_stages` as a tuple: the tuple
+    itself, or the candidates at the set bits of a bitmask, ascending."""
+    if isinstance(stage, tuple):
+        return stage
+    picked = []
+    while stage:
+        low = stage & -stage
+        picked.append(candidates[low.bit_length() - 1])
+        stage ^= low
+    return tuple(picked)

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dirichlet import KeyKind, parse_key
+from .dirichlet import KeyKind, exact_rational, parse_key
 from .errors import (
     DuplicateGeneratorError,
     MalformedKeyError,
@@ -43,9 +43,8 @@ class Generator:
 
     def __post_init__(self):
         _check_name(self.name)
-        if isinstance(self.degree, (bool, float, str)):
-            raise PresentationError(f"degrees must be exact rationals, got {self.degree!r}")
-        object.__setattr__(self, "degree", Fraction(self.degree))
+        object.__setattr__(self, "degree", exact_rational(self.degree, "degrees",
+                                                          PresentationError))
         _check_degree(self.name, self.degree)
 
 

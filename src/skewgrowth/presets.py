@@ -13,7 +13,7 @@ from __future__ import annotations
 import string
 from fractions import Fraction
 
-from .dirichlet import KeyKind, parse_key
+from .dirichlet import KeyKind, exact_rational, parse_key
 from .errors import InvalidParamsError, MalformedKeyError, UnknownBuiltinError
 from .models import MultIntegerModel, RewriteModel, _integer
 from .mp_family import MpModel, MpSpec
@@ -35,8 +35,7 @@ def _free(params: dict):
     else:
         if not isinstance(degrees, (list, tuple)):
             degrees = [degrees]  # 'degrees=2' parses to a scalar
-        if not all(isinstance(d, (int, Fraction)) and not isinstance(d, bool) for d in degrees):
-            raise InvalidParamsError(f"free degrees must be numbers, got {degrees}")
+        degrees = [exact_rational(d, "free degrees", InvalidParamsError) for d in degrees]
         if len(degrees) != count:
             raise InvalidParamsError("free degrees must match count")
     generators = tuple(

@@ -27,7 +27,7 @@ from skewgrowth.dirichlet import growth_series, parse_key, series_one
 from skewgrowth.models import RewriteModel
 from skewgrowth.presentation import parse_presentation
 from skewgrowth.presets import parse_preset
-from skewgrowth.towers import enumerate_towers, skew_growth, skew_on_grid
+from skewgrowth.towers import enumerate_towers, skew_growth, sum_over_tops
 from test_models import small_presentations
 
 LEFT_BAD = parse_presentation("gen a : 1\ngen b : 1\ngen c : 1\nrel a b = a c\n")
@@ -238,22 +238,25 @@ def test_reports_match_the_fraction_kernel(preset, cutoff, monkeypatch):
 
 
 def test_battery_sums_n_once(braid3_table, monkeypatch):
+    # one pass over the distinct tops gives N and the root's children to
+    # every check, and no forest is built
     calls = []
 
-    def counted(table, forest):
-        calls.append(forest)
-        return skew_on_grid(table, forest)
+    def counted(table, ground):
+        calls.append(ground)
+        return sum_over_tops(table, ground)
 
-    monkeypatch.setattr(checks, "skew_on_grid", counted)
+    monkeypatch.setattr(checks, "sum_over_tops", counted)
+    monkeypatch.setattr(checks, "enumerate_towers", None)
     reports = run_all_checks(braid3_table)
-    assert len(calls) == 1
+    assert calls == [None]
     assert [r.status for r in reports] == [PASS, PASS, PASS, PASS]
 
 
 def test_lcm_reduction_fails_at_the_least_wrong_term_of_n(braid3_table):
-    forest = enumerate_towers(braid3_table)
-    assert skew_on_grid(braid3_table, forest) == {0: 1, 1: -2, 3: 1}
-    report = checks._lcm_report(braid3_table, forest, {0: 1, 1: -1, 3: 2})
+    skew, ground, children = sum_over_tops(braid3_table)
+    assert skew == {0: 1, 1: -2, 3: 1}
+    report = checks._lcm_report(braid3_table, ground, children, {0: 1, 1: -1, 3: 2})
     assert report.status == FAIL
     assert report.max_degree_verified == 1
     assert report.counterexample == {

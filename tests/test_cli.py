@@ -352,7 +352,7 @@ def test_presented_table_past_the_word_cap_in_all_is_refused(capsys, monkeypatch
                                        "exceed the word cap 100\n")
 
 
-@pytest.mark.parametrize("command", ["towers", "verify"])
+@pytest.mark.parametrize("command", ["towers"])  # verify builds no forest: see below
 def test_tower_forest_past_the_word_cap_is_refused(command, tmp_path, capsys, monkeypatch):
     # <3, 4, 5> at 40 has 39 elements and 42,940 towers
     path = tmp_path / "three_four_five.txt"
@@ -362,6 +362,25 @@ def test_tower_forest_past_the_word_cap_is_refused(command, tmp_path, capsys, mo
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: 1001 towers exceed the word cap 1000\n"
+
+
+@pytest.mark.parametrize("command, last", [("verify", "overall: pass"), ("skew", "40  -171")])
+def test_verify_and_skew_build_no_forest(command, last, tmp_path, capsys, monkeypatch):
+    # the 42,940 towers of <3, 4, 5> at 40 end at 27 distinct tops
+    path = tmp_path / "three_four_five.txt"
+    path.write_text(THREE_FOUR_FIVE, encoding="utf-8")
+    monkeypatch.setattr(models, "WORD_CAP", 1000)
+    assert main([command, "--file", str(path), "--max-degree", "40"]) == 0
+    assert capsys.readouterr().out.endswith(f"\n{last}\n")
+
+
+def test_distinct_tower_tops_past_the_word_cap_are_refused(capsys, monkeypatch):
+    # mp:p=4,8,16 at 80 has 571 elements and expands 1,186 distinct tops
+    monkeypatch.setattr(models, "WORD_CAP", 1000)
+    assert main(["verify", "--preset", "mp:p=4,8,16", "--max-degree", "80"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("error: 1001 tower tops exceed the word cap 1000\n")
 
 
 def test_poset_past_its_cap_is_refused_before_any_mask_is_built(capsys, monkeypatch):

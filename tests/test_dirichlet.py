@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -251,10 +252,41 @@ def test_convolve_packs_dense_grids_and_loops_over_sparse_ones(size, coeff, pack
     g = Series.build(R, cutoff, {k: (-1) ** (k + 1) * coeff for k in range(size)})
     with mock.patch.object(dirichlet, "_packed_product", wraps=dirichlet._packed_product) as spy:
         product, square = convolve(f, g), convolve(f, f)
-    assert spy.call_count == (4 if packs else 0)
+    assert spy.call_count == (2 if packs else 0)
     assert product == convolve_by_fractions(f, g)
     assert product[Fraction(0)] == -coeff**2 and product[Fraction(1)] == 0
     assert square == convolve_by_fractions(f, f)
+
+
+def _grid_factor(kind, top, coefficients):
+    """Int-keyed terms on the grid of *kind* up to *top*: sparse, up to 8
+    ints, or dense, from half of the ints to all of them."""
+    least = 0 if kind is R else 1
+    sparse = st.dictionaries(st.integers(least, top), coefficients, max_size=8)
+    return (sparse | _dense(range(least, top + 1), coefficients)).map(
+        lambda terms: {n: c for n, c in terms.items() if c})
+
+
+@settings(deadline=None)
+@given(st.sampled_from([R, M]).flatmap(lambda kind: st.integers(1, 300).flatmap(
+    lambda top: _COEFFICIENTS.flatmap(lambda c: st.tuples(
+        st.just(kind), st.just(top), _grid_factor(kind, top, c), _grid_factor(kind, top, c))))))
+def test_the_reach_and_the_slot_loop_match_the_fraction_loop(drawn):
+    # the loop sums into list slots once the pairs are 4 times the ints
+    # and into a dict below that; the reach ORs shifted supports, or takes
+    # the indicator product when that is the cheaper; all of them keep the
+    # ints where a sum cancels to 0
+    kind, top, f, g = drawn
+    expected = convolve_by_fractions(Series.build(kind, top, f), Series.build(kind, top, g))
+    grid = dirichlet.Grid(kind, top)
+    left, right = sorted(f.items()), sorted(g.items())
+    assert dirichlet._convolve_by_loop(grid, left, right) == expected
+    if kind is R and left and right:
+        reached = {Fraction(n) for n in expected}
+        for product_cost in (dirichlet._REACH_PRODUCT, 0):
+            with mock.patch.object(dirichlet, "_REACH_PRODUCT", product_cost):
+                flags = dirichlet._reach(left, right, top + 1)
+            assert set(itertools.compress(range(top + 1), flags)) == reached
 
 
 def test_kernels_take_raw_int_keys():

@@ -3,8 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from skewgrowth import builtin
+from skewgrowth.dirichlet import KeyKind, coerce_key
 from skewgrowth.errors import (
     DuplicateGeneratorError,
+    InvalidParamsError,
+    MalformedKeyError,
     NonHomogeneousRelationError,
     NonPositiveDegreeError,
     PresentationError,
@@ -83,6 +87,17 @@ def test_degree_of_the_wrong_type(degree):
     with pytest.raises(PresentationError) as info:
         Generator("a", degree)
     assert not isinstance(info.value, NonPositiveDegreeError)
+
+
+@pytest.mark.parametrize("build, error, what", [
+    (lambda: builtin("free", count=2, degrees=[1, 0.5]), InvalidParamsError, "free degrees"),
+    (lambda: Generator("a", 0.5), PresentationError, "degrees"),
+    (lambda: coerce_key(KeyKind.RATIONAL, 0.5), MalformedKeyError, "rational keys"),
+], ids=["free", "generator", "key"])
+def test_one_rule_refuses_an_inexact_degree_with_each_callers_error(build, error, what):
+    with pytest.raises(error, match=f"^{what} must be exact rationals, an int or a Fraction, "
+                                    f"got 0.5$"):
+        build()
 
 
 def test_constructed_presentations_are_validated():

@@ -20,6 +20,7 @@ from scan_oracles import (
 )
 from skewgrowth import builtin
 from skewgrowth.checks import check_lcm_reduction, run_all_checks
+from skewgrowth.divisibility import decode_stage
 from skewgrowth.models import RewriteModel
 from skewgrowth.towers import Tower, enumerate_towers, forest_to_json
 from test_models import small_presentations
@@ -34,6 +35,10 @@ def _assert_both_subset_paths_match(poset, candidates):
     if candidates:  # the pass starts at the least candidate
         assert list(poset._sweep_supported_subsets(candidates)) == tops
     assert list(poset.iter_supported_subsets(candidates)) == tops
+    # the sum over tops reads the same path, its stages undecoded
+    stages = [(decode_stage(candidates, stage), tuple(top), size)
+              for size, top, stage in poset.supported_stages(candidates)]
+    assert sorted(stages) == [(stage, top, len(stage)) for stage, top in tops]
 
 
 def _assert_matches_oracles(table, ground=None):
