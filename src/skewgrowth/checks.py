@@ -284,11 +284,11 @@ def _lcm_report(table, ground, children, skew: dict[int, int]) -> CheckReport:
                            "a ground subset has several minimal common multiples")
         degree = degrees[tops[0]]
         reduced[degree] = reduced.get(degree, 0) + (-1 if size % 2 else 1)
-    difference = {n: reduced.get(n, 0) - skew.get(n, 0) for n in reduced.keys() | skew.keys()}
-    bad = _least_nonzero(difference)
-    if bad is None:
+    if {n: c for n, c in reduced.items() if c} == skew:  # N holds no zeros
         return _report(table, "lcm-reduction", PASS,
                        notes="unique-lcm inclusion-exclusion reproduces the tower series")
+    bad = _least_nonzero({n: reduced.get(n, 0) - skew.get(n, 0)
+                          for n in reduced.keys() | skew.keys()})
     return _report(
         table, "lcm-reduction", FAIL, bad,
         {"degree": _render(table, bad), "reduced_coefficient": reduced.get(bad, 0),
