@@ -11,11 +11,11 @@ and records every run's wall time, its peak RSS (``ru_maxrss`` from
 One more fresh interpreter then calls each layer in pipeline order and
 times each stage: enumerate, atoms, towers, cancellativity and convolve.
 The towers stage is what `verify` runs, the sum of N over the distinct
-tower tops, so it holds what was once a stage of its own, skew, the sum
-over a forest.  Each stage is charged with the generator maps it builds: the
-right maps fall to the towers stage when the poset's reverse pass reads
-them, and else to the cancellativity probe, unless the presentation proves
-the right side.  It runs that sequence STAGE_RUNS times, each on a freshly
+tower tops, so it includes summing N, which BENCH files up to
+BENCH_37.json time as a stage of its own, skew.  Each stage is charged
+with the generator maps it builds: the right maps fall to the towers
+stage when the poset's reverse pass reads them, and else to the
+cancellativity probe, unless the presentation proves the right side.  It runs that sequence STAGE_RUNS times, each on a freshly
 built model and table, and records every sample, each stage's median and,
 next to it, its lower and upper quartiles (inclusive method); the first
 sample includes the cold first calls.  A stage that raises ends the row's
