@@ -15,10 +15,11 @@ tower tops, so it includes summing N, which BENCH files up to
 BENCH_37.json time as a stage of its own, skew.  Each stage is charged
 with the generator maps it builds: the right maps fall to the towers
 stage when the poset's reverse pass reads them, and else to the
-cancellativity probe, unless the presentation proves the right side.  It runs that sequence STAGE_RUNS times, each on a freshly
-built model and table, and records every sample, each stage's median and,
-next to it, its lower and upper quartiles (inclusive method); the first
-sample includes the cold first calls.  A stage that raises ends the row's
+cancellativity probe, unless the presentation proves the right side.  It
+runs that sequence STAGE_RUNS times, each on a freshly built model and
+table, and records every sample, each stage's median and, next to it,
+its lower and upper quartiles (inclusive method); the first sample
+includes the cold first calls.  A stage that raises ends the row's
 stages and is recorded with its error.  The source measured is the `src/`
 of the checkout this script sits in.
 """

@@ -334,18 +334,18 @@ def _reach(left: list, right: list, size: int):
 
     The flags come from the two supports: the longer one as a bitmask,
     shifted by each int of the shorter one and ORed, len(shorter) * size
-    / 64 word operations.  Where that costs more than the product of the
-    two 0/1 indicators, packed as the values are, the indicator product
-    gives them.  Dense grids of 1,000 to 64,000 slots with 2- and 4-byte
-    indicator slots (2-core x86-64 VM) put that product at about
-    (size * width) ** 1.585 * 20 / 64 of those word operations, Karatsuba's
-    exponent; the ORs took 1.06 to 3.8 times less on the dense diagonal,
-    every int in both supports, and more off it."""
+    / 64 word operations.  The product of the two 0/1 indicators, packed
+    as the values are, never beat that on a 2-core x86-64 VM: on the dense
+    diagonal, every int in both supports and the ORs' worst case, the two
+    tied at 24,000 and 32,000 slots (2-byte slots; 22.8 against 24.1 ms,
+    37.5 against 38.2 ms, medians of 9 interleaved runs), and the ORs
+    were 2.0, 1.4 and 1.2 times faster at 64,000, 128,000 and 256,000
+    (4-byte slots), and 1.1 to 5 times faster with a half or a quarter of
+    the ints in the shorter support.  The ORs grow as size squared and the
+    product as (size * slot bytes) ** 1.585, so a dense grid far past
+    256,000 slots could favour it; example3@16000, the largest table
+    benchmarked, has 16,001."""
     short, long = sorted((left, right), key=len)
-    width = _slot_bytes(len(short))
-    if len(short) * size > _REACH_PRODUCT * (size * width) ** 1.585:
-        return _packed_product([(n, 1) for n, _ in short], [(n, 1) for n, _ in long],
-                               size, width)
     buf = bytearray(b"0") * size
     for n, _ in long:
         buf[n] = 49
@@ -355,11 +355,6 @@ def _reach(left: list, right: list, size: int):
         reach |= support << n
     bits = format(reach & ((1 << size) - 1), "b").encode()
     return bits[::-1].translate(bytes.maketrans(b"01", b"\0\1"))
-
-
-# the indicator product's cost per (size * width) ** 1.585, in the ORs'
-# word operations, as :func:`_reach` measured it
-_REACH_PRODUCT = 20
 
 
 def _convolve_by_loop(grid: Grid, left: list, right: list) -> dict:

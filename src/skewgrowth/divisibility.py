@@ -16,8 +16,8 @@ first read.
 The supported subsets of a tower node's candidates, with their minimal
 common multiples, are walked, ANDing and peeling multiple masks, at a narrow
 node, and read off one pass over the elements above the least candidate,
-which reads no mask, at a wide one; :meth:`DivPoset.iter_supported_subsets`
-gives the rule and its measured constant.
+which reads no mask, at a wide one; :meth:`DivPoset.supported_stages` gives
+the rule and its measured constant.
 
 Truncation contract: every query answer is exact for the enumerated range.
 In particular the minimal elements of a common-multiple mask are the
@@ -166,11 +166,21 @@ class DivPoset:
             mask |= 1 << eid
         return self.minimal_in_mask(mask)
 
-    def iter_supported_subsets(self, candidates: Sequence[int]):
-        """Yield the subsets (as tuples, in lexicographic order) of at
-        least two candidates whose common-multiple set is non-empty within
-        the cutoff, each with its tops, its minimal common multiples,
-        ascending.  The candidates are ascending, as every tower top is.
+    def iter_supported_subsets(self, candidates: Sequence[int]) -> list:
+        """The subsets (as tuples, in lexicographic order) of at least two
+        candidates whose common-multiple set is non-empty within the
+        cutoff, each with its tops, its minimal common multiples,
+        ascending: :meth:`supported_stages` read by :func:`in_stage_order`.
+        The candidates are ascending, as every tower top is."""
+        stages = in_stage_order(candidates, self.supported_stages(candidates))
+        return [(stage, tuple(tops)) for _, tops, stage in stages]
+
+    def supported_stages(self, candidates: Sequence[int]) -> list:
+        """(size, tops, stage) for each supported subset of the candidates,
+        the tops an ascending list, with no stage decoded: the walk gives
+        each stage as its tuple, in lexicographic order, and the pass as the
+        bitmask of its positions among the candidates, in no set order,
+        which :func:`decode_stage` reads.
         The towers answer a node of two candidates with one AND and call
         this from three on.
 
@@ -192,27 +202,12 @@ class DivPoset:
         5,000 (0.002).  Of the builtins, only the zpos roots from about
         zpos:90 on take the pass.
         """
-        if self._sweeps(candidates):
-            return self._sweep_supported_subsets(candidates)
-        return ((stage, tuple(self.minimal_in_mask(mask)))
-                for stage, mask in self._walk_supported_subsets(candidates))
-
-    def supported_stages(self, candidates: Sequence[int]) -> list:
-        """(size, tops, stage) for each subset :meth:`iter_supported_subsets`
-        yields, the tops a list, in no set order: what a sum over tops
-        reads, with no stage decoded.  It takes the same path; the walk
-        gives each stage as its tuple and the pass as the bitmask of its
-        positions among the candidates, which :func:`decode_stage` reads."""
-        if self._sweeps(candidates):
+        k = len(candidates)
+        if k > 1 and k * (k - 1) // 2 > self.n_elements - candidates[0]:
             return [(sub.bit_count(), top, sub)
                     for sub, top in self._sweep_tops(candidates).items()]
         return [(len(stage), self.minimal_in_mask(mask), stage)
                 for stage, mask in self._walk_supported_subsets(candidates)]
-
-    def _sweeps(self, candidates: Sequence[int]) -> bool:
-        """Whether a node takes the pass, by the rule above."""
-        k = len(candidates)
-        return k > 1 and k * (k - 1) // 2 > self.n_elements - candidates[0]
 
     def _walk_supported_subsets(self, candidates: Sequence[int]):
         """Each subset hands its extensions a survivor pool: the later
@@ -251,13 +246,6 @@ class DivPoset:
                 stage, pool = stack.pop()
             else:
                 return
-
-    def _sweep_supported_subsets(self, candidates: Sequence[int]) -> list:
-        """:meth:`_sweep_tops` with each stage decoded to its candidates,
-        sorted, which is the walk's order."""
-        tops = self._sweep_tops(candidates)
-        return sorted(((decode_stage(candidates, sub), tuple(top)) for sub, top in tops.items()),
-                      key=itemgetter(0))
 
     def _sweep_tops(self, candidates: Sequence[int]) -> dict[int, list[int]]:
         """Each supported subset, as the bitmask of its positions among the
@@ -313,6 +301,16 @@ class DivPoset:
                 if wide:
                     covers.setdefault(row[w], []).append(value)
         return tops
+
+
+def in_stage_order(candidates: Sequence[int], stages: list) -> list:
+    """The (size, tops, stage) triples of :meth:`DivPoset.supported_stages`
+    over *candidates* with tuple stages, in lexicographic order of the
+    stages: the walk's as they are, and the pass's decoded and sorted."""
+    if stages and stages[0][2].__class__ is int:
+        return sorted(((size, tops, decode_stage(candidates, sub))
+                       for size, tops, sub in stages), key=itemgetter(2))
+    return stages
 
 
 def decode_stage(candidates: Sequence[int], stage) -> tuple[int, ...]:

@@ -34,13 +34,12 @@ cutoff and cannot affect reported degrees.  A tower whose top keeps fewer
 than two candidates has no children, and one that keeps two has at most
 one, on the pair, when their multiple masks meet: one AND, peeled to its
 minimal elements.  Three or more candidates go to
-:meth:`~skewgrowth.divisibility.DivPoset.iter_supported_subsets`, which
-yields each child's stage with its top, or, for the sum over tops, to
-:meth:`~skewgrowth.divisibility.DivPoset.supported_stages`, which leaves
-the stages undecoded.  Enumeration is breadth-first and fully
-deterministic.  The cut and the skew-growth terms work on the table's
-grid ints (see :class:`skewgrowth.dirichlet.Grid`); keys are made when the
-series is.
+:meth:`~skewgrowth.divisibility.DivPoset.supported_stages`, which gives
+each child's stage, undecoded, with its top; the sum over tops reads them
+so, and the forest decodes them in lexicographic order.  Enumeration is
+breadth-first and fully deterministic.  The cut and the skew-growth terms
+work on the table's grid ints (see :class:`skewgrowth.dirichlet.Grid`);
+keys are made when the series is.
 """
 from __future__ import annotations
 
@@ -51,7 +50,7 @@ from typing import Sequence
 
 from . import models
 from .dirichlet import Series, key_to_json
-from .divisibility import DivPoset
+from .divisibility import DivPoset, in_stage_order
 from .errors import InvalidGroundError
 
 
@@ -122,6 +121,22 @@ def _ground_and_cut(table, poset: DivPoset, ground: Sequence[int] | None):
     return ground, bisect_right(degrees, grid.top, key=partial(grid.combine, degrees[1]))
 
 
+def _children(poset: DivPoset, top: tuple[int, ...], cut: int):
+    """The candidates of a tower *top*, its elements below *cut*, and the
+    children they give, as the (size, tops, stage) triples of
+    :meth:`~skewgrowth.divisibility.DivPoset.supported_stages`.  Fewer
+    than two candidates give none, and two at most the pair itself, with
+    the minimal elements of their masks' AND."""
+    picks = top[:bisect_left(top, cut)]
+    if len(picks) == 2:
+        # read through the poset: its reverse pass swaps in a faster method
+        if mask := poset.multiples(picks[0]) & poset.multiples(picks[1]):
+            return picks, [(2, poset.minimal_in_mask(mask), picks)]
+    elif len(picks) > 2:
+        return picks, poset.supported_stages(picks)
+    return picks, ()
+
+
 def enumerate_towers(table, poset: DivPoset | None = None,
                      ground: Sequence[int] | None = None) -> TowerForest:
     """Breadth-first tower enumeration over the table's full degree range.
@@ -132,23 +147,16 @@ def enumerate_towers(table, poset: DivPoset | None = None,
     ground, cut = _ground_and_cut(table, poset, ground)
     # a trivial table's forest is the bare root, and its skew series is 1
     towers = [Tower(top=ground)]
-    cap = models.WORD_CAP
+    append, cap = towers.append, models.WORD_CAP
     for i, tower in enumerate(towers):  # grows while it is read
         if len(towers) > cap:  # once per node; each tower is one in turn, so none slips by
             models._check_size(len(towers), "towers")
-        top = tower.top
-        candidates = top[:bisect_left(top, cut)]
-        k = len(candidates)
-        # a pick of j elements multiplies the sign by (-1) ** (j - 1): a pair flips it
-        if k == 2:  # the pair itself is the one possible stage
-            # read through the poset: its reverse pass swaps in a faster method
-            if mask := poset.multiples(candidates[0]) & poset.multiples(candidates[1]):
-                towers.append(Tower(i, candidates, tuple(poset.minimal_in_mask(mask)),
-                                    tower.height + 1, -tower.sign))
-        elif k > 2:
+        picks, children = _children(poset, tower.top, cut)
+        if children:
+            # a pick of j elements multiplies the sign by (-1) ** (j - 1): a pair flips it
             height, sign = tower.height + 1, tower.sign
-            towers += [Tower(i, stage, mcms, height, sign if len(stage) % 2 else -sign)
-                       for stage, mcms in poset.iter_supported_subsets(candidates)]
+            for size, tops, stage in in_stage_order(picks, children):
+                append(Tower(i, stage, tuple(tops), height, sign if size % 2 else -sign))
     return TowerForest(tuple(towers))
 
 
@@ -166,12 +174,10 @@ def sum_over_tops(table, ground: Sequence[int] | None = None):
     sums to 0 is not expanded.  A child with fewer than two candidates has
     no children, so its degrees are summed into N at once, never queued.
 
-    A node's children are the (size, tops, stage) triples of
-    :meth:`~skewgrowth.divisibility.DivPoset.supported_stages`, or the
-    pair's one AND; the root's are returned for the lcm reduction, and
-    its candidates are a prefix of the ground, so a bitmask stage indexes
-    the ground too.  More tops expanded than the word cap is refused with
-    CutoffTooLargeError.
+    A node's children come from :func:`_children`, as the forest's do; the
+    root's are returned for the lcm reduction, and its candidates are a
+    prefix of the ground, so a bitmask stage indexes the ground too.  More
+    tops expanded than the word cap is refused with CutoffTooLargeError.
     """
     poset = table.poset()
     ground, cut = _ground_and_cut(table, poset, ground)
@@ -194,17 +200,8 @@ def sum_over_tops(table, ground: Sequence[int] | None = None):
             for eid in top:
                 degree = degrees[eid]
                 terms[degree] = terms.get(degree, 0) + weight
-            # every top but the root was queued for its two candidates or more
-            picks = top[:bisect_left(top, cut)]
-            if len(picks) == 2:  # the pair itself is the one possible stage
-                if not (mask := poset.multiples(picks[0]) & poset.multiples(picks[1])):
-                    continue
-                found = ((2, poset.minimal_in_mask(mask), picks),)
-            elif len(picks) > 2:
-                found = poset.supported_stages(picks)
-            else:
-                continue
-            if children is None:
+            found = _children(poset, top, cut)[1]
+            if children is None:  # the root comes first
                 children = found
             for size, child, _ in found:
                 # a pick of j elements multiplies the sign by (-1) ** (j - 1)
@@ -226,7 +223,7 @@ def sum_over_tops(table, ground: Sequence[int] | None = None):
                     for eid in child:
                         degree = degrees[eid]
                         terms[degree] = terms.get(degree, 0) + sign
-    return {n: c for n, c in terms.items() if c}, ground, children or ()
+    return {n: c for n, c in terms.items() if c}, ground, children
 
 
 def skew_on_grid(table, forest: TowerForest | None = None) -> dict[int, int]:

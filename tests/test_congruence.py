@@ -35,8 +35,8 @@ def test_counts_and_forest_match_the_oracles(modulus, cutoff, elements, atoms, h
 def test_hilbert_root_takes_the_pass_and_finds_several_tops():
     # 9 and 21 have the minimal common multiples 189 = 9*21 and 441 = 21*21
     # below 500, and ten more below 5,000, such as 693 = 9*77 = 21*33
-    with mock.patch.object(DivPoset, "_sweep_supported_subsets", autospec=True,
-                           side_effect=DivPoset._sweep_supported_subsets) as spy:
+    with mock.patch.object(DivPoset, "_sweep_tops", autospec=True,
+                           side_effect=DivPoset._sweep_tops) as spy:
         tops = {}
         for cutoff in (500, 5000):
             table = CongruenceTable(4, cutoff)

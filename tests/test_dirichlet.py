@@ -273,9 +273,8 @@ def _grid_factor(kind, top, coefficients):
         st.just(kind), st.just(top), _grid_factor(kind, top, c), _grid_factor(kind, top, c))))))
 def test_the_reach_and_the_slot_loop_match_the_fraction_loop(drawn):
     # the loop sums into list slots once the pairs are 4 times the ints
-    # and into a dict below that; the reach ORs shifted supports, or takes
-    # the indicator product when that is the cheaper; all of them keep the
-    # ints where a sum cancels to 0
+    # and into a dict below that; the reach ORs shifted supports; all of
+    # them keep the ints where a sum cancels to 0
     kind, top, f, g = drawn
     expected = convolve_by_fractions(Series.build(kind, top, f), Series.build(kind, top, g))
     grid = dirichlet.Grid(kind, top)
@@ -283,10 +282,8 @@ def test_the_reach_and_the_slot_loop_match_the_fraction_loop(drawn):
     assert dirichlet._convolve_by_loop(grid, left, right) == expected
     if kind is R and left and right:
         reached = {Fraction(n) for n in expected}
-        for product_cost in (dirichlet._REACH_PRODUCT, 0):
-            with mock.patch.object(dirichlet, "_REACH_PRODUCT", product_cost):
-                flags = dirichlet._reach(left, right, top + 1)
-            assert set(itertools.compress(range(top + 1), flags)) == reached
+        flags = dirichlet._reach(left, right, top + 1)
+        assert set(itertools.compress(range(top + 1), flags)) == reached
 
 
 def test_kernels_take_raw_int_keys():

@@ -114,8 +114,8 @@ def test_only_wide_nodes_sweep(preset, cutoff, sweeps):
         return mock.patch.object(DivPoset, name, autospec=True,
                                  side_effect=getattr(DivPoset, name))
 
-    with spy("iter_supported_subsets") as entry, spy("_walk_supported_subsets") as walk, \
-            spy("_sweep_supported_subsets") as sweep:
+    with spy("supported_stages") as entry, spy("_walk_supported_subsets") as walk, \
+            spy("_sweep_tops") as sweep:
         forest = enumerate_towers(table)
     picks = [headroom_candidates(table, tower) for tower in forest]
     assert sweep.call_count == sweeps

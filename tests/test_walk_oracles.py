@@ -26,6 +26,13 @@ from skewgrowth.towers import Tower, enumerate_towers, forest_to_json
 from test_models import small_presentations
 
 
+def _by_the_pass(poset, candidates):
+    """The pass's supported subsets, decoded and in lexicographic order, each
+    with its tops."""
+    return sorted((decode_stage(candidates, sub), tuple(top))
+                  for sub, top in poset._sweep_tops(candidates).items())
+
+
 def _assert_both_subset_paths_match(poset, candidates):
     # the walk yields each stage's mask, the pass and the public entry its tops
     expected = list(supported_subsets_by_rescan(poset, candidates, 2))
@@ -33,7 +40,7 @@ def _assert_both_subset_paths_match(poset, candidates):
     tops = [(stage, tuple(minimal_by_divisors(poset, mask_to_ids(mask))))
             for stage, mask in expected]
     if candidates:  # the pass starts at the least candidate
-        assert list(poset._sweep_supported_subsets(candidates)) == tops
+        assert _by_the_pass(poset, candidates) == tops
     assert list(poset.iter_supported_subsets(candidates)) == tops
     # the sum over tops reads the same path, its stages undecoded
     stages = [(decode_stage(candidates, stage), tuple(top), size)
@@ -112,7 +119,7 @@ def test_the_pass_finds_tops_from_right_predecessors():
     poset = table.poset()
     # no cover settles 30, so its submasks are walked
     assert _cover_count(table, candidates, table.element_id(30)) == (3, 0)
-    steps = poset._sweep_supported_subsets(candidates)
+    steps = _by_the_pass(poset, candidates)
     assert [([table.label(e) for e in stage], [table.label(e) for e in top])
             for stage, top in steps] == [(["6", "10"], ["30"]), (["6", "10", "15"], ["30"]),
                                          (["6", "15"], ["30"]), (["10", "15"], ["30"])]
@@ -129,7 +136,7 @@ def test_the_pass_walks_a_top_that_some_covers_miss():
     candidates = tuple(table.element_id(v) for v in (4, 6, 9))
     poset = table.poset()
     assert _cover_count(table, candidates, table.element_id(36)) == (3, 2)
-    steps = poset._sweep_supported_subsets(candidates)
+    steps = _by_the_pass(poset, candidates)
     assert [([table.label(e) for e in stage], [table.label(e) for e in top])
             for stage, top in steps] == [(["4", "6"], ["12"]), (["4", "6", "9"], ["36"]),
                                          (["4", "9"], ["36"]), (["6", "9"], ["18"])]
@@ -160,7 +167,7 @@ def test_the_pass_settles_zpos_root_tops_from_their_cover_count():
     table = builtin("zpos", nmax=1500).enumerate_up_to(1500)
     poset = table.poset()
     candidates = headroom_candidates(table, Tower(top=table.atoms()))
-    steps = poset._sweep_supported_subsets(candidates)
+    steps = _by_the_pass(poset, candidates)
     assert steps == [(stage, tuple(minimal_by_divisors(poset, mask_to_ids(mask))))
                      for stage, mask in supported_subsets_by_rescan(poset, candidates, 2)]
     stages_at = {}
